@@ -1,19 +1,24 @@
 """Solver configuration and convergence reporting.
 
 Every iterative routine in the package reads its tolerances, iteration caps,
-line-search constants, restart counts, and seeds from a single
-:class:`SolverConfig` so that runs are reproducible given the config alone.
+restart counts, and seeds from a single :class:`SolverConfig` so that runs
+are reproducible given the config alone.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the rotation search, row means, and outer mean loop.
 
-    grad_tol / max_iters govern each Riemannian gradient descent.
-    armijo_* are the backtracking line-search constants.
+    grad_tol / max_iters govern each trust-region Newton solve (rotation
+    search and row means): it converges when the Riemannian gradient norm
+    is at most grad_tol. Once the predicted decrease of a step is below the
+    rounding level of the loss, steps are judged by the gradient norm
+    instead, and the solve stops when that no longer falls or has fallen
+    to grad_tol, so converged solves end with the gradient near rounding
+    level.
     restarts counts total initializations of the rotation search
     (one Procrustes start plus restarts - 1 seeded random starts).
     mean_tol / max_outer stop the alternating Frechet-mean loop on the
@@ -21,17 +26,13 @@ class SolverConfig:
     antipodal_guard is the cut-locus band within which logarithms refuse.
     horiz_tol certifies near-horizontality of emitted quotient tangents.
     equality_tol is the orbit-distance threshold for "same point".
-    stagnation_tol separates harmless line-search stalls at the rounding
-    floor from genuine failures: a stall with gradient norm above it is an
+    stagnation_tol separates harmless stops at the rounding floor from
+    genuine failures: a stagnated solve with gradient norm above it is an
     error for consumers that need a converged alignment.
     """
 
     grad_tol: float = 1e-8
     max_iters: int = 500
-    armijo_initial: float = 1.0
-    armijo_backtrack: float = 0.5
-    armijo_sufficient: float = 1e-4
-    armijo_max_backtracks: int = 30
     restarts: int = 5
     seed: int = 0
     symmetrize: bool = True
@@ -42,8 +43,6 @@ class SolverConfig:
     require_horizontal: bool = False
     equality_tol: float = 1e-8
     stagnation_tol: float = 1e-6
-    rank_rel_tol: float = 1e-8
-    rank_abs_floor: float = 1e-12
 
     def with_(self, **kwargs) -> "SolverConfig":
         """Copy with selected fields replaced."""
@@ -59,8 +58,8 @@ class SolverReport:
 
     iterations is the count actually used (max over rows for row-wise
     solvers), grad_norm the final Riemannian gradient norm (max over rows),
-    loss the final objective value.  stagnated marks an Armijo cap hit with
-    the gradient still above tolerance.  clamped_rows lists rows where the
+    loss the final objective value.  stagnated marks a collapsed trust
+    region with the gradient still above tolerance.  clamped_rows lists rows where the
     near-antipodal gradient factor had to be clamped.
     """
 

@@ -26,7 +26,7 @@ class AntipodalLogarithm(CorrGeoError):
 
 
 class AlignmentStagnation(CorrGeoError):
-    """Rotation search stalled with a gradient norm above tolerance."""
+    """Rotation search stagnated with a gradient norm above tolerance."""
 
 
 class RankExceedsK(CorrGeoError):

@@ -1,15 +1,14 @@
 """Optimization primitives on the orthogonal group O(k).
 
-Tangent vectors at O have the form O W with W skew-symmetric. The
-retraction is the sign-corrected Q factor, and the line search is Armijo
-backtracking tailored to steepest descent (the sufficient-decrease test
-uses the squared norm of the search direction).
+Tangent vectors at O have the form O W with W skew-symmetric. og_retract
+is the sign-corrected Q factor; the rotation search itself steps by the
+exponential O expm(W) inside its trust-region Newton solver (see
+quotient_space).
 """
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import InvalidInput, RetractionFailure
+from .errors import InvalidInput
 from .kernels import qf, skew_part
 
 
@@ -41,31 +40,3 @@ def og_retract(O, xi) -> np.ndarray:
     if xi.shape != O.shape:
         raise InvalidInput(f"shape mismatch {xi.shape} vs {O.shape}")
     return qf(O + xi)
-
-
-def og_armijo(loss, O, xi, cfg: SolverConfig = DEFAULT_CONFIG, loss0=None):
-    """Backtracking line search along xi from O under the QR retraction.
-
-    Geometric backtracking from cfg.armijo_initial accepts the first step
-    with loss(retract(O, step * xi)) <= loss(O) - c1 * step * ||xi||_F^2,
-    the test for a steepest-descent direction. O must be orthogonal and xi
-    a tangent at O (not revalidated; this runs in the solver's hot loop).
-    Callers that already hold loss(O) can pass it as loss0. Returns
-    (step, O_next); a cap hit returns (0.0, O) so callers can flag
-    stagnation. Singular retraction targets count as rejected trials.
-    """
-    O = np.asarray(O, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    loss0 = float(loss(O)) if loss0 is None else float(loss0)
-    sq = float(np.sum(xi * xi))
-    step = cfg.armijo_initial
-    for _ in range(cfg.armijo_max_backtracks + 1):
-        try:
-            O_trial = qf(O + step * xi)
-        except RetractionFailure:
-            step *= cfg.armijo_backtrack
-            continue
-        if float(loss(O_trial)) <= loss0 - cfg.armijo_sufficient * step * sq:
-            return step, O_trial
-        step *= cfg.armijo_backtrack
-    return 0.0, O

@@ -225,12 +225,13 @@ class DistanceRun:
     common_columns: tuple
     dropped_subjects: tuple
     k: int
+    stagnation_tol: float = DEFAULT_CONFIG.stagnation_tol
 
     @property
     def any_stagnation(self) -> bool:
-        # stalls at the rounding floor are benign; see SolverConfig.stagnation_tol
+        # stops at the rounding floor are benign; see SolverConfig.stagnation_tol
         return any(
-            r.stagnated and r.grad_norm > DEFAULT_CONFIG.stagnation_tol
+            r.stagnated and r.grad_norm > self.stagnation_tol
             for r in self.pair_reports
         )
 
@@ -335,6 +336,7 @@ def pairwise_distances(
         common_columns=common,
         dropped_subjects=dropped,
         k=width,
+        stagnation_tol=cfg.stagnation_tol,
     )
 
 

@@ -3,6 +3,11 @@
 A point is an m x k matrix whose rows all have unit norm, one sphere factor
 per row. All maps act row by row; the product metric is the Frobenius inner
 product, so the squared distance is the sum of squared row angles.
+
+Iterative solves in the package (row means here, the rotation search in
+quotient_space) share one Riemannian trust-region Newton method, fed a
+closed-form model: loss, gradient and Hessian in orthonormal tangent
+coordinates, plus a retraction.
 """
 
 from dataclasses import dataclass
@@ -193,73 +198,167 @@ def _cloud_angles(P, x):
     )
 
 
-def _row_mean_descent(P, w, x0, cfg: SolverConfig):
-    """Projected gradient descent for one weighted spherical mean.
+def _angle_curvature(c, theta):
+    """Second derivative of the squared row angle arccos(c)^2 in c.
 
-    P is the n x k cloud, w the weights, x0 the starting point. Returns
-    (x, loss, grad_norm, iterations, converged, stagnated, clamped).
+    2 (sin theta - theta cos theta) / sin^3 theta, which tends to 2/3 at
+    theta = 0 (series substituted below 1e-2) and diverges at pi, where
+    sin theta is floored as in angle_grad_coef's cap.
     """
+    c = np.asarray(c, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    s = np.maximum(np.sin(theta), theta / GRAD_FACTOR_CAP)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = 2.0 * (s - theta * c) / s**3
+    return np.where(theta < 1e-2, 2.0 / 3.0 + (4.0 / 15.0) * theta**2, direct)
 
-    def loss_of(x):
-        th = _cloud_angles(P, x)
-        return float(w @ (th * th)), np.cos(th), th
 
-    x = x0
-    loss, c, th = loss_of(x)
-    clamped_any = False
-    gn = np.inf
-    stagnated = False
+def _trust_region_step(lam, gt, radius):
+    """Trust-region step in the eigenbasis of the model Hessian.
+
+    Minimizes gt.s + s.(lam s)/2 over |s| <= radius with the shift mu >=
+    max(0, -lam_min) of the exact solution; returns (s, predicted decrease).
+    Components whose shifted eigenvalue lam + mu sits at rounding level
+    are left at zero, so flat directions (the stabilizer of a rank-deficient
+    cloud) stay untouched. Negative curvature is followed only as far as the
+    gradient reaches it, as in a Krylov solve: near a degenerate minimum
+    (rank-deficient clouds on both sides) the curvature along the set of
+    minimizers is negative in proportion to the gradient and carries no
+    gradient component, and a step along it gains nothing.
+    """
+    tiny = 1e-12 * max(float(np.abs(lam).max()), np.finfo(float).tiny)
+    lo = -lam[0] if lam[0] < -tiny else 0.0
+
+    def step(mu):
+        d = lam + mu
+        keep = d > tiny
+        return np.where(keep, -gt / np.where(keep, d, 1.0), 0.0), d, keep
+
+    mu = lo
+    g_min = float(np.linalg.norm(gt[lam <= lam[0] + tiny]))
+    if lo > 0.0 and g_min > 2.0 * tiny * radius:
+        # the most negative curvature alone carries the step past the boundary
+        mu = lo + g_min / (2.0 * radius)
+    s, d, keep = step(mu)
+    ns = float(np.linalg.norm(s))
+    if ns > radius:
+        # Newton on the concave 1/|s(mu)| - 1/radius approaches the root from
+        # the left; bisection guards against a step out of the bracket
+        a, b = mu, lo + float(np.linalg.norm(gt)) / radius
+        for _ in range(60):
+            q = float(np.sum(gt[keep] ** 2 / d[keep] ** 3))
+            mu_next = mu + (ns - radius) / radius * ns * ns / q
+            mu = mu_next if a < mu_next < b else 0.5 * (a + b)
+            s, d, keep = step(mu)
+            ns = float(np.linalg.norm(s))
+            if ns > radius:
+                a = mu
+            else:
+                b = mu
+            if abs(ns - radius) <= 1e-9 * radius:
+                break
+        s = s * min(1.0, radius / ns)
+    return s, -float(gt @ s + 0.5 * (lam * s) @ s)
+
+
+def _trust_region(model, retract, x, cfg: SolverConfig):
+    """Riemannian trust-region Newton method with an exact subproblem solve.
+
+    model(x) returns (loss, g, H, clamped): the loss, its gradient and
+    Hessian in orthonormal coordinates of the tangent space at x, and the
+    rows whose gradient factor was clamped; retract(x, s) maps a coordinate
+    step to the next point. Steps are accepted on the ratio of actual to
+    predicted decrease. Once the predicted decrease is below the rounding
+    level of the loss, loss differences carry no information; from there a
+    step is accepted only if it lowers the gradient norm (accurate to eps),
+    and the solve stops at the first step that does not, or once such a
+    step has left the gradient norm at most cfg.grad_tol. Quadratic
+    convergence takes the gradient to rounding level on the way.
+
+    Returns (x, loss, grad_norm, iterations, converged, stagnated,
+    clamped_any): converged means grad_norm <= cfg.grad_tol, stagnated that
+    the trust region collapsed with the gradient still above it.
+    """
+    loss, g, H, clamped = model(x)
+    gn = float(np.linalg.norm(g))
+    clamped_any = bool(np.any(clamped))
+    radius = 1.0
+    stagnated = floored = False
     it = 0
-    for it in range(1, cfg.max_iters + 1):
-        coef, clamped = angle_grad_coef(c, th)
+    eig = None
+    while not (floored and gn <= cfg.grad_tol) and it < cfg.max_iters:
+        it += 1
+        if eig is None:
+            eig = np.linalg.eigh(H)
+        lam, V = eig
+        s, pred = _trust_region_step(lam, V.T @ g, radius)
+        x_new = retract(x, V @ s)
+        new = model(x_new)
+        gn_new = float(np.linalg.norm(new[1]))
+        floored = pred <= 100.0 * np.finfo(float).eps * max(1.0, loss)
+        if floored:
+            if gn_new >= gn:
+                stagnated = gn > cfg.grad_tol
+                break
+        else:
+            rho = (loss - new[0]) / pred
+            ns = float(np.linalg.norm(s))
+            if rho < 0.25:
+                radius = 0.25 * ns
+            elif rho > 0.75 and ns >= 0.99 * radius:
+                radius *= 2.0
+            if rho <= 0.1:
+                continue
+        x, (loss, g, H, clamped), gn, eig = x_new, new, gn_new, None
         clamped_any = clamped_any or bool(np.any(clamped))
+    return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped_any
+
+
+def _tangent_basis(x):
+    """Orthonormal k x (k-1) basis of the tangent space at the unit vector x.
+
+    The columns of the Householder reflection carrying e_0 to -sign(x_0) x,
+    after its first.
+    """
+    v = x.copy()
+    v[0] += np.copysign(1.0, x[0])
+    return np.eye(x.size)[:, 1:] - (2.0 / (v @ v)) * np.outer(v, v[1:])
+
+
+def _row_mean_model(P, w):
+    """Closed-form trust-region model of one weighted spherical mean.
+
+    P is the n x k cloud, w the weights. In coordinates of the tangent basis
+    B at x, g = B^T egrad and H = (P B)^T diag(w phi'') (P B) - (x . egrad) I,
+    the Riemannian Hessian of sum_i w_i arccos(p_i . x)^2; steps retract by
+    normalization.
+    """
+    eye = np.eye(P.shape[1] - 1)
+
+    def model(x):
+        th = _cloud_angles(P, x)
+        c = np.cos(th)
+        coef, clamped = angle_grad_coef(c, th)
         eg = P.T @ (w * coef)
-        g = eg - (x @ eg) * x
-        gn = float(np.linalg.norm(g))
-        if gn <= cfg.grad_tol:
-            break
-        # Armijo backtracking along -g with the normalization retraction
-        step = cfg.armijo_initial
-        accepted = False
-        for _ in range(cfg.armijo_max_backtracks + 1):
-            y = x - step * g
-            ny = np.linalg.norm(y)
-            if ny >= 1e-12:
-                y = y / ny
-                new_loss, new_c, new_th = loss_of(y)
-                if new_loss <= loss - cfg.armijo_sufficient * step * gn * gn:
-                    accepted = True
-                    break
-            step *= cfg.armijo_backtrack
-        if not accepted:
-            stagnated = True
-            break
-        # refine the accepted step with one quadratic interpolation to
-        # avoid the cross-valley hop that freezes plain backtracking
-        denom = new_loss - loss + step * gn * gn
-        if denom > 0.0:
-            a_star = 0.5 * gn * gn * step * step / denom
-            if 0.0 < a_star < step:
-                y2 = x - a_star * g
-                n2 = np.linalg.norm(y2)
-                if n2 >= 1e-12:
-                    y2 = y2 / n2
-                    l2, c2, t2 = loss_of(y2)
-                    if l2 < new_loss:
-                        y, new_loss, new_c, new_th = y2, l2, c2, t2
-        x, loss, c, th = y, new_loss, new_c, new_th
-    converged = gn <= cfg.grad_tol
-    return x, loss, gn, it, converged, stagnated, clamped_any
+        PB = P @ _tangent_basis(x)
+        H = PB.T @ ((w * _angle_curvature(c, th))[:, None] * PB) - (x @ eg) * eye
+        return float(w @ (th * th)), PB.T @ (w * coef), H, clamped
+
+    def retract(x, s):
+        y = x + _tangent_basis(x) @ s
+        return y / np.linalg.norm(y)
+
+    return model, retract
 
 
 def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=None):
     """Weighted Frechet mean on the product of spheres, rotations held fixed.
 
-    Solves the m independent weighted spherical-mean problems by projected
-    gradient descent with Armijo backtracking. Each row starts from the
+    Solves the m independent weighted spherical-mean problems by
+    trust-region Newton iterations. Each row starts from the
     normalized weighted Euclidean mean (first sample's row when that mean is
     near zero). When init is given and beats the default run's loss on a
-    row, the descent is rerun from init and the better row kept, so the
+    row, the solve is rerun from init and the better row kept, so the
     returned loss never exceeds the loss at init.
 
     Returns (mean, report).
@@ -293,13 +392,14 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=N
         x0 = P.T @ w
         n0 = np.linalg.norm(x0)
         x0 = P[0] if n0 < 1e-8 else x0 / n0
-        x, loss, gn, it, conv, stag, clamped = _row_mean_descent(P, w, x0, cfg)
+        model, retract = _row_mean_model(P, w)
+        x, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
         if init is not None:
             th = _cloud_angles(P, init[j])
             warm_loss = float(w @ (th * th))
             if warm_loss < loss:
-                x, loss, gn, it2, conv, stag, cl2 = _row_mean_descent(
-                    P, w, init[j], cfg
+                x, loss, gn, it2, conv, stag, cl2 = _trust_region(
+                    model, retract, init[j], cfg
                 )
                 it = max(it, it2)
                 clamped = clamped or cl2

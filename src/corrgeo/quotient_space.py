@@ -3,8 +3,9 @@
 Two unit-row matrices are identified when one is the other times a single
 orthogonal k x k matrix; orbits correspond one-to-one with correlation
 matrices of rank at most k. The quotient distance is the product-sphere
-distance after the best aligning rotation, found by Riemannian gradient
-descent on O(k) from a Procrustes start plus random restarts.
+distance after the best aligning rotation, found by Riemannian
+trust-region Newton iterations on O(k) (closed-form gradient and Hessian)
+from a Procrustes start plus random restarts.
 """
 
 from dataclasses import dataclass
@@ -14,20 +15,19 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import AlignmentStagnation, InvalidInput, RetractionFailure
+from .errors import AlignmentStagnation, InvalidInput
 from .kernels import (
     DEFAULT_RANK_TOL,
     RankTolerance,
     numerical_rank,
     procrustes,
-    qf,
     random_orthogonal,
-    skew_part,
 )
-from .orthogonal_group import og_armijo
 from .product_sphere import (
     ProductTangent,
+    _angle_curvature,
     _row_angles,
+    _trust_region,
     angle_grad_coef,
     check_unit_rows,
     ps_exp,
@@ -82,93 +82,47 @@ class AlignmentResult:
     clamped_rows: tuple = ()
 
 
-def _align_loss(X, Y):
-    def loss(O):
-        th = _row_angles(X @ O, Y)[1]
-        return float(th @ th)
+def _alignment_model(X, Y):
+    """Closed-form trust-region model of the alignment loss on O(k).
 
-    return loss
-
-
-def _descend(X, Y, O, cfg: SolverConfig):
-    """Riemannian gradient descent of the alignment loss from a given start.
-
-    Each accepted backtracking step is refined by one quadratic
-    interpolation along the same direction: plain geometric backtracking
-    can land on a step whose iterates hop across the valley with
-    vanishing contraction, and the interpolated step restores a linear
-    rate at the cost of at most two extra loss evaluations. The next
-    line search starts near the step just taken, so the typical search
-    accepts its first trial.
+    Coordinates w of the skew W = sum_p w_p E_p, with E_p = (e_a e_b^T -
+    e_b e_a^T)/sqrt(2) orthonormal for a < b, and the retraction O expm(W).
+    With u_i the rows of X O and phi(c) = arccos(c)^2:
+    g_p = sum_i phi'(c_i) u_i^T E_p y_i and
+    H = A^T diag(phi'') A + [tr(E_p E_q S)] with A_ip = u_i^T E_p y_i and S
+    the symmetric part of sum_i phi'(c_i) y_i u_i^T. |g| is the Riemannian
+    gradient norm |O skew(O^T G)|_F.
     """
-    loss = _align_loss(X, Y)
-    clamped_any = False
-    stagnated = False
-    floored = False
-    it = 0
-    gn = np.inf
-    val = np.inf
-    prev_val = np.inf
-    stall = 0
-    trial_init = cfg.armijo_initial
-    for it in range(cfg.max_iters + 1):
-        c, th = _row_angles(X @ O, Y)
-        val = float(th @ th)
+    k = X.shape[1]
+    ia, ib = np.triu_indices(k, 1)
+    E = np.zeros((ia.size, k, k))
+    E[np.arange(ia.size), ia, ib] = 1.0 / np.sqrt(2.0)
+    E[np.arange(ia.size), ib, ia] = -1.0 / np.sqrt(2.0)
+    E_flat = E.reshape(ia.size, -1)
+
+    def model(O):
+        U = X @ O
+        c, th = _row_angles(U, Y)
         coef, clamped = angle_grad_coef(c, th)
-        clamped_any = clamped_any or bool(np.any(clamped))
-        G = (X * coef[:, None]).T @ Y
-        grad = O @ skew_part(O.T @ G)
-        gn = float(np.linalg.norm(grad))
-        if gn <= cfg.grad_tol or it == cfg.max_iters:
-            break
-        # a run of sub-rounding improvements means the loss has hit its
-        # floating-point floor; further line searches cannot make progress
-        stall = stall + 1 if prev_val - val <= 1e-14 * max(1.0, val) else 0
-        prev_val = val
-        if stall >= 5:
-            # benign when the leftover gradient is tiny, a true stall otherwise
-            floored = gn <= cfg.stagnation_tol
-            stagnated = not floored
-            break
-        step_cfg = (
-            cfg
-            if trial_init == cfg.armijo_initial
-            else cfg.with_(armijo_initial=trial_init)
-        )
-        step, O_next = og_armijo(loss, O, -grad, step_cfg, loss0=val)
-        if step == 0.0:
-            # same split as the stall counter: no improving step exists at
-            # the rounding floor, which is only a failure with a live gradient
-            floored = gn <= cfg.stagnation_tol
-            stagnated = not floored
-            break
-        taken = step
-        val_next = loss(O_next)
-        # quadratic model through loss(0), slope -gn^2, loss(step)
-        denom = val_next - val + step * gn * gn
-        if denom > 0.0:
-            a_star = 0.5 * gn * gn * step * step / denom
-            if 0.0 < a_star < step:
-                try:
-                    O_alt = qf(O - a_star * grad)
-                except RetractionFailure:
-                    O_alt = None
-                if O_alt is not None and loss(O_alt) < val_next:
-                    O_next = O_alt
-                    taken = a_star
-        trial_init = min(cfg.armijo_initial, 2.0 * taken)
-        O = O_next
-    conv = gn <= cfg.grad_tol or floored
-    return O, val, gn, it, conv, stagnated, clamped_any
+        A = (U[:, ia] * Y[:, ib] - U[:, ib] * Y[:, ia]) / np.sqrt(2.0)
+        S = (Y * coef[:, None]).T @ U
+        ES = (E @ (0.5 * (S + S.T))).transpose(0, 2, 1).reshape(ia.size, -1)
+        H = A.T @ (_angle_curvature(c, th)[:, None] * A) + E_flat @ ES.T
+        return float(th @ th), A.T @ coef, H, clamped
+
+    def retract(O, w):
+        return O @ expm(np.tensordot(w, E, axes=1))
+
+    return model, retract
 
 
 def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> AlignmentResult:
     """Best common rotation carrying X onto Y's orbit representative.
 
-    Gradient descent on O(k) of the sum of squared row angles between X O
-    and Y, initialized at the Procrustes rotation plus cfg.restarts - 1
-    seeded random orthogonal starts (and any caller-supplied extra_inits).
-    The lowest loss over all starts wins.
+    Trust-region Newton iterations on O(k) for the sum of squared row
+    angles between X O and Y, initialized at the Procrustes rotation plus
+    cfg.restarts - 1 seeded random orthogonal starts (and any
+    caller-supplied extra_inits). The lowest loss over all starts wins.
     """
     X = _rep(X)
     Y = _rep(Y)
@@ -180,10 +134,11 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     starts += [random_orthogonal(k, rng) for _ in range(max(0, cfg.restarts - 1))]
     starts += [np.asarray(O, dtype=float) for O in extra_inits]
 
+    model, retract = _alignment_model(X, Y)
     best = None
     used = 0
     for O0 in starts:
-        result = _descend(X, Y, O0, cfg)
+        result = _trust_region(model, retract, O0, cfg)
         used += 1
         if best is None or result[1] < best[1]:
             best = result
@@ -235,130 +190,28 @@ def _vertical_coefficient(X, V):
     return 0.5 * (A - A.T)
 
 
-def _newton_polish(X, Y, O, target: float = 1e-13, max_steps: int = 8):
-    """Drive the rotation-search gradient to machine scale.
-
-    The backtracking search stalls once loss differences fall below
-    machine precision, which leaves the rotation accurate only to about
-    sqrt(eps); a rank reading of the aligned representative then sits
-    exactly at the default tolerance. The gradient formula itself is
-    accurate to eps, so a damped Newton iteration on it (finite-difference
-    Jacobian over the Lie algebra, pseudoinverse solve so stabilizer
-    directions of a rank-deficient cloud stay untouched) recovers the
-    missing digits.
-    """
-    k = O.shape[0]
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-
-    def grad_coords(Q):
-        c, th = _row_angles(X @ Q, Y)
-        coef, clamped = angle_grad_coef(c, th)
-        if np.any(clamped):
-            return None
-        M = skew_part(Q.T @ ((X * coef[:, None]).T @ Y))
-        return np.array([M[a, b] for a, b in pairs])
-
-    def exp_step(Q, delta):
-        D = np.zeros((k, k))
-        for (a, b), d in zip(pairs, delta):
-            D[a, b], D[b, a] = d, -d
-        return Q @ expm(D)
-
-    g = grad_coords(O)
-    if g is None:
-        return O
-    gn = float(np.linalg.norm(g))
-    h = 1e-6
-    for _ in range(max_steps):
-        if gn <= target:
-            break
-        cols = []
-        for j in range(len(pairs)):
-            e = np.zeros(len(pairs))
-            e[j] = h
-            gp = grad_coords(exp_step(O, e))
-            gm = grad_coords(exp_step(O, -e))
-            if gp is None or gm is None:
-                return O
-            cols.append((gp - gm) / (2.0 * h))
-        J = np.stack(cols, axis=1)
-        delta = -np.linalg.pinv(J, rcond=1e-10) @ g
-        improved = False
-        for _ in range(5):
-            cand = exp_step(O, delta)
-            g_c = grad_coords(cand)
-            if g_c is not None:
-                gn_c = float(np.linalg.norm(g_c))
-                if gn_c < gn:
-                    O, g, gn = cand, g_c, gn_c
-                    improved = True
-                    break
-            delta *= 0.5
-        if not improved:
-            break
-    return O
-
-
-def _polish_alignment(X, aligned, cfg: SolverConfig, max_polish: int = 50):
-    """Rotate the aligned representative until the log is horizontal.
-
-    First-order optimality of the alignment is exactly horizontality of
-    the logarithm, so the residual skew coefficient A doubles as a
-    correction: composing the aligned representative with exp(-A) shrinks
-    the vertical component. Damped fixed-point iteration on that residual
-    converges well below the loss-based line search's rounding floor.
-    Returns (aligned, vertical_norm).
-    """
-
-    def residual(W):
-        V = ps_log(X, W, guard=cfg.antipodal_guard)
-        A = _vertical_coefficient(X, V.vec)
-        return A, float(np.linalg.norm(X @ A))
-
-    A, vn = residual(aligned)
-    for _ in range(max_polish):
-        if vn <= 0.01 * cfg.horiz_tol:
-            break
-        step = 1.0
-        improved = False
-        for _ in range(6):
-            cand = aligned @ expm(-step * A)
-            A_c, vn_c = residual(cand)
-            if vn_c < vn:
-                aligned, A, vn = cand, A_c, vn_c
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return aligned, vn
-
-
 def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     """Logarithm in the quotient: rowwise log toward the aligned representative.
 
-    Aligns Y to X first, then takes the product-sphere logarithm. When X
-    has full rank the aligned representative is polished along the orbit
-    until the vertical component of the log is driven (well) below
-    cfg.horiz_tol, and the tangent carries the certificate
-    (horizontal_certified, vertical_norm); rank-deficient base points skip
-    the certificate.
+    Aligns Y to X first, then takes the product-sphere logarithm. First-order
+    optimality of the alignment is exactly horizontality of the log, so when
+    X has full rank the vertical component of the log is measured and the
+    tangent carries the certificate (horizontal_certified, vertical_norm:
+    at most cfg.horiz_tol); rank-deficient base points skip the certificate.
     """
     Xp = as_orbit(X)
     Yp = _rep(Y)
     r = align(Xp, Yp, cfg)
     if r.stagnated and r.grad_norm > cfg.stagnation_tol:
         raise AlignmentStagnation(
-            f"rotation search stalled at gradient norm {r.grad_norm:.3e}"
+            f"rotation search stagnated at gradient norm {r.grad_norm:.3e}"
         )
-    O = _newton_polish(Xp.rep, Yp, r.rotation)
-    aligned = Yp @ O.T
+    V = ps_log(Xp.rep, r.aligned, guard=cfg.antipodal_guard)
     certified = None
     vnorm = None
     if numerical_rank(Xp.rep) == Xp.k:
-        aligned, vnorm = _polish_alignment(Xp.rep, aligned, cfg)
+        vnorm = float(np.linalg.norm(Xp.rep @ _vertical_coefficient(Xp.rep, V.vec)))
         certified = vnorm <= cfg.horiz_tol
-    V = ps_log(Xp.rep, aligned, guard=cfg.antipodal_guard)
     return ProductTangent(
         base=V.base, vec=V.vec, horizontal_certified=certified, vertical_norm=vnorm
     )

@@ -41,9 +41,20 @@ from corrgeo import (
     ProductTangent,
 )
 from corrgeo.cli import main as cli_main
-from corrgeo.product_sphere import _row_angles, angle_grad_coef
+from corrgeo.product_sphere import (
+    _row_angles,
+    _row_mean_model,
+    _tangent_basis,
+    angle_grad_coef,
+)
+from corrgeo.quotient_space import _alignment_model
 
-from conftest import counterexample_pair, random_point, random_tangent
+from conftest import (
+    counterexample_pair,
+    random_point,
+    random_rank_point,
+    random_tangent,
+)
 
 PLANAR_BOUND = np.pi / np.sqrt(2.0)
 
@@ -220,6 +231,59 @@ def test_criterion_04_gradient_fidelity():
     _report(
         "4 gradient fidelity",
         f"20+20 configs, worst relative error {worst:.2e}, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_04_hessian_fidelity():
+    # the closed-form Hessians of the trust-region models against second
+    # differences of the loss along O expm(tW) and along great circles,
+    # relative to the Hessian's norm; rank-deficient X included on O(k)
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(405)
+    h = 1e-4
+    worst = 0.0
+
+    def rel_error(fd, w, H):
+        q = float(w @ H @ w)
+        return abs(fd - q) / max(abs(q), float(np.linalg.norm(H, 2)))
+
+    for k in (2, 3, 4, 5):
+        for r in sorted({1, k - 1, k}):
+            for _ in range(5):
+                while True:
+                    X = random_rank_point(rng, 6, k, r)
+                    Y = random_point(rng, 6, k)
+                    O = random_orthogonal(k, rng)
+                    if np.all(np.abs(_row_angles(X @ O, Y)[0]) <= 1.0 - 1e-3):
+                        break
+                model, retract = _alignment_model(X, Y)
+                f0, g, H, _ = model(O)
+                w = rng.standard_normal(g.size)
+                w /= np.linalg.norm(w)
+                fp = model(retract(O, h * w))[0]
+                fm = model(retract(O, -h * w))[0]
+                rel = rel_error((fp - 2.0 * f0 + fm) / h**2, w, H)
+                worst = max(worst, rel)
+                assert rel < 1e-5
+
+    for _ in range(20):
+        x, P, wts = _sphere_mean_config(rng)
+        model, _ = _row_mean_model(P, wts)
+        f0, g, H, _ = model(x)
+        s = rng.standard_normal(g.size)
+        s /= np.linalg.norm(s)
+        v = _tangent_basis(x) @ s
+        fp = model(np.cos(h) * x + np.sin(h) * v)[0]
+        fm = model(np.cos(h) * x - np.sin(h) * v)[0]
+        rel = rel_error((fp - 2.0 * f0 + fm) / h**2, s, H)
+        worst = max(worst, rel)
+        assert rel < 1e-5
+
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0
+    _report(
+        "4 Hessian fidelity",
+        f"40+20 configs, worst relative error {worst:.2e}, {elapsed:.1f}s",
     )
 
 

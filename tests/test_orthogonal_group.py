@@ -5,13 +5,11 @@ from scipy.linalg import expm
 from corrgeo import (
     InvalidInput,
     check_orthogonal,
-    og_armijo,
     og_project,
     og_retract,
     random_orthogonal,
     skew_part,
 )
-from corrgeo.config import DEFAULT_CONFIG
 
 
 def _skew(rng, k):
@@ -88,56 +86,3 @@ def test_retract_derivative_matches_direction():
     h = 1e-7
     fd = (og_retract(O, h * xi) - og_retract(O, -h * xi)) / (2.0 * h)
     assert np.linalg.norm(fd - xi) < 1e-6 * max(1.0, np.linalg.norm(xi))
-
-
-# line search ---------------------------------------------------------------------
-
-
-def test_armijo_zero_direction_keeps_loss():
-    rng = np.random.default_rng(7)
-    O = random_orthogonal(3, rng)
-
-    def loss(Q):
-        return np.linalg.norm(Q - np.eye(3)) ** 2
-
-    step, O_next = og_armijo(loss, O, np.zeros((3, 3)))
-    assert loss(O_next) <= loss(O) + 1e-12
-    assert step >= 0.0
-
-
-def test_armijo_accepts_descent_direction():
-    rng = np.random.default_rng(8)
-    target = random_orthogonal(3, rng)
-    O = og_retract(target, og_project(target, 0.3 * rng.standard_normal((3, 3))))
-
-    def loss(Q):
-        return 0.5 * np.linalg.norm(Q - target) ** 2
-
-    grad = og_project(O, O - target)
-    step, O_next = og_armijo(loss, O, -grad)
-    assert step > 0.0
-    assert loss(O_next) < loss(O)
-
-
-def test_armijo_constant_loss_stagnates():
-    rng = np.random.default_rng(9)
-    O = random_orthogonal(3, rng)
-    xi = og_project(O, rng.standard_normal((3, 3)))
-    step, O_next = og_armijo(lambda Q: 1.0, O, xi)
-    assert step == 0.0
-    assert np.array_equal(O_next, O)
-
-
-def test_armijo_honors_precomputed_loss():
-    rng = np.random.default_rng(10)
-    target = random_orthogonal(3, rng)
-    O = og_retract(target, og_project(target, 0.2 * rng.standard_normal((3, 3))))
-
-    def loss(Q):
-        return 0.5 * np.linalg.norm(Q - target) ** 2
-
-    grad = og_project(O, O - target)
-    a = og_armijo(loss, O, -grad, DEFAULT_CONFIG)
-    b = og_armijo(loss, O, -grad, DEFAULT_CONFIG, loss0=loss(O))
-    assert a[0] == b[0]
-    assert np.array_equal(a[1], b[1])

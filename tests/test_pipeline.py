@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from corrgeo import (
+    DEFAULT_CONFIG,
     DegenerateInput,
+    DistanceRun,
     EmptyFile,
     InvalidInput,
+    PairReport,
     ParseError,
     correlation_of,
     difference_report,
@@ -294,6 +297,42 @@ def test_pairwise_deterministic(tmp_path):
     r1 = pairwise_distances(load_manifest(man))
     r2 = pairwise_distances(load_manifest(man))
     assert np.array_equal(r1.distances, r2.distances)
+
+
+def test_any_stagnation_uses_the_run_tolerance(tmp_path):
+    report = PairReport(
+        subject_a="s1",
+        subject_b="s2",
+        distance=1.0,
+        loss=1.0,
+        grad_norm=1e-7,
+        iterations=3,
+        converged=False,
+        restarts_used=5,
+        stagnated=True,
+    )
+    run = DistanceRun(
+        subject_ids=("s1", "s2"),
+        distances=np.zeros((2, 2)),
+        pair_reports=[report],
+        common_columns=("a", "b"),
+        dropped_subjects=(),
+        k=2,
+        stagnation_tol=1e-8,
+    )
+    assert run.any_stagnation
+    run.stagnation_tol = 1e-6
+    assert not run.any_stagnation
+
+    rng = np.random.default_rng(10)
+    for i in range(2):
+        _random_subject(rng, tmp_path / f"s{i}.csv", ["a", "b", "c"])
+    man = _manifest_json(
+        tmp_path / "cohort.json",
+        [{"subject_id": f"s{i}", "path": f"s{i}.csv"} for i in range(2)],
+    )
+    cfg = DEFAULT_CONFIG.with_(stagnation_tol=1e-9)
+    assert pairwise_distances(load_manifest(man), cfg).stagnation_tol == 1e-9
 
 
 # group means ----------------------------------------------------------------------

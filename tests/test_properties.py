@@ -1,0 +1,58 @@
+"""Property-based checks of the quotient distance's invariances."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from corrgeo import align, k_embedding, orbit_dist
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@st.composite
+def unit_row_pairs(draw):
+    """Two m x k matrices with unit rows, m in 2..6 and k in 2..4."""
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 4))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    pair = []
+    for _ in range(2):
+        A = draw(arrays(float, (m, k), elements=entries))
+        norms = np.linalg.norm(A, axis=1)
+        assume(norms.min() > 0.1)
+        pair.append(A / norms[:, None])
+    return pair
+
+
+@PROPERTY_SETTINGS
+@given(unit_row_pairs(), st.randoms(use_true_random=False))
+def test_orbit_dist_invariant_under_row_permutation(pair, random):
+    X, Y = pair
+    perm = list(range(X.shape[0]))
+    random.shuffle(perm)
+    assert abs(orbit_dist(X[perm], Y[perm]) - orbit_dist(X, Y)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(unit_row_pairs())
+def test_orbit_dist_exactly_symmetric(pair):
+    X, Y = pair
+    assert orbit_dist(X, Y) == orbit_dist(Y, X)
+
+
+@PROPERTY_SETTINGS
+@given(unit_row_pairs())
+def test_orbit_dist_does_not_grow_under_k_embedding(pair):
+    X, Y = pair
+    k = X.shape[1]
+    a = align(X, Y)
+    b = align(Y, X)
+    d = float(np.sqrt(min(a.loss, b.loss)))
+    lifts = []
+    for O in (a.rotation, b.rotation.T):
+        L = np.eye(k + 1)
+        L[:k, :k] = O
+        lifts.append(L)
+    d_wide = orbit_dist(k_embedding(X, k + 1), k_embedding(Y, k + 1), extra_inits=lifts)
+    assert d_wide <= d + 1e-9

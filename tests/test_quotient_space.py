@@ -7,6 +7,7 @@ from corrgeo import (
     InvalidInput,
     OrbitPoint,
     align,
+    factorize,
     geodesic_rank_profile,
     gram,
     horizontality_defect,
@@ -75,6 +76,24 @@ def test_align_agrees_with_planar_grid():
         d_solver = orbit_dist(X, Y)
         d_grid = o2_grid_distance(X, Y)
         assert abs(d_solver - d_grid) < 1e-6
+
+
+def test_align_converged_means_gradient_below_tolerance():
+    # full-width factors of two sample correlations: a stall at the rounding
+    # floor of the loss must not be reported as convergence
+    rng = np.random.default_rng(15)
+    m = 15
+    center = np.full((m, m), 0.45)
+    np.fill_diagonal(center, 1.0)
+    L = np.linalg.cholesky(center)
+    X, Y = (
+        factorize(np.corrcoef(rng.standard_normal((200, m)) @ L.T, rowvar=False), m)
+        for _ in range(2)
+    )
+    r = align(X, Y)
+    assert r.converged
+    assert r.grad_norm <= DEFAULT_CONFIG.grad_tol
+    assert r.iterations <= 20
 
 
 def test_align_shape_mismatch():
