@@ -19,8 +19,9 @@ class SolverConfig:
     instead, and the solve stops when that no longer falls or has fallen
     to grad_tol, so converged solves end with the gradient near rounding
     level.
-    restarts counts total initializations of the rotation search
-    (one Procrustes start plus restarts - 1 seeded random starts).
+    restarts: a pair search starts from Procrustes, restarts - 1 seeded
+    random rotations and their transposes, so restarts_used in distance
+    reports can reach 2 * restarts - 1 (9 at the default).
     mean_tol / max_outer stop the alternating Frechet-mean loop on the
     relative change of its loss.
     antipodal_guard is the cut-locus band within which logarithms refuse.
@@ -35,7 +36,6 @@ class SolverConfig:
     max_iters: int = 500
     restarts: int = 5
     seed: int = 0
-    symmetrize: bool = True
     mean_tol: float = 1e-10
     max_outer: int = 200
     antipodal_guard: float = 1e-6

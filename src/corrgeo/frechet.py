@@ -13,7 +13,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
 from .errors import InvalidInput
 from .product_sphere import ps_frechet_fixed
-from .quotient_space import OrbitPoint, align, as_orbit, orbit_dist
+from .quotient_space import OrbitPoint, _align_pair, align, as_orbit, orbit_dist
 
 
 @dataclass(frozen=True)
@@ -108,21 +108,20 @@ def frechet_mean(
             mean=ss.points[0], loss_history=[0.0], outer_iterations=0, converged=True
         )
 
-    # pick the sample with the smallest weighted variance as the initializer
-    best_j, best_var, best_rots = 0, np.inf, None
-    for j in range(n):
-        rots = []
-        var = 0.0
-        for i in range(n):
-            r = align(reps[i], reps[j], cfg)
-            rots.append(r.rotation)
-            var += w[i] * r.loss
-        if var < best_var:
-            best_j, best_var, best_rots = j, var, rots
+    # pick the sample with the smallest weighted variance as the initializer;
+    # rot[i, j] carries sample i onto sample j, one search per unordered pair
+    rot = np.tile(np.eye(reps[0].shape[1]), (n, n, 1, 1))
+    losses = np.zeros((n, n))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        r = _align_pair(reps[i], reps[j], cfg)
+        rot[i, j], rot[j, i] = r.rotation, r.rotation.T
+        losses[i, j] = losses[j, i] = r.loss
+    variances = w @ losses
+    best_j = int(np.argmin(variances))
 
     mean = reps[best_j]
-    rotations = best_rots
-    loss_history = [float(best_var)]
+    rotations = list(rot[:, best_j])
+    loss_history = [float(variances[best_j])]
     converged = False
     inner = None
     outer = 0

@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .corr import CorrelationMatrix, as_correlation, factorize
-from .errors import DegenerateInput, EmptyFile, InvalidInput, ParseError
+from .errors import CorrGeoError, DegenerateInput, EmptyFile, InvalidInput, ParseError
 from .frechet import MeanReport, frechet_mean
-from .quotient_space import align
+from .quotient_space import _align_pair
 
 FLOAT_FMT = "{:.17g}"
 
@@ -282,51 +282,52 @@ def load_cohort(manifest: CohortManifest):
     return subjects, common, tuple(dropped_subjects)
 
 
-def _factor_width(manifest: CohortManifest, n_columns: int, k=None) -> int:
+def _factorized_cohort(manifest: CohortManifest, k=None):
+    """load_cohort plus factors; returns (subjects, common, dropped, width).
+
+    The width is k, else the manifest's k, else the column count. A
+    factorization error is re-raised with its payload, naming the subject.
+    """
+    subjects, common, dropped = load_cohort(manifest)
     width = k if k is not None else manifest.k
     if width is None:
-        width = n_columns
+        width = len(common)
     if width < 2:
         raise InvalidInput(f"factor width must be at least 2, got {width}")
-    return int(width)
+    width = int(width)
+    for s in subjects:
+        try:
+            s.factor = factorize(s.corr, width)
+        except CorrGeoError as e:
+            e.args = (f"subject {s.spec.subject_id}: {e}",)
+            raise
+    return subjects, common, dropped, width
 
 
 def pairwise_distances(
     manifest: CohortManifest, cfg: SolverConfig = DEFAULT_CONFIG, k=None
 ) -> DistanceRun:
     """Pairwise quotient distances between all retained subjects."""
-    subjects, common, dropped = load_cohort(manifest)
-    width = _factor_width(manifest, len(common), k)
-    for s in subjects:
-        try:
-            s.factor = factorize(s.corr, width)
-        except Exception as e:
-            raise type(e)(f"subject {s.spec.subject_id}: {e}") from None
-
+    subjects, common, dropped, width = _factorized_cohort(manifest, k)
     n = len(subjects)
     D = np.zeros((n, n))
     reports = []
     for i in range(n):
         for j in range(i + 1, n):
-            a = align(subjects[i].factor, subjects[j].factor, cfg)
-            best = a
-            if cfg.symmetrize:
-                b = align(subjects[j].factor, subjects[i].factor, cfg)
-                if b.loss < a.loss:
-                    best = b
-            d = float(np.sqrt(max(best.loss, 0.0)))
+            r = _align_pair(subjects[i].factor, subjects[j].factor, cfg)
+            d = float(np.sqrt(max(r.loss, 0.0)))
             D[i, j] = D[j, i] = d
             reports.append(
                 PairReport(
                     subject_a=subjects[i].spec.subject_id,
                     subject_b=subjects[j].spec.subject_id,
                     distance=d,
-                    loss=best.loss,
-                    grad_norm=best.grad_norm,
-                    iterations=best.iterations,
-                    converged=best.converged,
-                    restarts_used=best.restarts_used,
-                    stagnated=best.stagnated,
+                    loss=r.loss,
+                    grad_norm=r.grad_norm,
+                    iterations=r.iterations,
+                    converged=r.converged,
+                    restarts_used=r.restarts_used,
+                    stagnated=r.stagnated,
                 )
             )
     return DistanceRun(
@@ -355,10 +356,7 @@ def group_means(
     """Frechet mean correlation matrix of each group (or one named group)."""
     from .corr import gram
 
-    subjects, common, dropped = load_cohort(manifest)
-    width = _factor_width(manifest, len(common), k)
-    for s in subjects:
-        s.factor = factorize(s.corr, width)
+    subjects, common, dropped, width = _factorized_cohort(manifest, k)
     groups = {}
     for s in subjects:
         groups.setdefault(s.spec.group, []).append(s)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
 from .errors import AntipodalLogarithm, InvalidInput
-from .sphere import ANTIPODAL_GUARD, SMALL_ANGLE
+from .sphere import SMALL_ANGLE
 
 # magnitude cap for the angle-gradient factor as a row nears the antipode
 GRAD_FACTOR_CAP = 1e8
@@ -150,7 +150,7 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     return unit_rows(Y)
 
 
-def ps_log(X, Y, guard: float = ANTIPODAL_GUARD) -> ProductTangent:
+def ps_log(X, Y, guard: float = DEFAULT_CONFIG.antipodal_guard) -> ProductTangent:
     """Rowwise logarithm; raises AntipodalLogarithm naming the offending rows."""
     X = check_unit_rows(X, "X")
     Y = check_unit_rows(Y, "Y")
@@ -187,15 +187,6 @@ def angle_grad_coef(c, theta):
     clamped = ratio > GRAD_FACTOR_CAP
     ratio = np.minimum(ratio, GRAD_FACTOR_CAP)
     return -2.0 * ratio, clamped
-
-
-def _cloud_angles(P, x):
-    d = P - x
-    s = P + x
-    return 2.0 * np.arctan2(
-        np.sqrt(np.einsum("ij,ij->i", d, d)),
-        np.sqrt(np.einsum("ij,ij->i", s, s)),
-    )
 
 
 def _angle_curvature(c, theta):
@@ -336,8 +327,7 @@ def _row_mean_model(P, w):
     eye = np.eye(P.shape[1] - 1)
 
     def model(x):
-        th = _cloud_angles(P, x)
-        c = np.cos(th)
+        c, th = _row_angles(P, x)
         coef, clamped = angle_grad_coef(c, th)
         eg = P.T @ (w * coef)
         PB = P @ _tangent_basis(x)
@@ -395,7 +385,7 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=N
         model, retract = _row_mean_model(P, w)
         x, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
         if init is not None:
-            th = _cloud_angles(P, init[j])
+            th = _row_angles(P, init[j])[1]
             warm_loss = float(w @ (th * th))
             if warm_loss < loss:
                 x, loss, gn, it2, conv, stag, cl2 = _trust_region(

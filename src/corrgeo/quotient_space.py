@@ -8,7 +8,7 @@ trust-region Newton iterations on O(k) (closed-form gradient and Hessian)
 from a Procrustes start plus random restarts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -116,6 +116,11 @@ def _alignment_model(X, Y):
     return model, retract
 
 
+def _random_starts(k, cfg: SolverConfig):
+    rng = np.random.default_rng(cfg.seed)
+    return [random_orthogonal(k, rng) for _ in range(max(0, cfg.restarts - 1))]
+
+
 def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> AlignmentResult:
     """Best common rotation carrying X onto Y's orbit representative.
 
@@ -128,10 +133,7 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     Y = _rep(Y)
     if X.shape != Y.shape:
         raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
-    k = X.shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    starts = [procrustes(X, Y)]
-    starts += [random_orthogonal(k, rng) for _ in range(max(0, cfg.restarts - 1))]
+    starts = [procrustes(X, Y)] + _random_starts(X.shape[1], cfg)
     starts += [np.asarray(O, dtype=float) for O in extra_inits]
 
     model, retract = _alignment_model(X, Y)
@@ -163,18 +165,27 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     )
 
 
-def orbit_dist(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> float:
-    """Quotient distance: aligned product-sphere distance.
+def _align_pair(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()):
+    """align of the unordered pair, searched once and reported for (X, Y).
 
-    With cfg.symmetrize the rotation search runs in both orders and the
-    smaller loss wins, which enforces exact symmetry of the reported value.
+    align(Y, X) is align(X, Y) under O -> O^T (a reversed-pair start P
+    follows the transposed iterates of P^T), so the pair is searched in
+    the order of its representatives' bytes, from align's starts plus the
+    transposes of its random starts: bitwise the same for both orders.
     """
-    a = align(X, Y, cfg, extra_inits)
-    best = a.loss
-    if cfg.symmetrize:
-        b = align(Y, X, cfg, [np.asarray(O, dtype=float).T for O in extra_inits])
-        best = min(best, b.loss)
-    return float(np.sqrt(max(best, 0.0)))
+    X, Y = _rep(X), _rep(Y)
+    swap = Y.tobytes() < X.tobytes()
+    if swap:
+        X, Y = Y, X
+        extra_inits = [np.asarray(O, dtype=float).T for O in extra_inits]
+    flipped = [O.T for O in _random_starts(X.shape[1], cfg)]
+    r = align(X, Y, cfg, flipped + list(extra_inits))
+    return replace(r, rotation=r.rotation.T, aligned=X @ r.rotation) if swap else r
+
+
+def orbit_dist(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> float:
+    """Quotient distance: aligned product-sphere distance, exactly symmetric."""
+    return float(np.sqrt(max(_align_pair(X, Y, cfg, extra_inits).loss, 0.0)))
 
 
 def orbit_equal(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> bool:
@@ -282,8 +293,8 @@ def _min_gap(X, V, t, tol: RankTolerance) -> float:
 def _first_drop(X, V, T: float, tol: RankTolerance, grid: int = 1024):
     """Smallest t in (0, T] where the rank drops, or None. Resolved to 1e-7."""
     ts = np.linspace(0.0, T, grid + 1)
-    # batched singular values along the whole path
-    pts = np.stack([ps_exp(X, V, t) for t in ts])
+    # the whole path as one stack of independent rows
+    pts = ps_exp(np.tile(X, (grid + 1, 1)), np.kron(ts[:, None], V)).reshape(-1, *X.shape)
     sig = np.linalg.svd(pts, compute_uv=False)
     gaps = sig[:, -1] - np.maximum(tol.absolute_floor, tol.relative * sig[:, 0])
 

@@ -6,10 +6,9 @@ orthogonal to x, and distances are great-circle angles.
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import AntipodalLogarithm, InvalidInput, RetractionFailure
 
-# inner products this close to -1 sit in the antipodal guard band
-ANTIPODAL_GUARD = 1e-6
 # angles below this use the small-angle branches
 SMALL_ANGLE = 1e-12
 
@@ -68,7 +67,7 @@ def sphere_exp(x, v) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def sphere_log(x, y, guard: float = ANTIPODAL_GUARD) -> np.ndarray:
+def sphere_log(x, y, guard: float = DEFAULT_CONFIG.antipodal_guard) -> np.ndarray:
     """Inverse of sphere_exp: the tangent at x pointing to y with norm dist(x, y).
 
     Refuses within the guard band of the antipode, where the logarithm is

@@ -134,6 +134,14 @@ def test_mean_unknown_group_is_validation_error(tmp_path, capsys):
     assert main(["mean", str(man), "--group", "missing"]) == 2
 
 
+def test_mean_rank_above_width_names_subject(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    man = _cohort(tmp_path, rng, 2)
+    assert main(["mean", str(man), "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "subject s0: " in err and "exceeds requested width 2" in err
+
+
 # diff ------------------------------------------------------------------------
 
 

@@ -1,0 +1,17 @@
+"""Every demo script runs to completion."""
+
+import runpy
+import tempfile
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    # demos that build files on disk do so under tempfile's directory
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -8,15 +8,18 @@ from corrgeo import (
     DegenerateInput,
     DistanceRun,
     EmptyFile,
+    InvalidCorrelation,
     InvalidInput,
     PairReport,
     ParseError,
     correlation_of,
     difference_report,
+    factorize,
     group_means,
     ingest,
     load_cohort,
     load_manifest,
+    orbit_dist,
     pairwise_distances,
     read_factor_csv,
     read_matrix_csv,
@@ -24,6 +27,7 @@ from corrgeo import (
     write_matrix_csv,
     write_run_report,
 )
+from corrgeo import pipeline
 from corrgeo.pipeline import CohortManifest, DropPolicy, SubjectSpec, TimeSeriesTable
 
 
@@ -261,6 +265,35 @@ def test_pairwise_metric_shape(tmp_path):
     assert np.all(D >= 0.0)
     assert run.k == 4
     assert len(run.pair_reports) == 6
+    # the pipeline's distances are orbit_dist's, bit for bit
+    subjects, _, _ = load_cohort(load_manifest(man))
+    factors = [factorize(s.corr, run.k) for s in subjects]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                assert D[i, j] == orbit_dist(factors[i], factors[j])
+
+
+@pytest.mark.parametrize("entry", [pairwise_distances, group_means])
+def test_factorization_error_names_subject_and_keeps_payload(tmp_path, monkeypatch, entry):
+    rng = np.random.default_rng(11)
+    for i in range(2):
+        _random_subject(rng, tmp_path / f"s{i}.csv", ["a", "b", "c"])
+    man = _manifest_json(
+        tmp_path / "cohort.json",
+        [{"subject_id": f"s{i}", "path": f"s{i}.csv"} for i in range(2)],
+    )
+    raised = InvalidCorrelation("not positive semidefinite", violations=("psd",))
+
+    def fail(corr, width):
+        raise raised
+
+    monkeypatch.setattr(pipeline, "factorize", fail)
+    with pytest.raises(InvalidCorrelation) as info:
+        entry(load_manifest(man))
+    assert info.value is raised
+    assert info.value.violations == ("psd",)
+    assert str(info.value) == "subject s0: not positive semidefinite"
 
 
 def test_pairwise_subject_order_does_not_change_values(tmp_path):

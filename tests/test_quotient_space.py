@@ -24,6 +24,8 @@ from corrgeo import (
     random_orthogonal,
 )
 
+from corrgeo.quotient_space import _align_pair
+
 from conftest import counterexample_pair, random_point
 
 HALF_SQRT2_PI = np.pi / np.sqrt(2.0)
@@ -125,6 +127,21 @@ def test_orbit_dist_exactly_symmetric():
     X = random_point(rng, 4, 2)
     Y = random_point(rng, 4, 2)
     assert orbit_dist(X, Y) == orbit_dist(Y, X)
+
+
+def test_orbit_dist_no_worse_than_either_order():
+    # the one search of a pair covers the starts of both orders
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        X = random_point(rng, 5, 2)
+        Y = random_point(rng, 5, 2)
+        d = orbit_dist(X, Y)
+        assert d <= np.sqrt(min(align(X, Y).loss, align(Y, X).loss)) + 1e-12
+        assert d == orbit_dist(Y, X)
+        fwd, rev = _align_pair(X, Y), _align_pair(Y, X)
+        assert np.array_equal(fwd.rotation, rev.rotation.T)
+        assert abs(ps_dist(X, fwd.aligned) ** 2 - fwd.loss) < 1e-12
+        assert abs(ps_dist(Y, rev.aligned) ** 2 - rev.loss) < 1e-12
 
 
 def test_orbit_dist_bounded_by_product_distance():
