@@ -22,7 +22,6 @@ from corrgeo import (
     pairwise_distances,
 )
 
-root = Path(tempfile.mkdtemp(prefix="cohort_"))
 cols = ["front", "parietal", "temporal", "occipital"]
 
 rho = -0.35
@@ -31,39 +30,41 @@ centers = {
     "g2": rho ** np.abs(np.subtract.outer(np.arange(4), np.arange(4))),
 }
 
-subjects = []
-for i, g in enumerate(["g1"] * 3 + ["g2"] * 3):
-    srng = np.random.default_rng(400 + i)
-    vals = srng.standard_normal((600, 4)) @ np.linalg.cholesky(centers[g]).T
-    lines = [",".join(cols)] + [",".join(f"{v:.10g}" for v in row) for row in vals]
-    (root / f"sub{i}.csv").write_text("\n".join(lines) + "\n")
-    subjects.append({"subject_id": f"sub{i}", "path": f"sub{i}.csv", "group": g})
+with tempfile.TemporaryDirectory(prefix="cohort_") as tmp:
+    root = Path(tmp)
+    subjects = []
+    for i, g in enumerate(["g1"] * 3 + ["g2"] * 3):
+        srng = np.random.default_rng(400 + i)
+        vals = srng.standard_normal((600, 4)) @ np.linalg.cholesky(centers[g]).T
+        lines = [",".join(cols)] + [",".join(f"{v:.10g}" for v in row) for row in vals]
+        (root / f"sub{i}.csv").write_text("\n".join(lines) + "\n")
+        subjects.append({"subject_id": f"sub{i}", "path": f"sub{i}.csv", "group": g})
 
-manifest_path = root / "cohort.json"
-manifest_path.write_text(json.dumps({"subjects": subjects, "k": 4}))
+    manifest_path = root / "cohort.json"
+    manifest_path.write_text(json.dumps({"subjects": subjects, "k": 4}))
 
-manifest = load_manifest(manifest_path)
-loaded, common, dropped = load_cohort(manifest)
-print("subjects:", [s.spec.subject_id for s in loaded])
-print("shared columns:", common)
+    manifest = load_manifest(manifest_path)
+    loaded, common, dropped = load_cohort(manifest)
+    print("subjects:", [s.spec.subject_id for s in loaded])
+    print("shared columns:", common)
 
-run = pairwise_distances(manifest)
-print()
-print("pairwise distance matrix:")
-print(np.array2string(run.distances, precision=3))
-print("any stagnation:", run.any_stagnation)
+    run = pairwise_distances(manifest)
+    print()
+    print("pairwise distance matrix:")
+    print(np.array2string(run.distances, precision=3))
+    print("any stagnation:", run.any_stagnation)
 
-means, _ = group_means(manifest)
-for gm in means:
-    own = centers[gm.group]
-    other = centers["g2" if gm.group == "g1" else "g1"]
-    d_own = orbit_dist(gm.report.mean, factorize(own, 4))
-    d_other = orbit_dist(gm.report.mean, factorize(other, 4))
-    print(f"group {gm.group}: mean is {d_own:.3f} from its planted center, "
-          f"{d_other:.3f} from the other")
+    means, _ = group_means(manifest)
+    for gm in means:
+        own = centers[gm.group]
+        other = centers["g2" if gm.group == "g1" else "g1"]
+        d_own = orbit_dist(gm.report.mean, factorize(own, 4))
+        d_other = orbit_dist(gm.report.mean, factorize(other, 4))
+        print(f"group {gm.group}: mean is {d_own:.3f} from its planted center, "
+              f"{d_other:.3f} from the other")
 
-diff = difference_report(means[0].corr, means[1].corr, threshold=0.3, columns=common)
-print()
-print("entries differing by more than 0.3 between the group means:")
-for a, b, delta in diff.entries:
-    print(f"  {a} ~ {b}: {delta:+.3f}")
+    diff = difference_report(means[0].corr, means[1].corr, threshold=0.3, columns=common)
+    print()
+    print("entries differing by more than 0.3 between the group means:")
+    for a, b, delta in diff.entries:
+        print(f"  {a} ~ {b}: {delta:+.3f}")

@@ -20,8 +20,9 @@ class SolverConfig:
     to grad_tol, so converged solves end with the gradient near rounding
     level.
     restarts: a pair search starts from Procrustes, restarts - 1 seeded
-    random rotations and their transposes, so restarts_used in distance
-    reports can reach 2 * restarts - 1 (9 at the default).
+    random rotations and their transposes, all solved as one stack;
+    restarts_used is the number of starts, so always 2 * restarts - 1 in
+    distance reports (9 at the default).
     mean_tol / max_outer stop the alternating Frechet-mean loop on the
     relative change of its loss.
     antipodal_guard is the cut-locus band within which logarithms refuse.

@@ -18,14 +18,15 @@ class RankTolerance:
     """Relative singular-value cutoff with an absolute floor.
 
     A singular value counts toward the rank when it exceeds
-    max(absolute_floor, relative * sigma_max).
+    max(absolute_floor, relative * sigma_max), elementwise over an array of
+    largest singular values.
     """
 
     relative: float = 1e-8
     absolute_floor: float = 1e-12
 
-    def threshold(self, sigma_max: float) -> float:
-        return max(self.absolute_floor, self.relative * sigma_max)
+    def threshold(self, sigma_max):
+        return np.maximum(self.absolute_floor, self.relative * sigma_max)
 
 
 DEFAULT_RANK_TOL = RankTolerance()
@@ -129,15 +130,19 @@ def sylvester_spd(E, W) -> np.ndarray:
     return A
 
 
-def numerical_rank(A, tol: RankTolerance = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above the effective threshold."""
+def numerical_rank(A, tol: RankTolerance = DEFAULT_RANK_TOL):
+    """Number of singular values above the effective threshold.
+
+    A stack (..., m, k) of matrices gives an integer array of their ranks.
+    """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise InvalidInput("rank of a non-finite matrix is undefined")
     if A.size == 0:
         return 0
     sigma = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(sigma > tol.threshold(sigma[0])))
+    ranks = np.count_nonzero(sigma > tol.threshold(sigma[..., :1]), axis=-1)
+    return int(ranks) if A.ndim == 2 else ranks
 
 
 def skew_part(M) -> np.ndarray:

@@ -7,7 +7,10 @@ product, so the squared distance is the sum of squared row angles.
 Iterative solves in the package (row means here, the rotation search in
 quotient_space) share one Riemannian trust-region Newton method, fed a
 closed-form model: loss, gradient and Hessian in orthonormal tangent
-coordinates, plus a retraction.
+coordinates, plus a retraction. It solves a stack of independent problems
+in lockstep (all rows of a row mean, all starts of an alignment), one
+batched eigendecomposition, step, retraction and model evaluation per
+iteration; a member that finishes drops out of the stack.
 """
 
 from dataclasses import dataclass
@@ -89,11 +92,12 @@ class ProductTangent:
 
 def _row_angles(X, Y):
     # 2 atan2(||x - y||, ||x + y||) per row: exact at 0 and pi, unlike arccos
+    # rows along the last axis; leading axes broadcast
     d = X - Y
     s = X + Y
     theta = 2.0 * np.arctan2(
-        np.sqrt(np.einsum("ij,ij->i", d, d)),
-        np.sqrt(np.einsum("ij,ij->i", s, s)),
+        np.sqrt(np.einsum("...j,...j->...", d, d)),
+        np.sqrt(np.einsum("...j,...j->...", s, s)),
     )
     return np.cos(theta), theta
 
@@ -205,138 +209,164 @@ def _angle_curvature(c, theta):
 
 
 def _trust_region_step(lam, gt, radius):
-    """Trust-region step in the eigenbasis of the model Hessian.
+    """Trust-region steps in the eigenbases of a stack of model Hessians.
 
-    Minimizes gt.s + s.(lam s)/2 over |s| <= radius with the shift mu >=
-    max(0, -lam_min) of the exact solution; returns (s, predicted decrease).
-    Components whose shifted eigenvalue lam + mu sits at rounding level
-    are left at zero, so flat directions (the stabilizer of a rank-deficient
-    cloud) stay untouched. Negative curvature is followed only as far as the
-    gradient reaches it, as in a Krylov solve: near a degenerate minimum
-    (rank-deficient clouds on both sides) the curvature along the set of
-    minimizers is negative in proportion to the gradient and carries no
-    gradient component, and a step along it gains nothing.
+    Row r minimizes gt[r].s + s.(lam[r] s)/2 over |s| <= radius[r] with the
+    shift mu >= max(0, -lam_min) of the exact solution; returns the steps
+    and their predicted decreases. Components whose shifted eigenvalue
+    lam + mu sits at rounding level are left at zero, so flat directions
+    (the stabilizer of a rank-deficient cloud) stay untouched. Negative
+    curvature is followed only as far as the gradient reaches it, as in a
+    Krylov solve: near a degenerate minimum (rank-deficient clouds on both
+    sides) the curvature along the set of minimizers is negative in
+    proportion to the gradient and carries no gradient component, and a
+    step along it gains nothing. Each row runs its own secular-equation
+    iteration until its own tolerance is met.
     """
-    tiny = 1e-12 * max(float(np.abs(lam).max()), np.finfo(float).tiny)
-    lo = -lam[0] if lam[0] < -tiny else 0.0
+    tiny = 1e-12 * np.maximum(np.abs(lam).max(axis=1), np.finfo(float).tiny)
+    lo = np.where(lam[:, 0] < -tiny, -lam[:, 0], 0.0)
 
-    def step(mu):
-        d = lam + mu
-        keep = d > tiny
-        return np.where(keep, -gt / np.where(keep, d, 1.0), 0.0), d, keep
+    def step(rows, mu):
+        d = lam[rows] + mu[:, None]
+        keep = d > tiny[rows, None]
+        return np.where(keep, -gt[rows] / np.where(keep, d, 1.0), 0.0), d, keep
 
-    mu = lo
-    g_min = float(np.linalg.norm(gt[lam <= lam[0] + tiny]))
-    if lo > 0.0 and g_min > 2.0 * tiny * radius:
-        # the most negative curvature alone carries the step past the boundary
-        mu = lo + g_min / (2.0 * radius)
-    s, d, keep = step(mu)
-    ns = float(np.linalg.norm(s))
-    if ns > radius:
-        # Newton on the concave 1/|s(mu)| - 1/radius approaches the root from
-        # the left; bisection guards against a step out of the bracket
-        a, b = mu, lo + float(np.linalg.norm(gt)) / radius
-        for _ in range(60):
-            q = float(np.sum(gt[keep] ** 2 / d[keep] ** 3))
-            mu_next = mu + (ns - radius) / radius * ns * ns / q
-            mu = mu_next if a < mu_next < b else 0.5 * (a + b)
-            s, d, keep = step(mu)
-            ns = float(np.linalg.norm(s))
-            if ns > radius:
-                a = mu
-            else:
-                b = mu
-            if abs(ns - radius) <= 1e-9 * radius:
-                break
-        s = s * min(1.0, radius / ns)
-    return s, -float(gt @ s + 0.5 * (lam * s) @ s)
+    flat = lam <= lam[:, :1] + tiny[:, None]
+    g_min = np.sqrt(np.sum(np.where(flat, gt * gt, 0.0), axis=1))
+    # the most negative curvature alone carries the step past the boundary
+    push = (lo > 0.0) & (g_min > 2.0 * tiny * radius)
+    mu = np.where(push, lo + g_min / (2.0 * radius), lo)
+    s, d, keep = step(slice(None), mu)
+    ns = np.linalg.norm(s, axis=1)
+    clip = live = np.flatnonzero(ns > radius)
+    # Newton on the concave 1/|s(mu)| - 1/radius approaches the root from
+    # the left; bisection guards against a step out of the bracket [a, b]
+    a = mu.copy()
+    b = lo + np.linalg.norm(gt, axis=1) / radius
+    for _ in range(60):
+        if not live.size:
+            break
+        r, n, kl = radius[live], ns[live], keep[live]
+        dk = np.where(kl, d[live], 1.0)
+        q = np.sum(np.where(kl, gt[live] ** 2 / dk**3, 0.0), axis=1)
+        mu_next = mu[live] + (n - r) / r * n * n / q
+        inside = (a[live] < mu_next) & (mu_next < b[live])
+        mu[live] = np.where(inside, mu_next, 0.5 * (a[live] + b[live]))
+        s[live], d[live], keep[live] = step(live, mu[live])
+        n = ns[live] = np.linalg.norm(s[live], axis=1)
+        a[live] = np.where(n > r, mu[live], a[live])
+        b[live] = np.where(n > r, b[live], mu[live])
+        live = live[np.abs(n - r) > 1e-9 * r]
+    s[clip] *= np.minimum(1.0, radius[clip] / ns[clip])[:, None]
+    return s, -(np.sum(gt * s, axis=1) + 0.5 * np.sum(lam * s * s, axis=1))
 
 
 def _trust_region(model, retract, x, cfg: SolverConfig):
     """Riemannian trust-region Newton method with an exact subproblem solve.
 
-    model(x) returns (loss, g, H, clamped): the loss, its gradient and
-    Hessian in orthonormal coordinates of the tangent space at x, and the
-    rows whose gradient factor was clamped; retract(x, s) maps a coordinate
-    step to the next point. Steps are accepted on the ratio of actual to
-    predicted decrease. Once the predicted decrease is below the rounding
-    level of the loss, loss differences carry no information; from there a
-    step is accepted only if it lowers the gradient norm (accurate to eps),
-    and the solve stops at the first step that does not, or once such a
-    step has left the gradient norm at most cfg.grad_tol. Quadratic
-    convergence takes the gradient to rounding level on the way.
+    Solves a stack of independent problems in lockstep: x holds one
+    starting point per member along its first axis. model(x, members)
+    returns (loss, g, H, clamped) for the points x of the listed members
+    (indices into the stack): per member the loss, its gradient and
+    Hessian in orthonormal coordinates of the tangent space, and which rows
+    had their gradient factor clamped; retract(x, s) maps coordinate steps
+    to the next points. Each iteration factors the Hessians of the active
+    members with one eigh and takes their steps, retractions and model
+    evaluations as one stack; radius and stopping state are each member's
+    own, and a member that stops leaves the active set, so every member
+    follows the iterates it would follow alone.
 
-    Returns (x, loss, grad_norm, iterations, converged, stagnated,
-    clamped_any): converged means grad_norm <= cfg.grad_tol, stagnated that
-    the trust region collapsed with the gradient still above it.
+    Steps are accepted on the ratio of actual to predicted decrease. Once
+    the predicted decrease is below the rounding level of the loss, loss
+    differences carry no information; from there a step is accepted only if
+    it lowers the gradient norm (accurate to eps), and the member stops at
+    the first step that does not, or once such a step has left the gradient
+    norm at most cfg.grad_tol. Quadratic convergence takes the gradient to
+    rounding level on the way.
+
+    Returns per-member arrays (x, loss, grad_norm, iterations, converged,
+    stagnated, clamped_any): converged means grad_norm <= cfg.grad_tol,
+    stagnated that the trust region collapsed with the gradient still above
+    it.
     """
-    loss, g, H, clamped = model(x)
-    gn = float(np.linalg.norm(g))
-    clamped_any = bool(np.any(clamped))
-    radius = 1.0
-    stagnated = floored = False
-    it = 0
-    eig = None
-    while not (floored and gn <= cfg.grad_tol) and it < cfg.max_iters:
-        it += 1
-        if eig is None:
-            eig = np.linalg.eigh(H)
-        lam, V = eig
-        s, pred = _trust_region_step(lam, V.T @ g, radius)
-        x_new = retract(x, V @ s)
-        new = model(x_new)
-        gn_new = float(np.linalg.norm(new[1]))
-        floored = pred <= 100.0 * np.finfo(float).eps * max(1.0, loss)
-        if floored:
-            if gn_new >= gn:
-                stagnated = gn > cfg.grad_tol
-                break
-        else:
-            rho = (loss - new[0]) / pred
-            ns = float(np.linalg.norm(s))
-            if rho < 0.25:
-                radius = 0.25 * ns
-            elif rho > 0.75 and ns >= 0.99 * radius:
-                radius *= 2.0
-            if rho <= 0.1:
-                continue
-        x, (loss, g, H, clamped), gn, eig = x_new, new, gn_new, None
-        clamped_any = clamped_any or bool(np.any(clamped))
+    x = np.array(x, dtype=float)
+    size = x.shape[0]
+    loss, g, H, clamped = model(x, np.arange(size))
+    gn = np.linalg.norm(g, axis=1)
+    clamped_any = np.any(clamped, axis=1)
+    radius = np.ones(size)
+    stagnated = np.zeros(size, dtype=bool)
+    done = np.full(size, cfg.max_iters < 1)
+    it = np.zeros(size, dtype=int)
+    floor = 100.0 * np.finfo(float).eps
+    while not done.all():
+        act = np.flatnonzero(~done)
+        it[act] += 1
+        lam, V = np.linalg.eigh(H[act])
+        s, pred = _trust_region_step(
+            lam, np.einsum("rpq,rp->rq", V, g[act]), radius[act]
+        )
+        x_new = retract(x[act], np.einsum("rpq,rq->rp", V, s))
+        loss_new, g_new, H_new, clamped_new = model(x_new, act)
+        gn_new = np.linalg.norm(g_new, axis=1)
+        floored = pred <= floor * np.maximum(1.0, loss[act])
+        stop = floored & (gn_new >= gn[act])
+        stagnated[act[stop]] = gn[act[stop]] > cfg.grad_tol
+        rho = (loss[act] - loss_new) / np.where(floored, 1.0, pred)
+        ns = np.linalg.norm(s, axis=1)
+        r = radius[act]
+        shrink = ~floored & (rho < 0.25)
+        grow = ~floored & (rho > 0.75) & (ns >= 0.99 * r)
+        radius[act] = np.where(shrink, 0.25 * ns, np.where(grow, 2.0 * r, r))
+        take = ~stop & (floored | (rho > 0.1))
+        acc = act[take]
+        x[acc], loss[acc], gn[acc] = x_new[take], loss_new[take], gn_new[take]
+        g[acc], H[acc] = g_new[take], H_new[take]
+        clamped_any[acc] |= np.any(clamped_new[take], axis=1)
+        done[act] = stop | (floored & (gn[act] <= cfg.grad_tol))
+        done[act] |= it[act] >= cfg.max_iters
     return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped_any
 
 
 def _tangent_basis(x):
-    """Orthonormal k x (k-1) basis of the tangent space at the unit vector x.
+    """Orthonormal k x (k-1) bases of the tangent spaces at unit vectors x.
 
-    The columns of the Householder reflection carrying e_0 to -sign(x_0) x,
-    after its first.
+    x is a k-vector or a stack (..., k). The columns of the Householder
+    reflection carrying e_0 to -sign(x_0) x, after its first.
     """
-    v = x.copy()
-    v[0] += np.copysign(1.0, x[0])
-    return np.eye(x.size)[:, 1:] - (2.0 / (v @ v)) * np.outer(v, v[1:])
+    v = np.array(x, dtype=float)
+    v[..., 0] += np.copysign(1.0, v[..., 0])
+    vv = np.einsum("...i,...i->...", v, v)
+    outer = v[..., :, None] * v[..., None, 1:]
+    return np.eye(v.shape[-1])[:, 1:] - (2.0 / vv)[..., None, None] * outer
 
 
 def _row_mean_model(P, w):
-    """Closed-form trust-region model of one weighted spherical mean.
+    """Closed-form trust-region model of weighted spherical means.
 
-    P is the n x k cloud, w the weights. In coordinates of the tangent basis
-    B at x, g = B^T egrad and H = (P B)^T diag(w phi'') (P B) - (x . egrad) I,
-    the Riemannian Hessian of sum_i w_i arccos(p_i . x)^2; steps retract by
-    normalization.
+    P is one n x k cloud or an (m, n, k) stack of clouds, w the weights.
+    model(x, members) evaluates the clouds of the listed members (all of P
+    when members is None) at the points x. In coordinates of the tangent
+    basis B at x, g = B^T egrad and H = (P B)^T diag(w phi'') (P B) -
+    (x . egrad) I, the Riemannian Hessian of sum_i w_i arccos(p_i . x)^2;
+    steps retract by normalization.
     """
-    eye = np.eye(P.shape[1] - 1)
+    eye = np.eye(P.shape[-1] - 1)
 
-    def model(x):
-        c, th = _row_angles(P, x)
+    def model(x, members=None):
+        Q = P if members is None else P[members]
+        c, th = _row_angles(Q, x[..., None, :])
         coef, clamped = angle_grad_coef(c, th)
-        eg = P.T @ (w * coef)
-        PB = P @ _tangent_basis(x)
-        H = PB.T @ ((w * _angle_curvature(c, th))[:, None] * PB) - (x @ eg) * eye
-        return float(w @ (th * th)), PB.T @ (w * coef), H, clamped
+        wc = w * coef
+        PB = Q @ _tangent_basis(x)
+        xeg = np.einsum("...k,...k->...", (wc[..., None, :] @ Q)[..., 0, :], x)
+        H = np.swapaxes(PB, -1, -2) @ ((w * _angle_curvature(c, th))[..., None] * PB)
+        H -= xeg[..., None, None] * eye
+        return (th * th) @ w, (wc[..., None, :] @ PB)[..., 0, :], H, clamped
 
     def retract(x, s):
-        y = x + _tangent_basis(x) @ s
-        return y / np.linalg.norm(y)
+        y = x + (_tangent_basis(x) @ s[..., None])[..., 0]
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     return model, retract
 
@@ -344,12 +374,12 @@ def _row_mean_model(P, w):
 def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=None):
     """Weighted Frechet mean on the product of spheres, rotations held fixed.
 
-    Solves the m independent weighted spherical-mean problems by
-    trust-region Newton iterations. Each row starts from the
-    normalized weighted Euclidean mean (first sample's row when that mean is
-    near zero). When init is given and beats the default run's loss on a
-    row, the solve is rerun from init and the better row kept, so the
-    returned loss never exceeds the loss at init.
+    Solves the m independent weighted spherical-mean problems as one stack
+    of trust-region Newton iterations. Each row starts from the normalized
+    weighted Euclidean mean (first sample's row when that mean is near
+    zero). When init is given and beats that solve's loss on some rows,
+    those rows are solved again from init as a second stack and the rerun
+    kept, so the returned loss never exceeds the loss at init.
 
     Returns (mean, report).
     """
@@ -370,44 +400,30 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=N
         if init.shape != shape:
             raise InvalidInput(f"init shape {init.shape}, expected {shape}")
 
-    m, k = shape
-    stack = np.stack(pts)  # n x m x k
-    mean = np.empty((m, k))
-    row_losses = np.empty(m)
-    max_it, max_gn = 0, 0.0
-    all_conv, any_stag = True, False
-    clamped_rows = []
-    for j in range(m):
-        P = stack[:, j, :]
-        x0 = P.T @ w
-        n0 = np.linalg.norm(x0)
-        x0 = P[0] if n0 < 1e-8 else x0 / n0
-        model, retract = _row_mean_model(P, w)
-        x, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
-        if init is not None:
-            th = _row_angles(P, init[j])[1]
-            warm_loss = float(w @ (th * th))
-            if warm_loss < loss:
-                x, loss, gn, it2, conv, stag, cl2 = _trust_region(
-                    model, retract, init[j], cfg
-                )
-                it = max(it, it2)
-                clamped = clamped or cl2
-        mean[j] = x
-        row_losses[j] = loss
-        max_it = max(max_it, it)
-        max_gn = max(max_gn, gn)
-        all_conv = all_conv and conv
-        any_stag = any_stag or stag
-        if clamped:
-            clamped_rows.append(j)
+    clouds = np.stack(pts, axis=1)  # m x n x k, the samples of each row
+    x0 = w @ clouds
+    n0 = np.linalg.norm(x0, axis=1)[:, None]
+    x0 = np.where(n0 < 1e-8, clouds[:, 0], x0 / np.maximum(n0, 1e-8))
+    model, retract = _row_mean_model(clouds, w)
+    mean, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
+    if init is not None:
+        th = _row_angles(clouds, init[:, None, :])[1]
+        redo = np.flatnonzero((th * th) @ w < loss)
+        if redo.size:
+            model, retract = _row_mean_model(clouds[redo], w)
+            x, loss[redo], gn[redo], it2, conv[redo], stag[redo], cl2 = _trust_region(
+                model, retract, init[redo], cfg
+            )
+            mean[redo] = x
+            it[redo] = np.maximum(it[redo], it2)
+            clamped[redo] |= cl2
 
     report = SolverReport(
-        converged=all_conv,
-        iterations=max_it,
-        grad_norm=max_gn,
-        loss=float(row_losses.sum()),
-        stagnated=any_stag,
-        clamped_rows=tuple(clamped_rows),
+        converged=bool(conv.all()),
+        iterations=int(it.max()),
+        grad_norm=float(gn.max()),
+        loss=float(loss.sum()),
+        stagnated=bool(stag.any()),
+        clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped)),
     )
     return mean, report

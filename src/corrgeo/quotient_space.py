@@ -100,15 +100,19 @@ def _alignment_model(X, Y):
     E[np.arange(ia.size), ib, ia] = -1.0 / np.sqrt(2.0)
     E_flat = E.reshape(ia.size, -1)
 
-    def model(O):
+    def model(O, members=None):
+        # O is one rotation or a stack; every member shares X and Y
         U = X @ O
         c, th = _row_angles(U, Y)
         coef, clamped = angle_grad_coef(c, th)
-        A = (U[:, ia] * Y[:, ib] - U[:, ib] * Y[:, ia]) / np.sqrt(2.0)
-        S = (Y * coef[:, None]).T @ U
-        ES = (E @ (0.5 * (S + S.T))).transpose(0, 2, 1).reshape(ia.size, -1)
-        H = A.T @ (_angle_curvature(c, th)[:, None] * A) + E_flat @ ES.T
-        return float(th @ th), A.T @ coef, H, clamped
+        A = (U[..., ia] * Y[:, ib] - U[..., ib] * Y[:, ia]) / np.sqrt(2.0)
+        S = np.swapaxes(Y * coef[..., None], -1, -2) @ U
+        ES = E @ (0.5 * (S + np.swapaxes(S, -1, -2)))[..., None, :, :]
+        ES = np.swapaxes(ES, -1, -2).reshape(*ES.shape[:-2], -1)
+        H = np.swapaxes(A, -1, -2) @ (_angle_curvature(c, th)[..., None] * A)
+        H += E_flat @ np.swapaxes(ES, -1, -2)
+        g = (coef[..., None, :] @ A)[..., 0, :]
+        return np.einsum("...i,...i->...", th, th), g, H, clamped
 
     def retract(O, w):
         return O @ expm(np.tensordot(w, E, axes=1))
@@ -127,7 +131,8 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     Trust-region Newton iterations on O(k) for the sum of squared row
     angles between X O and Y, initialized at the Procrustes rotation plus
     cfg.restarts - 1 seeded random orthogonal starts (and any
-    caller-supplied extra_inits). The lowest loss over all starts wins.
+    caller-supplied extra_inits), all solved as one lockstep stack. The
+    first lowest loss wins; restarts_used is the number of starts.
     """
     X = _rep(X)
     Y = _rep(Y)
@@ -137,30 +142,24 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     starts += [np.asarray(O, dtype=float) for O in extra_inits]
 
     model, retract = _alignment_model(X, Y)
-    best = None
-    used = 0
-    for O0 in starts:
-        result = _trust_region(model, retract, O0, cfg)
-        used += 1
-        if best is None or result[1] < best[1]:
-            best = result
-        if best[1] <= 1e-28:
-            # the loss cannot go below zero; skip the remaining starts
-            break
-    O, val, gn, it, conv, stag, clamped = best
+    O, loss, gn, it, conv, stag, clamped = _trust_region(
+        model, retract, np.stack(starts), cfg
+    )
+    b = int(np.argmin(loss))
+    O = O[b]
     clamped_rows = ()
-    if clamped:
+    if clamped[b]:
         c, th = _row_angles(X @ O, Y)
         clamped_rows = tuple(np.flatnonzero(angle_grad_coef(c, th)[1]))
     return AlignmentResult(
         rotation=O,
         aligned=Y @ O.T,
-        loss=val,
-        grad_norm=gn,
-        iterations=it,
-        converged=conv,
-        restarts_used=used,
-        stagnated=stag,
+        loss=float(loss[b]),
+        grad_norm=float(gn[b]),
+        iterations=int(it[b]),
+        converged=bool(conv[b]),
+        restarts_used=len(starts),
+        stagnated=bool(stag[b]),
         clamped_rows=clamped_rows,
     )
 
@@ -281,7 +280,14 @@ def geodesic_rank_profile(
     if samples < 1:
         raise InvalidInput("need at least one interior sample")
     ts = np.linspace(0.0, seg.duration, samples + 2)
-    return [(float(t), numerical_rank(seg.point(t), tol)) for t in ts]
+    ranks = numerical_rank(_path(seg.start, seg.velocity.vec, ts), tol)
+    return [(float(t), int(r)) for t, r in zip(ts, ranks)]
+
+
+def _path(X, V, ts):
+    """exp(X, t V) at every t of ts, as one stack of independent rows."""
+    rows = ps_exp(np.tile(X, (ts.size, 1)), np.kron(ts[:, None], V))
+    return rows.reshape(-1, *X.shape)
 
 
 def _min_gap(X, V, t, tol: RankTolerance) -> float:
@@ -293,10 +299,8 @@ def _min_gap(X, V, t, tol: RankTolerance) -> float:
 def _first_drop(X, V, T: float, tol: RankTolerance, grid: int = 1024):
     """Smallest t in (0, T] where the rank drops, or None. Resolved to 1e-7."""
     ts = np.linspace(0.0, T, grid + 1)
-    # the whole path as one stack of independent rows
-    pts = ps_exp(np.tile(X, (grid + 1, 1)), np.kron(ts[:, None], V)).reshape(-1, *X.shape)
-    sig = np.linalg.svd(pts, compute_uv=False)
-    gaps = sig[:, -1] - np.maximum(tol.absolute_floor, tol.relative * sig[:, 0])
+    sig = np.linalg.svd(_path(X, V, ts), compute_uv=False)
+    gaps = sig[:, -1] - tol.threshold(sig[:, 0])
 
     def refine_edge(a: float, b: float) -> float:
         # invariant: gap(a) > 0 >= gap(b)

@@ -15,3 +15,4 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+    assert not any(tmp_path.iterdir()), "demo left files in the temp dir"

@@ -16,9 +16,12 @@ from corrgeo import (
     sphere_exp,
     unit_rows,
 )
-from corrgeo.product_sphere import angle_grad_coef
+from corrgeo.config import DEFAULT_CONFIG
+from corrgeo.kernels import procrustes, random_orthogonal
+from corrgeo.product_sphere import _row_mean_model, _trust_region, angle_grad_coef
+from corrgeo.quotient_space import _alignment_model
 
-from conftest import random_point, random_tangent
+from conftest import random_point, random_rank_point, random_tangent
 
 
 # validation -----------------------------------------------------------------
@@ -207,3 +210,60 @@ def test_ps_frechet_rejects_bad_weights():
         ps_frechet_fixed([X], [-1.0])
     with pytest.raises(InvalidInput):
         ps_frechet_fixed([X], [0.0])
+
+
+# lockstep trust-region stacks ---------------------------------------------------
+
+
+def _check_members_solve_alone(model_of, retract, starts, tol):
+    """Solve starts as one stack and each member as a stack of one; compare.
+
+    model_of(sel) returns the model of the members selected by the slice
+    sel. Returns the stack's iteration counts.
+    """
+    stack = _trust_region(model_of(slice(None)), retract, starts, DEFAULT_CONFIG)
+    for j in range(len(starts)):
+        model = model_of(slice(j, j + 1))
+        alone = _trust_region(model, retract, starts[j : j + 1], DEFAULT_CONFIG)
+        assert np.abs(stack[0][j] - alone[0][0]).max() <= tol
+        assert abs(stack[1][j] - alone[1][0]) <= tol
+        # iterations, converged, stagnated, clamped
+        assert [a[j] for a in stack[3:]] == [a[0] for a in alone[3:]]
+    return stack[3].tolist()
+
+
+def test_trust_region_stack_member_matches_solve_alone():
+    # every member of a lockstep stack follows the iterates of a stack of
+    # one, so radius, floored and done must be the member's own
+    rng = np.random.default_rng(44)
+    iterations = set()
+    for m, k in ((5, 2), (6, 3), (10, 3), (15, 5)):
+        for r in sorted({1, k - 1, k}):
+            X = random_rank_point(rng, m, k, r)
+            Y = random_point(rng, m, k)
+            starts = [procrustes(X, Y)] + [random_orthogonal(k, rng) for _ in range(5)]
+            model, retract = _alignment_model(X, Y)
+            iterations.update(
+                _check_members_solve_alone(
+                    lambda sel: model, retract, np.stack(starts), 0.0
+                )
+            )
+
+    for m, n, k, spread in ((6, 4, 3, 0.2), (9, 5, 4, 1.0), (12, 3, 2, 3.0)):
+        center = random_point(rng, m, k)
+        clouds = np.stack(
+            [unit_rows(center + spread * rng.standard_normal((m, k))) for _ in range(n)],
+            axis=1,
+        )
+        w = rng.uniform(0.5, 2.0, n)
+        _, retract = _row_mean_model(clouds, w)
+        iterations.update(
+            _check_members_solve_alone(
+                lambda sel: _row_mean_model(clouds[sel], w)[0],
+                retract,
+                random_point(rng, m, k),
+                1e-14,
+            )
+        )
+    # members that stop at different iterations exercise the active set
+    assert len(iterations) > 3
