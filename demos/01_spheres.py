@@ -2,19 +2,11 @@
 
 import numpy as np
 
-from corrgeo import (
-    great_circle_angle,
-    ps_dist,
-    ps_exp,
-    ps_log,
-    sphere_dist,
-    sphere_exp,
-    sphere_log,
-)
+from corrgeo import ps_dist, ps_exp, ps_log
 
 rng = np.random.default_rng(7)
 
-# single sphere -------------------------------------------------------------
+# single sphere: a 1 x k matrix is a product of one sphere ------------------
 
 x = rng.standard_normal(3)
 x /= np.linalg.norm(x)
@@ -22,19 +14,19 @@ y = rng.standard_normal(3)
 y /= np.linalg.norm(y)
 
 print("two random points on S^2")
-print("  angle between them     ", sphere_dist(x, y))
+print("  angle between them     ", ps_dist(x[None], y[None]))
 print("  arccos of inner product", np.arccos(np.clip(x @ y, -1, 1)))
 
 # the robust angle is exact where arccos loses digits
 near = x + 1e-9 * (y - (x @ y) * x)
 near /= np.linalg.norm(near)
-print("  tiny angle, robust     ", great_circle_angle(x, near))
+print("  tiny angle, robust     ", ps_dist(x[None], near[None]))
 print("  tiny angle, arccos     ", np.arccos(np.clip(x @ near, -1, 1)))
 
 # exp and log invert each other
-v = sphere_log(x, y)
-print("  |log| equals distance  ", np.linalg.norm(v), "=", sphere_dist(x, y))
-print("  exp(log) lands on y    ", np.linalg.norm(sphere_exp(x, v) - y))
+v = ps_log(x[None], y[None])
+print("  |log| equals distance  ", v.norm, "=", ps_dist(x[None], y[None]))
+print("  exp(log) lands on y    ", np.linalg.norm(ps_exp(x[None], v) - y))
 
 # product of spheres ---------------------------------------------------------
 
@@ -47,7 +39,7 @@ Y /= np.linalg.norm(Y, axis=1)[:, None]
 print()
 print(f"product of {m} spheres S^{k - 1}")
 d = ps_dist(X, Y)
-rowwise = np.array([sphere_dist(X[i], Y[i]) for i in range(m)])
+rowwise = np.array([ps_dist(X[i][None], Y[i][None]) for i in range(m)])
 print("  product distance        ", d)
 print("  norm of rowwise angles  ", np.linalg.norm(rowwise))
 

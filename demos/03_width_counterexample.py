@@ -8,7 +8,7 @@ k=2 distance exceeds pi/sqrt(2) while their k=3 distance equals it.
 
 import numpy as np
 
-from corrgeo import k_embedding, o2_grid_distance, orbit_dist
+from corrgeo import k_embedding, orbit_dist, ps_dist
 
 X = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 Y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -16,7 +16,11 @@ Y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 bound = np.pi / np.sqrt(2.0)
 
 d2 = orbit_dist(X, Y)
-d2_grid = o2_grid_distance(X, Y)  # dense scan over all of O(2), an independent check
+# dense scan over all of O(2), rotations and reflections: an independent check
+phi = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
+rotations = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) for a in phi]
+reflect = np.diag([1.0, -1.0])
+d2_grid = min(ps_dist(X @ R @ F, Y) for R in rotations for F in (np.eye(2), reflect))
 d3 = orbit_dist(k_embedding(X, 3), k_embedding(Y, 3))
 
 print("width k = 2")

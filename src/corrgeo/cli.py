@@ -14,17 +14,7 @@ from pathlib import Path
 from . import pipeline
 from .config import SolverConfig
 from .corr import CorrelationMatrix, validate
-from .errors import (
-    AlignmentStagnation,
-    AntipodalLogarithm,
-    CorrGeoError,
-    DegenerateInput,
-    EmptyFile,
-    InvalidCorrelation,
-    InvalidInput,
-    ParseError,
-    RankExceedsK,
-)
+from .errors import AlignmentStagnation, CorrGeoError, InvalidInput, ParseError
 from .quotient_space import GeodesicSegment, geodesic_rank_profile, orbit_log
 
 EXIT_OK = 0
@@ -226,27 +216,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EmptyFile, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except AlignmentStagnation as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STAGNATION
-    except (
-        InvalidCorrelation,
-        RankExceedsK,
-        DegenerateInput,
-        AntipodalLogarithm,
-        InvalidInput,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except CorrGeoError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,6 +5,11 @@ the vertical space {X W : W skew} tangent to the orbit and its orthogonal
 complement, the horizontal space {V : V^T X = X^T V}. Quotient-level
 tangents are represented by horizontal lifts; gradients of rotation
 invariant functions lift by projecting the ambient gradient.
+
+This module is the one home of both formulas: horizontality_defect
+measures |V^T X - X^T V| and vertical_project solves for the vertical
+component. The quotient log and exp in quotient_space use them to certify
+and to check horizontality.
 """
 
 from dataclasses import dataclass
@@ -42,6 +47,13 @@ def _tangent_vec(X, W) -> np.ndarray:
     return W
 
 
+def horizontality_defect(X, V) -> float:
+    """Frobenius norm of V^T X - X^T V, zero exactly when V is horizontal."""
+    X = X.rep if hasattr(X, "rep") else check_unit_rows(X)
+    V = V.vec if isinstance(V, ProductTangent) else np.asarray(V, dtype=float)
+    return float(np.linalg.norm(V.T @ X - X.T @ V))
+
+
 def vertical_project(X, W) -> ProductTangent:
     """Component of a tangent along the orbit through X.
 
@@ -60,8 +72,7 @@ def horizontal_project(X, W) -> HorizontalTangent:
     X = _full_rank_rep(X)
     V = _tangent_vec(X, W)
     H = V - vertical_project(X, V).vec
-    defect = float(np.linalg.norm(H.T @ X - X.T @ H))
-    return HorizontalTangent(base=X, vec=H, defect=defect)
+    return HorizontalTangent(base=X, vec=H, defect=horizontality_defect(X, H))
 
 
 def quotient_metric(
@@ -79,7 +90,7 @@ def quotient_metric(
         raise InvalidInput("tangents live at different base points")
     X = _full_rank_rep(U.base if X is None else X)
     for name, T in (("first", U), ("second", V)):
-        defect = float(np.linalg.norm(T.vec.T @ X - X.T @ T.vec))
+        defect = horizontality_defect(X, T)
         if defect > cfg.horiz_tol * max(1.0, float(np.linalg.norm(T.vec))):
             raise InvalidInput(f"{name} tangent is not horizontal (defect {defect:.3e})")
     return float(np.sum(U.vec * V.vec))

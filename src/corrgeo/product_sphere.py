@@ -2,7 +2,8 @@
 
 A point is an m x k matrix whose rows all have unit norm, one sphere factor
 per row. All maps act row by row; the product metric is the Frobenius inner
-product, so the squared distance is the sum of squared row angles.
+product, so the squared distance is the sum of squared row angles. A
+single sphere is the case m = 1: a 1 x k matrix.
 
 Iterative solves in the package (row means here, the rotation search in
 quotient_space) share one Riemannian trust-region Newton method, fed a
@@ -19,8 +20,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
 from .errors import AntipodalLogarithm, InvalidInput
-from .sphere import SMALL_ANGLE
 
+# angles below this use the small-angle branches
+SMALL_ANGLE = 1e-12
 # magnitude cap for the angle-gradient factor as a row nears the antipode
 GRAD_FACTOR_CAP = 1e8
 

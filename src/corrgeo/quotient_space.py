@@ -6,16 +6,21 @@ matrices of rank at most k. The quotient distance is the product-sphere
 distance after the best aligning rotation, found by Riemannian
 trust-region Newton iterations on O(k) (closed-form gradient and Hessian)
 from a Procrustes start plus random restarts.
+
+Logs and exponentials act row by row on representatives; horizontality is
+measured with fixed_rank's formulas. Rank along a geodesic is read from
+stacked SVDs of points on the path, and escape times zoom into dips of the
+smallest singular value in stacked brackets.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import AlignmentStagnation, InvalidInput
+from .fixed_rank import horizontality_defect, vertical_project
 from .kernels import (
     DEFAULT_RANK_TOL,
     RankTolerance,
@@ -192,14 +197,6 @@ def orbit_equal(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> bool:
     return orbit_dist(X, Y, cfg) <= cfg.equality_tol
 
 
-def _vertical_coefficient(X, V):
-    """Skew A with X A the vertical component of the tangent V at X."""
-    from .kernels import sylvester_spd
-
-    A = sylvester_spd(X.T @ X, X.T @ V - V.T @ X)
-    return 0.5 * (A - A.T)
-
-
 def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     """Logarithm in the quotient: rowwise log toward the aligned representative.
 
@@ -220,18 +217,11 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     certified = None
     vnorm = None
     if numerical_rank(Xp.rep) == Xp.k:
-        vnorm = float(np.linalg.norm(Xp.rep @ _vertical_coefficient(Xp.rep, V.vec)))
+        vnorm = vertical_project(Xp.rep, V.vec).norm
         certified = vnorm <= cfg.horiz_tol
     return ProductTangent(
         base=V.base, vec=V.vec, horizontal_certified=certified, vertical_norm=vnorm
     )
-
-
-def horizontality_defect(X, V) -> float:
-    """Frobenius norm of V^T X - X^T V, zero exactly when V is horizontal."""
-    X = _rep(X)
-    V = V.vec if isinstance(V, ProductTangent) else np.asarray(V, dtype=float)
-    return float(np.linalg.norm(V.T @ X - X.T @ V))
 
 
 def orbit_exp(X, V, t: float = 1.0, cfg: SolverConfig = DEFAULT_CONFIG) -> OrbitPoint:
@@ -290,44 +280,61 @@ def _path(X, V, ts):
     return rows.reshape(-1, *X.shape)
 
 
-def _min_gap(X, V, t, tol: RankTolerance) -> float:
-    """Smallest singular value minus the effective rank threshold at time t."""
-    sigma = np.linalg.svd(ps_exp(X, V, t), compute_uv=False)
-    return float(sigma[-1] - tol.threshold(sigma[0]))
+def _gaps(X, V, ts, tol: RankTolerance):
+    """Smallest singular value minus the effective rank threshold at every t of ts."""
+    sig = np.linalg.svd(_path(X, V, ts), compute_uv=False)
+    return sig[:, -1] - tol.threshold(sig[:, 0])
+
+
+def _stays_positive(gaps, h: float, V, tol: RankTolerance) -> bool:
+    """Whether the gap provably stays > 0 between samples h apart.
+
+    Rows move at speed |v_i|, so the gap is Lipschitz in t with constant
+    (1 + tol.relative) |V|_F; it cannot reach zero between neighbours whose
+    gaps sum to more than that constant times h.
+    """
+    lipschitz = (1.0 + tol.relative) * np.linalg.norm(V)
+    return bool(np.min(gaps[1:] + gaps[:-1]) > lipschitz * h)
+
+
+def _zoom(X, V, lo: float, hi: float, tol: RankTolerance):
+    """First rank drop in the bracket [lo, hi], or None if the dip stays full rank.
+
+    Each round evaluates the gap at 33 times with one batched SVD. It
+    keeps the first sub-interval whose right end has gap <= 0 (a crossing,
+    narrowed to 1e-7 and reported by its left end) or else the two
+    sub-intervals around the smallest gap (a dip, given up at 1e-10 or as
+    soon as the samples certify that it stays positive).
+    """
+    crossing = False
+    while hi - lo > (1e-7 if crossing else 1e-10):
+        ts = np.linspace(lo, hi, 33)
+        gaps = _gaps(X, V, ts, tol)
+        drops = np.flatnonzero(gaps[1:] <= 0.0)
+        crossing = drops.size > 0
+        if crossing:
+            lo, hi = ts[drops[0]], ts[drops[0] + 1]
+        elif _stays_positive(gaps, ts[1] - ts[0], V, tol):
+            return None
+        else:
+            j = int(np.argmin(gaps))
+            lo, hi = ts[max(j - 1, 0)], ts[min(j + 1, ts.size - 1)]
+    return float(lo) if crossing else None
 
 
 def _first_drop(X, V, T: float, tol: RankTolerance, grid: int = 1024):
     """Smallest t in (0, T] where the rank drops, or None. Resolved to 1e-7."""
     ts = np.linspace(0.0, T, grid + 1)
-    sig = np.linalg.svd(_path(X, V, ts), compute_uv=False)
-    gaps = sig[:, -1] - tol.threshold(sig[:, 0])
-
-    def refine_edge(a: float, b: float) -> float:
-        # invariant: gap(a) > 0 >= gap(b)
-        while b - a > 1e-7:
-            mid = 0.5 * (a + b)
-            if _min_gap(X, V, mid, tol) > 0.0:
-                a = mid
-            else:
-                b = mid
-        return a
-
+    gaps = _gaps(X, V, ts, tol)
     # candidate dips: grid crossings and interior local minima of the gap
     for i in range(1, grid + 1):
         if gaps[i] <= 0.0:
-            return refine_edge(ts[i - 1], ts[i])
+            return _zoom(X, V, ts[i - 1], ts[i], tol)
         is_min = gaps[i] <= gaps[i - 1] and (i == grid or gaps[i] <= gaps[i + 1])
-        if not is_min:
-            continue
-        lo, hi = ts[i - 1], ts[min(i + 1, grid)]
-        res = minimize_scalar(
-            lambda t: _min_gap(X, V, t, tol),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if res.fun <= 0.0:
-            return refine_edge(lo, float(res.x))
+        if is_min and not _stays_positive(gaps[i - 1 : i + 2], ts[1] - ts[0], V, tol):
+            t = _zoom(X, V, ts[i - 1], ts[min(i + 1, grid)], tol)
+            if t is not None:
+                return t
     return None
 
 
@@ -341,10 +348,11 @@ def max_full_rank_interval(
     """Largest interval around 0 on which t -> exp(X, t V) keeps full rank.
 
     Scans (-t_max_search, t_max_search) with a dense grid of smallest
-    singular values, refines every candidate dip with a bounded scalar
-    minimization (rank drops may touch zero without crossing), and bisects
-    the first certified drop to 1e-7 in t. Returns (t_min, t_max), using
-    -t_max_search or t_max_search when no drop is found on that side.
+    singular values, then zooms into every candidate dip in stacked
+    brackets of 33 times each (rank drops may touch zero without crossing
+    the grid) until the first certified drop is resolved to 1e-7 in t.
+    Returns (t_min, t_max), using -t_max_search or t_max_search when no
+    drop is found on that side.
     """
     Xp = _rep(X)
     vec = V.vec if isinstance(V, ProductTangent) else np.asarray(V, dtype=float)

@@ -1,8 +1,23 @@
 import json
 
 import numpy as np
+import pytest
 
-from corrgeo import factorize, write_factor_csv, write_matrix_csv
+from corrgeo import (
+    AlignmentStagnation,
+    AntipodalLogarithm,
+    CorrGeoError,
+    DegenerateInput,
+    EmptyFile,
+    InvalidCorrelation,
+    InvalidInput,
+    ParseError,
+    RankExceedsK,
+    factorize,
+    write_factor_csv,
+    write_matrix_csv,
+)
+from corrgeo import cli
 from corrgeo.cli import main
 
 from conftest import random_correlation, random_point
@@ -210,3 +225,41 @@ def test_geodesic_invalid_factor_is_validation_error(tmp_path, capsys):
     write_factor_csv(px, np.eye(2) * 2.0)  # rows not unit
     write_factor_csv(py, np.eye(2))
     assert main(["geodesic", str(px), str(py)]) == 2
+
+
+# exit codes --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (EmptyFile("no data rows"), 4),
+        (ParseError("row 3, column b: not a number"), 4),
+        (FileNotFoundError("missing.csv"), 4),
+        (PermissionError("locked.csv"), 4),
+        (AlignmentStagnation("stagnated"), 3),
+        (AntipodalLogarithm("rows [0] are antipodal"), 2),
+        (RankExceedsK("rank 3 exceeds k = 2"), 2),
+        (InvalidInput("bad shape"), 2),
+        (DegenerateInput("no varying columns"), 2),
+        (InvalidCorrelation("not positive semidefinite"), 2),
+        (CorrGeoError("other"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_per_error_class(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "any.csv"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_unexpected_error_propagates(monkeypatch):
+    def fail(args):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    with pytest.raises(ValueError):
+        main(["validate", "any.csv"])

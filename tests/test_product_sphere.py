@@ -12,8 +12,6 @@ from corrgeo import (
     ps_log,
     ps_metric,
     ps_project,
-    sphere_dist,
-    sphere_exp,
     unit_rows,
 )
 from corrgeo.config import DEFAULT_CONFIG
@@ -22,6 +20,7 @@ from corrgeo.product_sphere import _row_mean_model, _trust_region, angle_grad_co
 from corrgeo.quotient_space import _alignment_model
 
 from conftest import random_point, random_rank_point, random_tangent
+from reference import sphere_dist, sphere_exp
 
 
 # validation -----------------------------------------------------------------

@@ -14,7 +14,6 @@ from corrgeo import (
     k_embedding,
     max_full_rank_interval,
     numerical_rank,
-    o2_grid_distance,
     orbit_dist,
     orbit_equal,
     orbit_exp,
@@ -26,7 +25,8 @@ from corrgeo import (
 
 from corrgeo.quotient_space import _align_pair
 
-from conftest import counterexample_pair, random_point
+from conftest import counterexample_pair, random_point, random_tangent
+from reference import o2_grid_distance
 
 HALF_SQRT2_PI = np.pi / np.sqrt(2.0)
 
@@ -292,11 +292,25 @@ def test_full_rank_interval_analytic_collision():
     X = np.eye(2)
     V = np.array([[0.0, 1.0], [0.0, 0.0]])  # rotate row 0 toward row 1
     lo, hi = max_full_rank_interval(X, V, t_max_search=4.0)
-    assert abs(hi - np.pi / 2.0) < 1e-4
-    assert abs(lo + np.pi / 2.0) < 1e-4
+    assert abs(hi - np.pi / 2.0) < 1e-6
+    assert abs(lo + np.pi / 2.0) < 1e-6
     # at the boundary the two rows coincide up to sign: rank 1
     sig = np.linalg.svd(ps_exp(X, V, hi), compute_uv=False)
     assert sig[-1] < 1e-5
+
+
+def test_full_rank_interval_square_base_keeps_determinant_sign():
+    # at m = k the determinant along t -> exp(X, tV) changes sign only
+    # through a rank drop, so it keeps one sign inside the interval
+    rng = np.random.default_rng(11)
+    for k in (3, 4):
+        for _ in range(20):
+            X = random_point(rng, k, k)
+            V = random_tangent(rng, X, scale=rng.uniform(0.3, 3.0))
+            lo, hi = max_full_rank_interval(X, V, t_max_search=4.0)
+            for W, end in ((V, hi), (-V, -lo)):
+                dets = [np.linalg.det(ps_exp(X, W, t)) for t in np.linspace(0.0, end, 101)]
+                assert np.all(np.sign(dets[:-1]) == np.sign(dets[0])), (k, end)
 
 
 def test_full_rank_interval_rejects_rank_deficient_base():

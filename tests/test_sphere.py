@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from corrgeo import (
-    AntipodalLogarithm,
-    InvalidInput,
+from corrgeo import AntipodalLogarithm, InvalidInput
+
+from reference import (
     great_circle_angle,
     sphere_dist,
     sphere_exp,
