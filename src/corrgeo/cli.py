@@ -109,6 +109,16 @@ def cmd_mean(args) -> int:
             "loss_history": gm.report.loss_history,
             "outer_iterations": gm.report.outer_iterations,
             "converged": gm.report.converged,
+            "alignments": [
+                {
+                    "subject_id": sid,
+                    "grad_norm": r.grad_norm,
+                    "iterations": r.iterations,
+                    "converged": r.converged,
+                    "stagnated": r.stagnated,
+                }
+                for sid, r in zip(gm.subject_ids, gm.report.alignments)
+            ],
             "config": asdict(cfg),
             "wall_seconds": time.perf_counter() - t0,
         }

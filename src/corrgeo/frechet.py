@@ -4,6 +4,9 @@ Alternates two descent phases: re-aligning every sample to the current
 mean by the rotation search, then re-solving the product-sphere mean with
 rotations held fixed. Both phases are warm-started from the previous
 iterate, so the weighted loss never increases along the outer iterations.
+Each phase is one lockstep trust-region stack: all starts of all samples'
+alignments, then all rows of the mean; the initializer's pair searches and
+frechet_variance's distances are one stack each as well.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,14 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
 from .errors import InvalidInput
 from .product_sphere import ps_frechet_fixed
-from .quotient_space import OrbitPoint, _align_pair, align, as_orbit, orbit_dist
+from .quotient_space import (
+    OrbitPoint,
+    _align_pairs,
+    _align_stack,
+    _align_starts,
+    _dist,
+    as_orbit,
+)
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,9 @@ class MeanReport:
 
     loss_history[0] is the weighted variance of the best sample used as the
     initializer; each later entry is the loss after one outer iteration.
-    The sequence is non-increasing up to floating-point noise.
+    The sequence is non-increasing up to floating-point noise. alignments
+    holds the final outer iteration's AlignmentResult of every sample
+    (empty for a single sample, which is its own mean).
     """
 
     mean: OrbitPoint
@@ -70,20 +82,21 @@ class MeanReport:
     outer_iterations: int
     converged: bool
     inner: SolverReport | None = None
+    alignments: tuple = ()
 
 
 def frechet_variance(
     samples, candidate, cfg: SolverConfig = DEFAULT_CONFIG, weights=None
 ) -> float:
-    """Weighted sum of squared quotient distances to a candidate point."""
+    """Weighted sum of squared quotient distances to a candidate point.
+
+    The n distances are one stack of pair searches, each equal to its
+    orbit_dist.
+    """
     ss = _as_sample_set(samples, weights)
-    cand = as_orbit(candidate)
-    return float(
-        sum(
-            w * orbit_dist(P, cand, cfg) ** 2
-            for P, w in zip(ss.points, ss.weights)
-        )
-    )
+    cand = as_orbit(candidate).rep
+    results = _align_pairs([P.rep for P in ss.points], [cand] * len(ss), cfg)
+    return float(sum(w * _dist(r) ** 2 for r, w in zip(results, ss.weights)))
 
 
 def frechet_mean(
@@ -91,16 +104,17 @@ def frechet_mean(
 ) -> MeanReport:
     """Weighted Frechet mean of orbit samples.
 
-    Initialized at the sample with the smallest weighted variance. Each
-    outer iteration aligns every sample to the current mean (warm-started
-    from its previous rotation) and then re-solves the rotations-fixed
-    product-sphere mean (warm-started from the current mean). Stops when
-    the relative loss change drops below cfg.mean_tol or after
-    cfg.max_outer iterations.
+    Initialized at the sample with the smallest weighted variance, from one
+    stack of n(n-1)/2 pair searches. Each outer iteration aligns every
+    sample to the current mean as one stack of align's starts per sample,
+    warm-started from its previous rotation, and then re-solves the
+    rotations-fixed product-sphere mean (warm-started from the current
+    mean). Stops when the relative loss change drops below cfg.mean_tol or
+    after cfg.max_outer iterations.
     """
     ss = _as_sample_set(samples, weights)
     n = len(ss)
-    reps = [P.rep for P in ss.points]
+    reps = np.stack([P.rep for P in ss.points])
     w = ss.weights
 
     if n == 1:
@@ -110,28 +124,28 @@ def frechet_mean(
 
     # pick the sample with the smallest weighted variance as the initializer;
     # rot[i, j] carries sample i onto sample j, one search per unordered pair
-    rot = np.tile(np.eye(reps[0].shape[1]), (n, n, 1, 1))
+    rot = np.tile(np.eye(reps.shape[2]), (n, n, 1, 1))
     losses = np.zeros((n, n))
-    for i, j in zip(*np.triu_indices(n, 1)):
-        r = _align_pair(reps[i], reps[j], cfg)
+    iu, ju = np.triu_indices(n, 1)
+    for i, j, r in zip(iu, ju, _align_pairs(reps[iu], reps[ju], cfg)):
         rot[i, j], rot[j, i] = r.rotation, r.rotation.T
         losses[i, j] = losses[j, i] = r.loss
     variances = w @ losses
     best_j = int(np.argmin(variances))
 
     mean = reps[best_j]
-    rotations = list(rot[:, best_j])
+    rotations = rot[:, best_j]
     loss_history = [float(variances[best_j])]
     converged = False
     inner = None
+    results = []
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
-        results = [
-            align(reps[i], mean, cfg, extra_inits=[rotations[i]]) for i in range(n)
-        ]
-        rotations = [r.rotation for r in results]
-        rotated = [reps[i] @ rotations[i] for i in range(n)]
-        mean, inner = ps_frechet_fixed(rotated, w, cfg, init=mean)
+        means = np.broadcast_to(mean, reps.shape)
+        starts = _align_starts(reps, means, cfg, rotations[:, None])
+        results = _align_stack(reps, means, starts, cfg)
+        rotations = np.stack([r.rotation for r in results])
+        mean, inner = ps_frechet_fixed(reps @ rotations, w, cfg, init=mean)
         loss = inner.loss
         prev = loss_history[-1]
         loss_history.append(float(loss))
@@ -145,4 +159,5 @@ def frechet_mean(
         outer_iterations=outer,
         converged=converged,
         inner=inner,
+        alignments=tuple(results),
     )

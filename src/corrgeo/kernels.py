@@ -2,7 +2,8 @@
 
 Thin, deterministic wrappers around LAPACK via numpy: symmetric
 eigendecomposition with a fixed ordering and sign convention, the
-sign-corrected thin QR factor, the Procrustes rotation, a spectral solver
+sign-corrected thin QR factor, the Procrustes rotation (the polar factor
+of X^T Y, also taken for a whole stack of pairs at once), a spectral solver
 for the symmetric Sylvester system E A + A E = W, and tolerance-based
 numerical rank.
 """
@@ -104,6 +105,11 @@ def procrustes(X, Y) -> np.ndarray:
     M = X.T @ Y
     if not np.all(np.isfinite(M)):
         raise InvalidInput("procrustes input has non-finite entries")
+    return _polar(M)
+
+
+def _polar(M) -> np.ndarray:
+    """Orthogonal polar factor U V^T of a matrix or a stack, from one batched SVD."""
     U, _, Vt = np.linalg.svd(M)
     return U @ Vt
 

@@ -20,7 +20,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .corr import CorrelationMatrix, as_correlation, factorize
 from .errors import CorrGeoError, DegenerateInput, EmptyFile, InvalidInput, ParseError
 from .frechet import MeanReport, frechet_mean
-from .quotient_space import _align_pair
+from .quotient_space import _align_pairs, _dist
 
 FLOAT_FMT = "{:.17g}"
 
@@ -307,29 +307,33 @@ def _factorized_cohort(manifest: CohortManifest, k=None):
 def pairwise_distances(
     manifest: CohortManifest, cfg: SolverConfig = DEFAULT_CONFIG, k=None
 ) -> DistanceRun:
-    """Pairwise quotient distances between all retained subjects."""
+    """Pairwise quotient distances between all retained subjects.
+
+    All n(n-1)/2 pair searches are one lockstep stack.
+    """
     subjects, common, dropped, width = _factorized_cohort(manifest, k)
     n = len(subjects)
     D = np.zeros((n, n))
     reports = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = _align_pair(subjects[i].factor, subjects[j].factor, cfg)
-            d = float(np.sqrt(max(r.loss, 0.0)))
-            D[i, j] = D[j, i] = d
-            reports.append(
-                PairReport(
-                    subject_a=subjects[i].spec.subject_id,
-                    subject_b=subjects[j].spec.subject_id,
-                    distance=d,
-                    loss=r.loss,
-                    grad_norm=r.grad_norm,
-                    iterations=r.iterations,
-                    converged=r.converged,
-                    restarts_used=r.restarts_used,
-                    stagnated=r.stagnated,
-                )
+    iu, ju = np.triu_indices(n, 1)
+    factors = [s.factor for s in subjects]
+    pairs = _align_pairs([factors[i] for i in iu], [factors[j] for j in ju], cfg)
+    for i, j, r in zip(iu, ju, pairs):
+        d = _dist(r)
+        D[i, j] = D[j, i] = d
+        reports.append(
+            PairReport(
+                subject_a=subjects[i].spec.subject_id,
+                subject_b=subjects[j].spec.subject_id,
+                distance=d,
+                loss=r.loss,
+                grad_norm=r.grad_norm,
+                iterations=r.iterations,
+                converged=r.converged,
+                restarts_used=r.restarts_used,
+                stagnated=r.stagnated,
             )
+        )
     return DistanceRun(
         subject_ids=tuple(s.spec.subject_id for s in subjects),
         distances=D,

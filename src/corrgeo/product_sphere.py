@@ -9,9 +9,9 @@ Iterative solves in the package (row means here, the rotation search in
 quotient_space) share one Riemannian trust-region Newton method, fed a
 closed-form model: loss, gradient and Hessian in orthonormal tangent
 coordinates, plus a retraction. It solves a stack of independent problems
-in lockstep (all rows of a row mean, all starts of an alignment), one
-batched eigendecomposition, step, retraction and model evaluation per
-iteration; a member that finishes drops out of the stack.
+in lockstep (all rows of a row mean, all starts of all pairs of a stack of
+alignments), one batched eigendecomposition, step, retraction and model
+evaluation per iteration; a member that finishes drops out of the stack.
 """
 
 from dataclasses import dataclass
@@ -149,7 +149,7 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
         raise InvalidInput(f"velocity shape {V.shape} does not match {X.shape}")
     norms = np.linalg.norm(V, axis=1)
     ang = t * norms
-    small = ang < SMALL_ANGLE
+    small = np.abs(ang) < SMALL_ANGLE
     # sin(ang)/norms is t*sinc(ang); guard the zero-velocity rows
     scale = np.where(small, t, np.sin(ang) / np.where(norms > 0, norms, 1.0))
     Y = np.cos(ang)[:, None] * X + scale[:, None] * V

@@ -5,7 +5,9 @@ orthogonal k x k matrix; orbits correspond one-to-one with correlation
 matrices of rank at most k. The quotient distance is the product-sphere
 distance after the best aligning rotation, found by Riemannian
 trust-region Newton iterations on O(k) (closed-form gradient and Hessian)
-from a Procrustes start plus random restarts.
+from a Procrustes start plus random restarts. One solve takes all starts of
+all pairs of a batch (a cohort, a mean's samples) as one lockstep stack;
+align is the batch of one pair.
 
 Logs and exponentials act row by row on representatives; horizontality is
 measured with fixed_rank's formulas. Rank along a geodesic is read from
@@ -24,6 +26,7 @@ from .fixed_rank import horizontality_defect, vertical_project
 from .kernels import (
     DEFAULT_RANK_TOL,
     RankTolerance,
+    _polar,
     numerical_rank,
     procrustes,
     random_orthogonal,
@@ -90,6 +93,9 @@ class AlignmentResult:
 def _alignment_model(X, Y):
     """Closed-form trust-region model of the alignment loss on O(k).
 
+    X and Y are one pair of m x k representatives, or stacks (R, m, k)
+    holding the pair of each member of a trust-region stack; model(O,
+    members) then evaluates the pairs of the listed members.
     Coordinates w of the skew W = sum_p w_p E_p, with E_p = (e_a e_b^T -
     e_b e_a^T)/sqrt(2) orthonormal for a < b, and the retraction O expm(W).
     With u_i the rows of X O and phi(c) = arccos(c)^2:
@@ -98,7 +104,7 @@ def _alignment_model(X, Y):
     the symmetric part of sum_i phi'(c_i) y_i u_i^T. |g| is the Riemannian
     gradient norm |O skew(O^T G)|_F.
     """
-    k = X.shape[1]
+    k = X.shape[-1]
     ia, ib = np.triu_indices(k, 1)
     E = np.zeros((ia.size, k, k))
     E[np.arange(ia.size), ia, ib] = 1.0 / np.sqrt(2.0)
@@ -106,12 +112,13 @@ def _alignment_model(X, Y):
     E_flat = E.reshape(ia.size, -1)
 
     def model(O, members=None):
-        # O is one rotation or a stack; every member shares X and Y
-        U = X @ O
-        c, th = _row_angles(U, Y)
+        # O is one rotation or a stack; members share one pair or index theirs
+        Xm, Ym = (X[members], Y[members]) if X.ndim == 3 else (X, Y)
+        U = Xm @ O
+        c, th = _row_angles(U, Ym)
         coef, clamped = angle_grad_coef(c, th)
-        A = (U[..., ia] * Y[:, ib] - U[..., ib] * Y[:, ia]) / np.sqrt(2.0)
-        S = np.swapaxes(Y * coef[..., None], -1, -2) @ U
+        A = (U[..., ia] * Ym[..., ib] - U[..., ib] * Ym[..., ia]) / np.sqrt(2.0)
+        S = np.swapaxes(Ym * coef[..., None], -1, -2) @ U
         ES = E @ (0.5 * (S + np.swapaxes(S, -1, -2)))[..., None, :, :]
         ES = np.swapaxes(ES, -1, -2).reshape(*ES.shape[:-2], -1)
         H = np.swapaxes(A, -1, -2) @ (_angle_curvature(c, th)[..., None] * A)
@@ -130,14 +137,69 @@ def _random_starts(k, cfg: SolverConfig):
     return [random_orthogonal(k, rng) for _ in range(max(0, cfg.restarts - 1))]
 
 
+def _align_starts(Xs, Ys, cfg: SolverConfig, extra):
+    """align's starts for a stack of pairs (Xs[p], Ys[p]), as a (P, R, k, k) array.
+
+    Per pair: the Procrustes rotation (one batched polar factor for the
+    stack), the cfg.restarts - 1 seeded random rotations, then the pair's
+    extra starts extra[p].
+    """
+    k = Xs.shape[-1]
+    rand = np.reshape(_random_starts(k, cfg), (-1, k, k))
+    return np.concatenate(
+        [
+            _polar(np.swapaxes(Xs, -1, -2) @ Ys)[:, None],
+            np.broadcast_to(rand, (len(Xs), *rand.shape)),
+            np.reshape(extra, (len(Xs), -1, k, k)),
+        ],
+        axis=1,
+    )
+
+
+def _align_stack(Xs, Ys, starts, cfg: SolverConfig):
+    """Rotation searches of a stack of pairs, all starts of all pairs in one solve.
+
+    Xs and Ys are (P, m, k) stacks of representatives, starts a (P, R, k,
+    k) array of starting rotations. One lockstep trust-region call solves
+    the P R members; members never interact, so each pair follows the
+    iterates it would follow alone. Per pair the first lowest loss wins and
+    restarts_used is R. Returns one AlignmentResult per pair.
+    """
+    P, R, k = starts.shape[:3]
+    model, retract = _alignment_model(np.repeat(Xs, R, axis=0), np.repeat(Ys, R, axis=0))
+    O, loss, gn, it, conv, stag, clamped = _trust_region(
+        model, retract, starts.reshape(P * R, k, k), cfg
+    )
+    results = []
+    for p, b in enumerate(R * np.arange(P) + np.argmin(loss.reshape(P, R), axis=1)):
+        clamped_rows = ()
+        if clamped[b]:
+            c, th = _row_angles(Xs[p] @ O[b], Ys[p])
+            clamped_rows = tuple(np.flatnonzero(angle_grad_coef(c, th)[1]))
+        results.append(
+            AlignmentResult(
+                rotation=O[b],
+                aligned=Ys[p] @ O[b].T,
+                loss=float(loss[b]),
+                grad_norm=float(gn[b]),
+                iterations=int(it[b]),
+                converged=bool(conv[b]),
+                restarts_used=R,
+                stagnated=bool(stag[b]),
+                clamped_rows=clamped_rows,
+            )
+        )
+    return results
+
+
 def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> AlignmentResult:
     """Best common rotation carrying X onto Y's orbit representative.
 
     Trust-region Newton iterations on O(k) for the sum of squared row
     angles between X O and Y, initialized at the Procrustes rotation plus
     cfg.restarts - 1 seeded random orthogonal starts (and any
-    caller-supplied extra_inits), all solved as one lockstep stack. The
-    first lowest loss wins; restarts_used is the number of starts.
+    caller-supplied extra_inits), all solved as one lockstep stack: the
+    one-pair case of _align_stack.
     """
     X = _rep(X)
     Y = _rep(Y)
@@ -145,51 +207,51 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
         raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
     starts = [procrustes(X, Y)] + _random_starts(X.shape[1], cfg)
     starts += [np.asarray(O, dtype=float) for O in extra_inits]
-
-    model, retract = _alignment_model(X, Y)
-    O, loss, gn, it, conv, stag, clamped = _trust_region(
-        model, retract, np.stack(starts), cfg
-    )
-    b = int(np.argmin(loss))
-    O = O[b]
-    clamped_rows = ()
-    if clamped[b]:
-        c, th = _row_angles(X @ O, Y)
-        clamped_rows = tuple(np.flatnonzero(angle_grad_coef(c, th)[1]))
-    return AlignmentResult(
-        rotation=O,
-        aligned=Y @ O.T,
-        loss=float(loss[b]),
-        grad_norm=float(gn[b]),
-        iterations=int(it[b]),
-        converged=bool(conv[b]),
-        restarts_used=len(starts),
-        stagnated=bool(stag[b]),
-        clamped_rows=clamped_rows,
-    )
+    return _align_stack(X[None], Y[None], np.stack(starts)[None], cfg)[0]
 
 
-def _align_pair(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()):
-    """align of the unordered pair, searched once and reported for (X, Y).
+def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
+    """align of each unordered pair (Xs[p], Ys[p]), all pairs in one stack.
 
     align(Y, X) is align(X, Y) under O -> O^T (a reversed-pair start P
-    follows the transposed iterates of P^T), so the pair is searched in
+    follows the transposed iterates of P^T), so each pair is searched in
     the order of its representatives' bytes, from align's starts plus the
     transposes of its random starts: bitwise the same for both orders.
+    extra_inits holds per pair an equally long list of further starts.
+    Returns one AlignmentResult per pair, reported for (Xs[p], Ys[p]).
     """
-    X, Y = _rep(X), _rep(Y)
-    swap = Y.tobytes() < X.tobytes()
-    if swap:
-        X, Y = Y, X
-        extra_inits = [np.asarray(O, dtype=float).T for O in extra_inits]
-    flipped = [O.T for O in _random_starts(X.shape[1], cfg)]
-    r = align(X, Y, cfg, flipped + list(extra_inits))
-    return replace(r, rotation=r.rotation.T, aligned=X @ r.rotation) if swap else r
+    pairs = [(_rep(X), _rep(Y)) for X, Y in zip(Xs, Ys, strict=True)]
+    if not pairs:
+        return []
+    for X, Y in pairs:
+        if X.shape != Y.shape:
+            raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
+    k = pairs[0][0].shape[1]
+    if extra_inits is None:
+        extra_inits = [()] * len(pairs)
+    swap = [Y.tobytes() < X.tobytes() for X, Y in pairs]
+    A = np.stack([Y if s else X for (X, Y), s in zip(pairs, swap)])
+    B = np.stack([X if s else Y for (X, Y), s in zip(pairs, swap)])
+    flipped = [O.T for O in _random_starts(k, cfg)]
+    extra = [
+        flipped + [np.asarray(O, dtype=float).T if s else O for O in inits]
+        for inits, s in zip(extra_inits, swap, strict=True)
+    ]
+    results = _align_stack(A, B, _align_starts(A, B, cfg, extra), cfg)
+    return [
+        replace(r, rotation=r.rotation.T, aligned=Y @ r.rotation) if s else r
+        for r, (X, Y), s in zip(results, pairs, swap)
+    ]
+
+
+def _dist(r: AlignmentResult) -> float:
+    """Quotient distance of a pair from its alignment: sqrt of the loss."""
+    return float(np.sqrt(max(r.loss, 0.0)))
 
 
 def orbit_dist(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> float:
     """Quotient distance: aligned product-sphere distance, exactly symmetric."""
-    return float(np.sqrt(max(_align_pair(X, Y, cfg, extra_inits).loss, 0.0)))
+    return _dist(_align_pairs([X], [Y], cfg, [extra_inits])[0])
 
 
 def orbit_equal(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> bool:

@@ -4,7 +4,9 @@ Single-vector sphere maps (the m = 1 case of the product_sphere maps,
 written without sharing their code), the QR retraction on O(k), and slow
 independent oracles: the k = 2 distance as a dense scan of the whole
 orthogonal group, gradients from central finite differences, and the tiny
-circle mean as an exhaustive angle grid.
+circle mean as an exhaustive angle grid. The Frechet mean is also kept in
+its per-pair form: one rotation search per pair and per sample, which the
+package's stacked searches must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,8 @@ import numpy as np
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.errors import AntipodalLogarithm, InvalidInput, RetractionFailure
 from corrgeo.kernels import qf
-from corrgeo.product_sphere import SMALL_ANGLE, check_unit_rows
+from corrgeo.product_sphere import SMALL_ANGLE, check_unit_rows, ps_frechet_fixed
+from corrgeo.quotient_space import _align_pairs, align
 
 # sphere S^{k-1} in R^k ---------------------------------------------------------
 
@@ -205,3 +208,45 @@ def exhaustive_small_frechet(points, weights, resolution: int = 200000) -> np.nd
     th = np.arccos(inner)
     obj = (th * th) @ w
     return cand[int(np.argmin(obj))]
+
+
+# Frechet mean, one rotation search at a time ------------------------------------
+
+
+def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
+    """The alternating Frechet mean with every rotation search solved alone.
+
+    The initializer searches each unordered pair in a stack of its own, and
+    each outer iteration calls align once per sample. Returns (mean,
+    loss_history, outer_iterations, converged, per-sample alignments of the
+    last outer iteration).
+    """
+    n = len(reps)
+    w = np.asarray(weights, dtype=float)
+    rot = np.tile(np.eye(reps[0].shape[1]), (n, n, 1, 1))
+    losses = np.zeros((n, n))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        (r,) = _align_pairs([reps[i]], [reps[j]], cfg)
+        rot[i, j], rot[j, i] = r.rotation, r.rotation.T
+        losses[i, j] = losses[j, i] = r.loss
+    variances = w @ losses
+    best_j = int(np.argmin(variances))
+    mean = reps[best_j]
+    rotations = list(rot[:, best_j])
+    loss_history = [float(variances[best_j])]
+    converged = False
+    results = []
+    outer = 0
+    for outer in range(1, cfg.max_outer + 1):
+        results = [
+            align(reps[i], mean, cfg, extra_inits=[rotations[i]]) for i in range(n)
+        ]
+        rotations = [r.rotation for r in results]
+        rotated = [reps[i] @ rotations[i] for i in range(n)]
+        mean, inner = ps_frechet_fixed(rotated, w, cfg, init=mean)
+        prev = loss_history[-1]
+        loss_history.append(float(inner.loss))
+        if abs(prev - inner.loss) <= cfg.mean_tol * max(1.0, abs(prev)):
+            converged = True
+            break
+    return mean, loss_history, outer, converged, results

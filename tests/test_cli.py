@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrgeo import (
+    DEFAULT_CONFIG,
     AlignmentStagnation,
     AntipodalLogarithm,
     CorrGeoError,
@@ -132,6 +133,20 @@ def test_mean_per_group_outputs(tmp_path, capsys):
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         # emitted mean must itself be a valid correlation matrix
         assert main(["validate", str(out / f"mean_{label}.csv")]) == 0
+
+
+def test_mean_report_lists_per_subject_alignments(tmp_path):
+    rng = np.random.default_rng(6)
+    man = _cohort(tmp_path, rng, 3, groups=("g1",))
+    out = tmp_path / "out"
+    assert main(["mean", str(man), "--out", str(out)]) == 0
+    doc = json.loads((out / "mean_g1_report.json").read_text())
+    # the final outer iteration's alignment of every subject to the mean
+    assert [a["subject_id"] for a in doc["alignments"]] == doc["subjects"]
+    for a in doc["alignments"]:
+        assert set(a) == {"subject_id", "grad_norm", "iterations", "converged", "stagnated"}
+        assert a["converged"] is True and a["stagnated"] is False
+        assert a["grad_norm"] <= DEFAULT_CONFIG.grad_tol
 
 
 def test_mean_single_group_flag(tmp_path):

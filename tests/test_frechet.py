@@ -11,7 +11,8 @@ from corrgeo import (
     random_orthogonal,
 )
 
-from conftest import random_point, random_tangent
+from conftest import random_point, random_rank_point, random_tangent
+from reference import frechet_mean_per_pair
 
 
 def _clustered_samples(rng, m, k, n, spread=0.3):
@@ -62,7 +63,8 @@ def test_variance_matches_direct_sum():
     expect = sum(
         wi * orbit_dist(p, cand) ** 2 for wi, p in zip(w / w.sum(), pts)
     )
-    assert abs(frechet_variance(pts, cand, weights=w) - expect) < 1e-12
+    # one stack of pair searches, each the same numbers as its orbit_dist
+    assert frechet_variance(pts, cand, weights=w) == expect
 
 
 # means ------------------------------------------------------------------------
@@ -142,3 +144,28 @@ def test_mean_variance_consistent_with_history():
     rep = frechet_mean(samples, weights=w)
     var = frechet_variance(samples, rep.mean, weights=w)
     assert abs(var - rep.loss_history[-1]) < 1e-8
+
+
+def test_mean_stacks_match_per_pair_searches():
+    # the initializer's pairs and each outer iteration's samples are one
+    # stack, which must change no number of the per-pair loop
+    rng = np.random.default_rng(21)
+    for m, k, ranks in ((6, 3, (3, 3, 2, 1)), (9, 4, (4, 3, 4, 4, 2)), (5, 2, (2, 1, 2))):
+        pts = [random_rank_point(rng, m, k, r) for r in ranks]
+        w = rng.uniform(0.5, 2.0, len(pts))
+        rep = frechet_mean(pts, weights=w)
+        mean, history, outer, converged, results = frechet_mean_per_pair(
+            pts, w / w.sum()
+        )
+        assert np.array_equal(rep.mean.rep, mean)
+        assert rep.loss_history == history
+        assert (rep.outer_iterations, rep.converged) == (outer, converged)
+        assert len(rep.alignments) == len(pts)
+        for a, b in zip(rep.alignments, results):
+            assert np.array_equal(a.rotation, b.rotation)
+            assert (a.loss, a.grad_norm, a.iterations) == (b.loss, b.grad_norm, b.iterations)
+            assert (a.converged, a.stagnated, a.restarts_used) == (
+                b.converged,
+                b.stagnated,
+                b.restarts_used,
+            )

@@ -28,6 +28,7 @@ from corrgeo import (
     write_run_report,
 )
 from corrgeo import pipeline
+from corrgeo.cli import main
 from corrgeo.pipeline import CohortManifest, DropPolicy, SubjectSpec, TimeSeriesTable
 
 
@@ -232,6 +233,19 @@ def test_pairwise_duplicated_subject_is_zero(tmp_path):
     assert run.distances.shape == (2, 2)
     assert np.max(np.abs(run.distances)) < 1e-8
     assert not run.any_stagnation
+
+
+def test_cli_dist_one_subject_cohort(tmp_path):
+    # no pair to search: an empty stack of pair searches
+    rng = np.random.default_rng(8)
+    _random_subject(rng, tmp_path / "s1.csv", ["a", "b", "c"])
+    man = _manifest_json(tmp_path / "cohort.json", [{"subject_id": "s1", "path": "s1.csv"}])
+    out = tmp_path / "out"
+    assert main(["dist", str(man), "--out", str(out)]) == 0
+    D, labels = read_matrix_csv(out / "distances.csv")
+    assert labels == ("s1",)
+    assert np.array_equal(D, np.zeros((1, 1)))
+    assert json.loads((out / "distances_report.json").read_text())["pairs"] == []
 
 
 def test_pairwise_affine_transform_is_same_orbit(tmp_path):

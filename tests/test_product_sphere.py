@@ -17,7 +17,7 @@ from corrgeo import (
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import procrustes, random_orthogonal
 from corrgeo.product_sphere import _row_mean_model, _trust_region, angle_grad_coef
-from corrgeo.quotient_space import _alignment_model
+from corrgeo.quotient_space import _align_stack, _align_starts, _alignment_model
 
 from conftest import random_point, random_rank_point, random_tangent
 from reference import sphere_dist, sphere_exp
@@ -120,6 +120,11 @@ def test_ps_exp_initial_speed_matches_velocity_norm():
     h = 1e-6
     speed = ps_dist(X, ps_exp(X, V, t=h)) / h
     assert abs(speed - np.linalg.norm(V)) < 1e-6
+
+
+def test_ps_exp_negative_time_walks_the_great_circle_backwards():
+    Y = ps_exp([[1.0, 0.0]], [[0.0, 1.0]], -1.0)
+    assert np.abs(Y - [[np.cos(1.0), -np.sin(1.0)]]).max() <= 1e-15
 
 
 def test_ps_log_round_trip():
@@ -265,4 +270,32 @@ def test_trust_region_stack_member_matches_solve_alone():
             )
         )
     # members that stop at different iterations exercise the active set
+    assert len(iterations) > 3
+
+
+def test_align_stack_pair_matches_pair_solved_alone():
+    # a pair in a multi-pair stack follows the iterates it would follow in a
+    # stack of its own: same rotation and loss, bit for bit, same flags
+    rng = np.random.default_rng(45)
+    cfg = DEFAULT_CONFIG
+    iterations = set()
+    for m, k in ((5, 2), (6, 3), (10, 3), (15, 5)):
+        ranks = sorted({1, k - 1, k})
+        Xs = np.stack([random_rank_point(rng, m, k, r) for r in ranks for _ in ranks])
+        Ys = np.stack([random_rank_point(rng, m, k, r) for _ in ranks for r in ranks])
+        extra = [[random_orthogonal(k, rng)] for _ in Xs]
+        starts = _align_starts(Xs, Ys, cfg, extra)
+        for p, r in enumerate(_align_stack(Xs, Ys, starts, cfg)):
+            assert np.array_equal(starts[p, 0], procrustes(Xs[p], Ys[p]))
+            (alone,) = _align_stack(Xs[p : p + 1], Ys[p : p + 1], starts[p : p + 1], cfg)
+            assert np.array_equal(r.rotation, alone.rotation)
+            assert r.loss == alone.loss
+            assert (r.iterations, r.converged, r.stagnated, r.clamped_rows) == (
+                alone.iterations,
+                alone.converged,
+                alone.stagnated,
+                alone.clamped_rows,
+            )
+            assert r.restarts_used == starts.shape[1]
+            iterations.add(r.iterations)
     assert len(iterations) > 3

@@ -23,7 +23,7 @@ from corrgeo import (
     random_orthogonal,
 )
 
-from corrgeo.quotient_space import _align_pair
+from corrgeo.quotient_space import _align_pairs
 
 from conftest import counterexample_pair, random_point, random_tangent
 from reference import o2_grid_distance
@@ -138,7 +138,7 @@ def test_orbit_dist_no_worse_than_either_order():
         d = orbit_dist(X, Y)
         assert d <= np.sqrt(min(align(X, Y).loss, align(Y, X).loss)) + 1e-12
         assert d == orbit_dist(Y, X)
-        fwd, rev = _align_pair(X, Y), _align_pair(Y, X)
+        fwd, rev = _align_pairs([X, Y], [Y, X])
         assert np.array_equal(fwd.rotation, rev.rotation.T)
         assert abs(ps_dist(X, fwd.aligned) ** 2 - fwd.loss) < 1e-12
         assert abs(ps_dist(Y, rev.aligned) ** 2 - rev.loss) < 1e-12
@@ -216,6 +216,20 @@ def test_orbit_exp_constant_speed():
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         d = orbit_dist(X, orbit_exp(X, V, t=t))
         assert abs(d - t * V.norm) < 1e-4
+
+
+def test_orbit_exp_and_segment_at_negative_time():
+    # t < 0 follows the geodesic backwards: each row turns by |t| |v_i|
+    rng = np.random.default_rng(20)
+    X, Y = _nearby_pair(rng, 5, 3, scale=0.8)
+    V = orbit_log(X, Y)
+    for t in (0.25, 1.0, 2.5):
+        assert np.array_equal(orbit_exp(X, V, -t).rep, orbit_exp(X, -V.vec, t).rep)
+    seg = GeodesicSegment(start=X, velocity=V, duration=1.0)
+    norms = np.linalg.norm(V.vec, axis=1)[:, None]
+    ang = -0.5 * norms
+    expect = np.cos(ang) * X + np.sin(ang) * V.vec / norms
+    assert np.abs(seg.point(-0.5) - expect).max() <= 1e-15
 
 
 def test_orbit_exp_horizontality_gate():
