@@ -18,9 +18,8 @@ from .errors import InvalidInput
 from .product_sphere import ps_frechet_fixed
 from .quotient_space import (
     OrbitPoint,
+    _align_batch,
     _align_pairs,
-    _align_stack,
-    _align_starts,
     _dist,
     as_orbit,
 )
@@ -142,8 +141,7 @@ def frechet_mean(
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
         means = np.broadcast_to(mean, reps.shape)
-        starts = _align_starts(reps, means, cfg, rotations[:, None])
-        results = _align_stack(reps, means, starts, cfg)
+        results = _align_batch(reps, means, cfg, rotations[:, None])
         rotations = np.stack([r.rotation for r in results])
         mean, inner = ps_frechet_fixed(reps @ rotations, w, cfg, init=mean)
         loss = inner.loss

@@ -17,7 +17,12 @@ from corrgeo import (
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import procrustes, random_orthogonal
 from corrgeo.product_sphere import _row_mean_model, _trust_region, angle_grad_coef
-from corrgeo.quotient_space import _align_stack, _align_starts, _alignment_model
+from corrgeo.quotient_space import (
+    _align_batch,
+    _align_stack,
+    _align_starts,
+    _alignment_model,
+)
 
 from conftest import random_point, random_rank_point, random_tangent
 from reference import sphere_dist, sphere_exp
@@ -299,3 +304,44 @@ def test_align_stack_pair_matches_pair_solved_alone():
             assert r.restarts_used == starts.shape[1]
             iterations.add(r.iterations)
     assert len(iterations) > 3
+
+
+def test_align_batch_chunks_match_one_solve(monkeypatch):
+    # a batch cut into chunks of whole pairs gives the one-solve results bit
+    # for bit, and no chunk exceeds the float budget
+    from corrgeo import quotient_space
+
+    rng = np.random.default_rng(46)
+    cfg = DEFAULT_CONFIG
+    m, k = 6, 3
+    Xs = np.stack([random_rank_point(rng, m, k, r) for r in (1, 2, 3, 3, 2)])
+    Ys = np.stack([random_rank_point(rng, m, k, r) for r in (3, 3, 2, 1, 3)])
+    extra = [[random_orthogonal(k, rng)] for _ in Xs]
+    starts = _align_starts(Xs, Ys, cfg, extra)
+    R = starts.shape[1]
+    whole = _align_stack(Xs, Ys, starts, cfg)
+
+    sizes = []
+
+    def counted(model, retract, x, cfg):
+        sizes.append(len(x))
+        return _trust_region(model, retract, x, cfg)
+
+    monkeypatch.setattr(quotient_space, "_trust_region", counted)
+    monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * (k**4 + m * k * k))
+    chunked = _align_batch(Xs, Ys, cfg, extra)
+    assert sizes == [2 * R, 2 * R, R]
+    for a, b in zip(whole, chunked, strict=True):
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.aligned, b.aligned)
+        assert (a.loss, a.grad_norm, a.iterations, a.converged) == (
+            b.loss,
+            b.grad_norm,
+            b.iterations,
+            b.converged,
+        )
+        assert (a.restarts_used, a.stagnated, a.clamped_rows) == (
+            b.restarts_used,
+            b.stagnated,
+            b.clamped_rows,
+        )
