@@ -2,7 +2,8 @@
 
 Subcommands: validate, corr, dist, mean, diff, geodesic. Exit codes:
 0 success, 2 validation failure (invalid matrices, rank or domain errors),
-3 stagnation or a mean stopped at max_outer, 4 unreadable or unparseable input.
+3 stagnation or a mean stopped at frechet.MAX_OUTER outer iterations without
+converging, 4 unreadable or unparseable input.
 """
 
 import argparse

@@ -6,26 +6,20 @@ module validates candidate matrices, factorizes them deterministically, and
 rebuilds them from representatives.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidCorrelation, InvalidInput, RankExceedsK
-from .kernels import DEFAULT_RANK_TOL, RankTolerance, sym_eig
+from .kernels import rank_threshold, sym_eig
 from .product_sphere import check_unit_rows
 
 
-@dataclass(frozen=True)
-class CorrTolerances:
-    """Acceptance bands for the correlation-matrix invariants."""
-
-    symmetry: float = 1e-10
-    unit_diagonal: float = 1e-10
-    entry_range: float = 1e-10
-    psd: float = 1e-8  # smallest eigenvalue may dip this far below zero
-
-
-DEFAULT_CORR_TOL = CorrTolerances()
+# acceptance bands for the correlation-matrix invariants
+SYMMETRY_TOL = 1e-10
+UNIT_DIAGONAL_TOL = 1e-10
+ENTRY_RANGE_TOL = 1e-10
+PSD_TOL = 1e-8  # smallest eigenvalue may dip this far below zero
 
 
 @dataclass(frozen=True)
@@ -57,10 +51,9 @@ class PSDViolation(Violation):
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """A validated correlation matrix with a cached detected rank."""
+    """A validated correlation matrix."""
 
     entries: np.ndarray
-    _rank_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         Z = np.asarray(self.entries, dtype=float)
@@ -70,17 +63,12 @@ class CorrelationMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def detected_rank(self, tol: RankTolerance = DEFAULT_RANK_TOL) -> int:
-        key = (tol.relative, tol.absolute_floor)
-        if key not in self._rank_cache:
-            lam = sym_eig(self.entries).values
-            self._rank_cache[key] = int(
-                np.count_nonzero(lam > tol.threshold(abs(float(lam[0]))))
-            )
-        return self._rank_cache[key]
+    def detected_rank(self) -> int:
+        lam = sym_eig(self.entries).values
+        return int(np.count_nonzero(lam > rank_threshold(abs(float(lam[0])))))
 
 
-def validate(Z, tol: CorrTolerances = DEFAULT_CORR_TOL):
+def validate(Z):
     """Check the correlation-matrix invariants.
 
     Returns a CorrelationMatrix when all hold, otherwise the list of
@@ -95,36 +83,34 @@ def validate(Z, tol: CorrTolerances = DEFAULT_CORR_TOL):
         violations.append(NonFiniteViolation(float(np.count_nonzero(~np.isfinite(Z)))))
         return violations
     sym_defect = float(np.max(np.abs(Z - Z.T)))
-    if sym_defect > tol.symmetry:
+    if sym_defect > SYMMETRY_TOL:
         violations.append(SymmetryViolation(sym_defect))
     diag_defect = float(np.max(np.abs(np.diag(Z) - 1.0)))
-    if diag_defect > tol.unit_diagonal:
+    if diag_defect > UNIT_DIAGONAL_TOL:
         violations.append(UnitDiagonalViolation(diag_defect))
     range_defect = float(np.max(np.abs(Z)) - 1.0)
-    if range_defect > tol.entry_range:
+    if range_defect > ENTRY_RANGE_TOL:
         violations.append(EntryRangeViolation(range_defect))
     lam_min = float(sym_eig(Z).values[-1])
-    if lam_min < -tol.psd:
+    if lam_min < -PSD_TOL:
         violations.append(PSDViolation(-lam_min))
     if violations:
         return violations
     return CorrelationMatrix(entries=Z)
 
 
-def as_correlation(Z, tol: CorrTolerances = DEFAULT_CORR_TOL) -> CorrelationMatrix:
+def as_correlation(Z) -> CorrelationMatrix:
     """Validate and wrap, raising InvalidCorrelation naming the violations."""
     if isinstance(Z, CorrelationMatrix):
         return Z
-    result = validate(Z, tol)
+    result = validate(Z)
     if isinstance(result, list):
         names = ", ".join(f"{type(v).__name__}({v.magnitude:.3e})" for v in result)
         raise InvalidCorrelation(f"invalid correlation matrix: {names}", result)
     return result
 
 
-def factorize(
-    Z, k: int, tol: RankTolerance = DEFAULT_RANK_TOL, corr_tol: CorrTolerances = DEFAULT_CORR_TOL
-) -> np.ndarray:
+def factorize(Z, k: int) -> np.ndarray:
     """Unit-row factor X with X X^T = Z and at most k columns.
 
     Takes the eigenpairs above the rank threshold, scales eigenvectors by
@@ -133,13 +119,13 @@ def factorize(
     convention make the output reproducible. Raises RankExceedsK when the
     detected rank is above k, InvalidCorrelation when Z fails validation.
     """
-    C = as_correlation(Z, corr_tol)
+    C = as_correlation(Z)
     Z = C.entries
     if k < 2:
         raise InvalidInput(f"need k >= 2, got {k}")
     eig = sym_eig(Z)
     lam, U = eig.values, eig.vectors
-    thresh = tol.threshold(abs(float(lam[0])))
+    thresh = rank_threshold(abs(float(lam[0])))
     r = int(np.count_nonzero(lam > thresh))
     if r > k:
         raise RankExceedsK(f"detected rank {r} exceeds requested width {k}")

@@ -7,19 +7,20 @@ tangents are represented by horizontal lifts; gradients of rotation
 invariant functions lift by projecting the ambient gradient.
 
 This module is the one home of both formulas: horizontality_defect
-measures |V^T X - X^T V| and vertical_project solves for the vertical
-component. The quotient log and exp in quotient_space use them to certify
-and to check horizontality.
+measures |V^T X - X^T V| and _vertical_part solves for the vertical
+component. The quotient log and exp in quotient_space use them, and
+HORIZ_TOL, to certify and to check horizontality.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InvalidInput
 from .kernels import numerical_rank, sylvester_spd
 from .product_sphere import ProductTangent, check_unit_rows, ps_project
+
+HORIZ_TOL = 1e-8  # horizontality tolerance of checked and certified tangents
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,13 @@ def horizontality_defect(X, V) -> float:
     return float(np.linalg.norm(V.T @ X - X.T @ V))
 
 
+def _vertical_part(X, V) -> np.ndarray:
+    """X A for the skew A with (X^T X) A + A (X^T X) = X^T V - V^T X; X full rank."""
+    A = sylvester_spd(X.T @ X, X.T @ V - V.T @ X)
+    A = 0.5 * (A - A.T)  # keep the solution exactly skew
+    return X @ A
+
+
 def vertical_project(X, W) -> ProductTangent:
     """Component of a tangent along the orbit through X.
 
@@ -61,26 +69,21 @@ def vertical_project(X, W) -> ProductTangent:
     returns X A. Fixed points are exactly the vertical vectors X Omega.
     """
     X = _full_rank_rep(X)
-    V = _tangent_vec(X, W)
-    A = sylvester_spd(X.T @ X, X.T @ V - V.T @ X)
-    A = 0.5 * (A - A.T)  # keep the solution exactly skew
-    return ProductTangent(X, X @ A)
+    return ProductTangent(X, _vertical_part(X, _tangent_vec(X, W)))
 
 
 def horizontal_project(X, W) -> HorizontalTangent:
     """Horizontal component: the tangent minus its vertical projection."""
     X = _full_rank_rep(X)
     V = _tangent_vec(X, W)
-    H = V - vertical_project(X, V).vec
+    H = V - _vertical_part(X, V)
     return HorizontalTangent(base=X, vec=H, defect=horizontality_defect(X, H))
 
 
-def quotient_metric(
-    U, V, X=None, cfg: SolverConfig = DEFAULT_CONFIG
-) -> float:
+def quotient_metric(U, V, X=None) -> float:
     """Inner product of two horizontal tangents at the same full-rank point.
 
-    Both arguments must be horizontal within cfg.horiz_tol relative to
+    Both arguments must be horizontal within HORIZ_TOL relative to
     their norms; the metric is then the Frobenius inner product of the
     lifts.
     """
@@ -91,7 +94,7 @@ def quotient_metric(
     X = _full_rank_rep(U.base if X is None else X)
     for name, T in (("first", U), ("second", V)):
         defect = horizontality_defect(X, T)
-        if defect > cfg.horiz_tol * max(1.0, float(np.linalg.norm(T.vec))):
+        if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(T.vec))):
             raise InvalidInput(f"{name} tangent is not horizontal (defect {defect:.3e})")
     return float(np.sum(U.vec * V.vec))
 

@@ -24,6 +24,11 @@ from .quotient_space import (
     as_orbit,
 )
 
+# the outer loop stops once the loss changes by at most MEAN_TOL relative to
+# max(1, loss), or after MAX_OUTER iterations
+MEAN_TOL = 1e-10
+MAX_OUTER = 200
+
 
 @dataclass(frozen=True)
 class WeightedSampleSet:
@@ -108,8 +113,8 @@ def frechet_mean(
     sample to the current mean as one stack of align's starts per sample,
     warm-started from its previous rotation, and then re-solves the
     rotations-fixed product-sphere mean (warm-started from the current
-    mean). Stops when the relative loss change drops below cfg.mean_tol or
-    after cfg.max_outer iterations.
+    mean). Stops when the relative loss change drops below MEAN_TOL
+    (converged) or after MAX_OUTER iterations (not converged).
     """
     ss = _as_sample_set(samples, weights)
     n = len(ss)
@@ -139,7 +144,7 @@ def frechet_mean(
     inner = None
     results = []
     outer = 0
-    for outer in range(1, cfg.max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         means = np.broadcast_to(mean, reps.shape)
         results = _align_batch(reps, means, cfg, rotations[:, None])
         rotations = np.stack([r.rotation for r in results])
@@ -147,7 +152,7 @@ def frechet_mean(
         loss = inner.loss
         prev = loss_history[-1]
         loss_history.append(float(loss))
-        if abs(prev - loss) <= cfg.mean_tol * max(1.0, abs(prev)):
+        if abs(prev - loss) <= MEAN_TOL * max(1.0, abs(prev)):
             converged = True
             break
 

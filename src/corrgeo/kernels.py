@@ -13,24 +13,13 @@ import numpy as np
 from .errors import InvalidInput, RetractionFailure, SingularSylvester
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class RankTolerance:
-    """Relative singular-value cutoff with an absolute floor.
-
-    A singular value counts toward the rank when it exceeds
-    max(absolute_floor, relative * sigma_max), elementwise over an array of
-    largest singular values.
-    """
-
-    relative: float = 1e-8
-    absolute_floor: float = 1e-12
-
-    def threshold(self, sigma_max):
-        return np.maximum(self.absolute_floor, self.relative * sigma_max)
+RANK_RELATIVE = 1e-8
+RANK_FLOOR = 1e-12
 
 
-DEFAULT_RANK_TOL = RankTolerance()
+def rank_threshold(sigma_max):
+    """max(RANK_FLOOR, RANK_RELATIVE * sigma_max): the cutoff of every rank decision."""
+    return np.maximum(RANK_FLOOR, RANK_RELATIVE * sigma_max)
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ def qf(A) -> np.ndarray:
     Q, R = np.linalg.qr(A)
     diag = R.diagonal()
     d = np.abs(diag)
-    if d.size == 0 or d.min() <= DEFAULT_RANK_TOL.threshold(d.max()):
+    if d.size == 0 or d.min() <= rank_threshold(d.max()):
         raise RetractionFailure("qf target is numerically singular")
     s = np.where(diag < 0.0, -1.0, 1.0)
     return Q * s
@@ -126,7 +115,7 @@ def sylvester_spd(E, W) -> np.ndarray:
     W = _as_square(W, "W")
     eig = sym_eig(E)
     lam = eig.values
-    if lam[-1] <= DEFAULT_RANK_TOL.threshold(abs(lam[0])):
+    if lam[-1] <= rank_threshold(abs(lam[0])):
         raise SingularSylvester(
             f"coefficient matrix has eigenvalue {lam[-1]:.3e}; system is singular"
         )
@@ -136,8 +125,8 @@ def sylvester_spd(E, W) -> np.ndarray:
     return A
 
 
-def numerical_rank(A, tol: RankTolerance = DEFAULT_RANK_TOL):
-    """Number of singular values above the effective threshold.
+def numerical_rank(A):
+    """Number of singular values above rank_threshold of the largest.
 
     A stack (..., m, k) of matrices gives an integer array of their ranks.
     """
@@ -147,7 +136,7 @@ def numerical_rank(A, tol: RankTolerance = DEFAULT_RANK_TOL):
     if A.size == 0:
         return 0
     sigma = np.linalg.svd(A, compute_uv=False)
-    ranks = np.count_nonzero(sigma > tol.threshold(sigma[..., :1]), axis=-1)
+    ranks = np.count_nonzero(sigma > rank_threshold(sigma[..., :1]), axis=-1)
     return int(ranks) if A.ndim == 2 else ranks
 
 

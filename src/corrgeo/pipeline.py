@@ -11,6 +11,7 @@ digit decimal formatting.
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -78,8 +79,9 @@ def load_manifest(path) -> CohortManifest:
     """Read a cohort manifest from JSON or from a delimited subject table.
 
     JSON files carry {"subjects": [{"subject_id", "path", "group"}, ...]}
-    plus optional "k" and "drop" objects; delimited files have a header
-    subject_id,path,group and take all policy values from defaults.
+    plus optional "k" and "drop" settings (a bad one raises ParseError);
+    delimited files have a header subject_id,path,group and take all
+    policy values from defaults.
     """
     path = Path(path)
     text = path.read_text()
@@ -91,18 +93,17 @@ def load_manifest(path) -> CohortManifest:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON ({e})") from None
-        subs = doc.get("subjects")
-        if not subs:
-            raise ParseError(f"{path}: manifest has no subjects")
+        subs = doc.get("subjects") if isinstance(doc, dict) else None
+        if not subs or not isinstance(subs, list):
+            raise ParseError(f"{path}: manifest has no subjects list")
         subjects = []
         for i, s in enumerate(subs):
-            if "subject_id" not in s or "path" not in s:
+            if not isinstance(s, dict) or "subject_id" not in s or "path" not in s:
                 raise ParseError(f"{path}: subject {i} needs subject_id and path")
             subjects.append(
                 SubjectSpec(str(s["subject_id"]), str(s["path"]), str(s.get("group", "")))
             )
-        drop = DropPolicy(**doc.get("drop", {}))
-        k = doc.get("k")
+        k, drop = _manifest_settings(path, doc)
         return CohortManifest(
             subjects=tuple(subjects), k=k, drop=drop, base_dir=base
         )
@@ -125,6 +126,25 @@ def load_manifest(path) -> CohortManifest:
     if not subjects:
         raise EmptyFile(f"{path}: manifest has no subject rows")
     return CohortManifest(subjects=tuple(subjects), base_dir=base)
+
+
+def _manifest_settings(path, doc):
+    """The k and DropPolicy of a parsed JSON manifest, each value checked."""
+    k = doc.get("k")
+    if k is not None and type(k) is not int:  # rejects bools too
+        raise ParseError(f"{path}: k must be null or an integer, got {k!r}")
+    drop = doc.get("drop", {})
+    if not isinstance(drop, dict):
+        raise ParseError(f"{path}: drop must be an object, got {drop!r}")
+    wants = {"variance_floor": "a finite number >= 0", "max_zero_variance": "an integer >= 0"}
+    for key, v in drop.items():
+        if key not in wants:
+            raise ParseError(f"{path}: unknown drop key {key!r}")
+        # the upper bound rejects nan, inf and ints no float can hold
+        number = type(v) in (int, float) and 0 <= v <= sys.float_info.max
+        if not number or (key == "max_zero_variance" and type(v) is not int):
+            raise ParseError(f"{path}: drop.{key} must be {wants[key]}, got {v!r}")
+    return k, DropPolicy(**drop)
 
 
 def ingest(path) -> TimeSeriesTable:

@@ -25,6 +25,10 @@ from .errors import AntipodalLogarithm, InvalidInput
 SMALL_ANGLE = 1e-12
 # magnitude cap for the angle-gradient factor as a row nears the antipode
 GRAD_FACTOR_CAP = 1e8
+# cut-locus band: ps_log refuses rows within this angle of the antipode
+ANTIPODAL_GUARD = 1e-6
+# iteration cap of every trust-region solve
+MAX_ITERS = 500
 
 
 def check_unit_rows(X, name="X") -> np.ndarray:
@@ -156,18 +160,19 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     return unit_rows(Y)
 
 
-def ps_log(X, Y, guard: float = DEFAULT_CONFIG.antipodal_guard) -> ProductTangent:
+def ps_log(X, Y) -> ProductTangent:
     """Rowwise logarithm; raises AntipodalLogarithm naming the offending rows."""
     X = check_unit_rows(X, "X")
     Y = check_unit_rows(Y, "Y")
     if X.shape != Y.shape:
         raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
     c, theta = _row_angles(X, Y)
-    bad = theta > np.pi - guard
+    bad = theta > np.pi - ANTIPODAL_GUARD
     if np.any(bad):
         rows = np.flatnonzero(bad)
         raise AntipodalLogarithm(
-            f"rows {rows.tolist()} are antipodal within guard {guard:.1e}", rows=rows
+            f"rows {rows.tolist()} are antipodal within guard {ANTIPODAL_GUARD:.1e}",
+            rows=rows,
         )
     small = theta < SMALL_ANGLE
     scale = np.where(small, 1.0, theta / np.sin(np.where(small, 1.0, theta)))
@@ -284,7 +289,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     it lowers the gradient norm (accurate to eps), and the member stops at
     the first step that does not, or once such a step has left the gradient
     norm at most cfg.grad_tol. Quadratic convergence takes the gradient to
-    rounding level on the way.
+    rounding level on the way. No member runs more than MAX_ITERS iterations.
 
     Returns per-member arrays (x, loss, grad_norm, iterations, converged,
     stagnated, clamped_any): converged means grad_norm <= cfg.grad_tol,
@@ -298,7 +303,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     clamped_any = np.any(clamped, axis=1)
     radius = np.ones(size)
     stagnated = np.zeros(size, dtype=bool)
-    done = np.full(size, cfg.max_iters < 1)
+    done = np.zeros(size, dtype=bool)
     it = np.zeros(size, dtype=int)
     floor = 100.0 * np.finfo(float).eps
     while not done.all():
@@ -326,7 +331,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
         g[acc], H[acc] = g_new[take], H_new[take]
         clamped_any[acc] |= np.any(clamped_new[take], axis=1)
         done[act] = stop | (floored & (gn[act] <= cfg.grad_tol))
-        done[act] |= it[act] >= cfg.max_iters
+        done[act] |= it[act] >= MAX_ITERS
     return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped_any
 
 

@@ -23,14 +23,14 @@ from scipy.linalg import expm
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import AlignmentStagnation, InvalidInput
-from .fixed_rank import horizontality_defect, vertical_project
+from .fixed_rank import HORIZ_TOL, _vertical_part, horizontality_defect
 from .kernels import (
-    DEFAULT_RANK_TOL,
-    RankTolerance,
+    RANK_RELATIVE,
     _polar,
     numerical_rank,
     procrustes,
     random_orthogonal,
+    rank_threshold,
 )
 from .product_sphere import (
     ProductTangent,
@@ -286,9 +286,12 @@ def orbit_dist(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> floa
     return _dist(_align_pairs([X], [Y], cfg, [extra_inits])[0])
 
 
+EQUALITY_TOL = 1e-8  # orbit distance at or below which two points are the same
+
+
 def orbit_equal(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """Whether two representatives lie on the same orbit within cfg.equality_tol."""
-    return orbit_dist(X, Y, cfg) <= cfg.equality_tol
+    """Whether two representatives lie on the same orbit within EQUALITY_TOL."""
+    return orbit_dist(X, Y, cfg) <= EQUALITY_TOL
 
 
 def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
@@ -298,7 +301,7 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     optimality of the alignment is exactly horizontality of the log, so when
     X has full rank the vertical component of the log is measured and the
     tangent carries the certificate (horizontal_certified, vertical_norm:
-    at most cfg.horiz_tol); rank-deficient base points skip the certificate.
+    at most HORIZ_TOL); rank-deficient base points skip the certificate.
     """
     Xp = as_orbit(X)
     Yp = _rep(Y)
@@ -307,12 +310,12 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
         raise AlignmentStagnation(
             f"rotation search stagnated at gradient norm {r.grad_norm:.3e}"
         )
-    V = ps_log(Xp.rep, r.aligned, guard=cfg.antipodal_guard)
+    V = ps_log(Xp.rep, r.aligned)
     certified = None
     vnorm = None
     if numerical_rank(Xp.rep) == Xp.k:
-        vnorm = vertical_project(Xp.rep, V.vec).norm
-        certified = vnorm <= cfg.horiz_tol
+        vnorm = float(np.linalg.norm(_vertical_part(Xp.rep, V.vec)))
+        certified = vnorm <= HORIZ_TOL
     return ProductTangent(
         base=V.base, vec=V.vec, horizontal_certified=certified, vertical_norm=vnorm
     )
@@ -322,14 +325,14 @@ def orbit_exp(X, V, t: float = 1.0, cfg: SolverConfig = DEFAULT_CONFIG) -> Orbit
     """Exponential in the quotient: rowwise exponential of a horizontal tangent.
 
     Horizontality is the caller's responsibility by default; set
-    cfg.require_horizontal to have the defect checked against cfg.horiz_tol
+    cfg.require_horizontal to have the defect checked against HORIZ_TOL
     (relative to the tangent norm).
     """
     Xp = as_orbit(X)
     vec = V.vec if isinstance(V, ProductTangent) else np.asarray(V, dtype=float)
     if cfg.require_horizontal:
         defect = horizontality_defect(Xp.rep, vec)
-        if defect > cfg.horiz_tol * max(1.0, float(np.linalg.norm(vec))):
+        if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(vec))):
             raise InvalidInput(f"tangent is not horizontal (defect {defect:.3e})")
     return OrbitPoint(ps_exp(Xp.rep, vec, t))
 
@@ -354,9 +357,7 @@ class GeodesicSegment:
         return ps_exp(self.start, self.velocity.vec, t)
 
 
-def geodesic_rank_profile(
-    seg: GeodesicSegment, samples: int, tol: RankTolerance = DEFAULT_RANK_TOL
-):
+def geodesic_rank_profile(seg: GeodesicSegment, samples: int):
     """Ranks along a geodesic: both endpoints plus `samples` interior points.
 
     Returns a list of (t, rank) pairs in increasing t.
@@ -364,7 +365,7 @@ def geodesic_rank_profile(
     if samples < 1:
         raise InvalidInput("need at least one interior sample")
     ts = np.linspace(0.0, seg.duration, samples + 2)
-    ranks = numerical_rank(_path(seg.start, seg.velocity.vec, ts), tol)
+    ranks = numerical_rank(_path(seg.start, seg.velocity.vec, ts))
     return [(float(t), int(r)) for t, r in zip(ts, ranks)]
 
 
@@ -374,24 +375,24 @@ def _path(X, V, ts):
     return rows.reshape(-1, *X.shape)
 
 
-def _gaps(X, V, ts, tol: RankTolerance):
-    """Smallest singular value minus the effective rank threshold at every t of ts."""
+def _gaps(X, V, ts):
+    """Smallest singular value minus the rank threshold at every t of ts."""
     sig = np.linalg.svd(_path(X, V, ts), compute_uv=False)
-    return sig[:, -1] - tol.threshold(sig[:, 0])
+    return sig[:, -1] - rank_threshold(sig[:, 0])
 
 
-def _stays_positive(gaps, h: float, V, tol: RankTolerance) -> bool:
+def _stays_positive(gaps, h: float, V) -> bool:
     """Whether the gap provably stays > 0 between samples h apart.
 
     Rows move at speed |v_i|, so the gap is Lipschitz in t with constant
-    (1 + tol.relative) |V|_F; it cannot reach zero between neighbours whose
+    (1 + RANK_RELATIVE) |V|_F; it cannot reach zero between neighbours whose
     gaps sum to more than that constant times h.
     """
-    lipschitz = (1.0 + tol.relative) * np.linalg.norm(V)
+    lipschitz = (1.0 + RANK_RELATIVE) * np.linalg.norm(V)
     return bool(np.min(gaps[1:] + gaps[:-1]) > lipschitz * h)
 
 
-def _zoom(X, V, lo: float, hi: float, tol: RankTolerance):
+def _zoom(X, V, lo: float, hi: float):
     """First rank drop in the bracket [lo, hi], or None if the dip stays full rank.
 
     Each round evaluates the gap at 33 times with one batched SVD. It
@@ -403,12 +404,12 @@ def _zoom(X, V, lo: float, hi: float, tol: RankTolerance):
     crossing = False
     while hi - lo > (1e-7 if crossing else 1e-10):
         ts = np.linspace(lo, hi, 33)
-        gaps = _gaps(X, V, ts, tol)
+        gaps = _gaps(X, V, ts)
         drops = np.flatnonzero(gaps[1:] <= 0.0)
         crossing = drops.size > 0
         if crossing:
             lo, hi = ts[drops[0]], ts[drops[0] + 1]
-        elif _stays_positive(gaps, ts[1] - ts[0], V, tol):
+        elif _stays_positive(gaps, ts[1] - ts[0], V):
             return None
         else:
             j = int(np.argmin(gaps))
@@ -416,29 +417,24 @@ def _zoom(X, V, lo: float, hi: float, tol: RankTolerance):
     return float(lo) if crossing else None
 
 
-def _first_drop(X, V, T: float, tol: RankTolerance, grid: int = 1024):
+def _first_drop(X, V, T: float):
     """Smallest t in (0, T] where the rank drops, or None. Resolved to 1e-7."""
+    grid = 1024  # intervals of the dense scan over (0, T]
     ts = np.linspace(0.0, T, grid + 1)
-    gaps = _gaps(X, V, ts, tol)
+    gaps = _gaps(X, V, ts)
     # candidate dips: grid crossings and interior local minima of the gap
     for i in range(1, grid + 1):
         if gaps[i] <= 0.0:
-            return _zoom(X, V, ts[i - 1], ts[i], tol)
+            return _zoom(X, V, ts[i - 1], ts[i])
         is_min = gaps[i] <= gaps[i - 1] and (i == grid or gaps[i] <= gaps[i + 1])
-        if is_min and not _stays_positive(gaps[i - 1 : i + 2], ts[1] - ts[0], V, tol):
-            t = _zoom(X, V, ts[i - 1], ts[min(i + 1, grid)], tol)
+        if is_min and not _stays_positive(gaps[i - 1 : i + 2], ts[1] - ts[0], V):
+            t = _zoom(X, V, ts[i - 1], ts[min(i + 1, grid)])
             if t is not None:
                 return t
     return None
 
 
-def max_full_rank_interval(
-    X,
-    V,
-    t_max_search: float = 10.0,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-):
+def max_full_rank_interval(X, V, t_max_search: float = 10.0):
     """Largest interval around 0 on which t -> exp(X, t V) keeps full rank.
 
     Scans (-t_max_search, t_max_search) with a dense grid of smallest
@@ -455,12 +451,12 @@ def max_full_rank_interval(
     if not (t_max_search > 0.0 and np.isfinite(t_max_search)):
         raise InvalidInput("t_max_search must be positive and finite")
     k = Xp.shape[1]
-    if numerical_rank(Xp, tol) < k:
+    if numerical_rank(Xp) < k:
         raise InvalidInput("base point is rank deficient")
     if np.linalg.norm(vec) == 0.0:
         return (-t_max_search, t_max_search)
-    up = _first_drop(Xp, vec, t_max_search, tol)
-    down = _first_drop(Xp, -vec, t_max_search, tol)
+    up = _first_drop(Xp, vec, t_max_search)
+    down = _first_drop(Xp, -vec, t_max_search)
     t_max = t_max_search if up is None else up
     t_min = -t_max_search if down is None else -down
     return (float(t_min), float(t_max))

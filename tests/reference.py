@@ -15,8 +15,9 @@ import numpy as np
 
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.errors import AntipodalLogarithm, InvalidInput, RetractionFailure
+from corrgeo.frechet import MAX_OUTER, MEAN_TOL
 from corrgeo.kernels import qf
-from corrgeo.product_sphere import SMALL_ANGLE, check_unit_rows, ps_frechet_fixed
+from corrgeo.product_sphere import ANTIPODAL_GUARD, SMALL_ANGLE, check_unit_rows, ps_frechet_fixed
 from corrgeo.quotient_space import _align_pairs, align
 
 # sphere S^{k-1} in R^k ---------------------------------------------------------
@@ -76,7 +77,7 @@ def sphere_exp(x, v) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def sphere_log(x, y, guard: float = DEFAULT_CONFIG.antipodal_guard) -> np.ndarray:
+def sphere_log(x, y, guard: float = ANTIPODAL_GUARD) -> np.ndarray:
     """Inverse of sphere_exp: the tangent at x pointing to y with norm dist(x, y).
 
     Refuses within the guard band of the antipode, where the logarithm is
@@ -237,7 +238,7 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
     converged = False
     results = []
     outer = 0
-    for outer in range(1, cfg.max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         results = [
             align(reps[i], mean, cfg, extra_inits=[rotations[i]]) for i in range(n)
         ]
@@ -246,7 +247,7 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
         mean, inner = ps_frechet_fixed(rotated, w, cfg, init=mean)
         prev = loss_history[-1]
         loss_history.append(float(inner.loss))
-        if abs(prev - inner.loss) <= cfg.mean_tol * max(1.0, abs(prev)):
+        if abs(prev - inner.loss) <= MEAN_TOL * max(1.0, abs(prev)):
             converged = True
             break
     return mean, loss_history, outer, converged, results

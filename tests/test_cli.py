@@ -18,7 +18,7 @@ from corrgeo import (
     write_factor_csv,
     write_matrix_csv,
 )
-from corrgeo import cli
+from corrgeo import cli, frechet
 from corrgeo.cli import main
 
 from conftest import random_correlation, random_point
@@ -117,6 +117,13 @@ def test_dist_bad_manifest_is_io_error(tmp_path):
     assert main(["dist", str(p)]) == 4
 
 
+def test_dist_bad_manifest_setting_is_io_error(tmp_path, capsys):
+    man = _cohort(tmp_path, np.random.default_rng(0), 2)
+    man.write_text(json.dumps({**json.loads(man.read_text()), "k": "3"}))
+    assert main(["dist", str(man), "--out", str(tmp_path / "out")]) == 4
+    assert "k must be" in capsys.readouterr().err
+
+
 # mean ------------------------------------------------------------------------
 
 
@@ -156,6 +163,18 @@ def test_mean_single_group_flag(tmp_path):
     assert main(["mean", str(man), "--group", "g1", "--out", str(out)]) == 0
     assert (out / "mean_g1.csv").exists()
     assert not (out / "mean_g2.csv").exists()
+
+
+def test_mean_stopped_at_max_outer_exits_3(tmp_path, monkeypatch):
+    man = _cohort(tmp_path, np.random.default_rng(3), 4)
+    assert main(["mean", str(man), "--out", str(tmp_path / "full")]) == 0
+    full = json.loads((tmp_path / "full" / "mean_all_report.json").read_text())
+    assert full["converged"] is True and full["outer_iterations"] > 1
+    monkeypatch.setattr(frechet, "MAX_OUTER", 1)
+    out = tmp_path / "out"
+    assert main(["mean", str(man), "--out", str(out)]) == 3
+    doc = json.loads((out / "mean_all_report.json").read_text())
+    assert doc["converged"] is False and doc["outer_iterations"] == 1
 
 
 def test_mean_unknown_group_is_validation_error(tmp_path, capsys):

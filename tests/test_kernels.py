@@ -13,7 +13,7 @@ from corrgeo import (
     sym_eig,
     sylvester_spd,
 )
-from corrgeo.kernels import RankTolerance
+from corrgeo.kernels import RANK_RELATIVE
 
 from conftest import counterexample_pair
 
@@ -192,7 +192,7 @@ def test_rank_planar_configuration():
 def test_rank_tolerance_object():
     A = np.diag([1.0, 1e-5])
     assert numerical_rank(A) == 2
-    assert numerical_rank(A, RankTolerance(relative=1e-3)) == 1
+    assert numerical_rank(np.diag([1.0, 0.1 * RANK_RELATIVE])) == 1
 
 
 # skew_part / random_orthogonal ----------------------------------------------

@@ -175,6 +175,52 @@ def test_load_manifest_rejects_empty(tmp_path):
         load_manifest(p)
 
 
+ONE_SUBJECT = [{"subject_id": "s1", "path": "s1.csv"}]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"drop": {"floor": 1e-9}}, "unknown drop key 'floor'"),
+        ({"drop": {"variance_floor": "tiny"}}, "drop.variance_floor must be"),
+        ({"drop": {"variance_floor": -1e-9}}, "drop.variance_floor must be"),
+        ({"drop": {"variance_floor": float("nan")}}, "drop.variance_floor must be"),
+        ({"drop": {"variance_floor": float("inf")}}, "drop.variance_floor must be"),
+        ({"drop": {"variance_floor": 10**400}}, "drop.variance_floor must be"),
+        ({"drop": {"variance_floor": True}}, "drop.variance_floor must be"),
+        ({"drop": {"max_zero_variance": -1}}, "drop.max_zero_variance must be"),
+        ({"drop": {"max_zero_variance": 2.5}}, "drop.max_zero_variance must be"),
+        ({"drop": {"max_zero_variance": "8"}}, "drop.max_zero_variance must be"),
+        ({"drop": ["variance_floor"]}, "drop must be an object"),
+        ({"k": "3"}, "k must be null or an integer"),
+        ({"k": True}, "k must be null or an integer"),
+        ({"k": 2.5}, "k must be null or an integer"),
+        ({"subjects": 5}, "no subjects list"),
+        ({"subjects": [1]}, "subject 0 needs subject_id and path"),
+        (ONE_SUBJECT, "no subjects list"),
+    ],
+)
+def test_load_manifest_rejects_bad_values(tmp_path, doc, message):
+    if isinstance(doc, dict):
+        doc = {"subjects": ONE_SUBJECT, **doc}
+    p = tmp_path / "cohort.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=message):
+        load_manifest(p)
+
+
+def test_load_manifest_accepts_boundary_settings(tmp_path):
+    p = tmp_path / "cohort.json"
+    doc = {
+        "subjects": ONE_SUBJECT,
+        "k": None,
+        "drop": {"variance_floor": 0, "max_zero_variance": 0},
+    }
+    p.write_text(json.dumps(doc))
+    man = load_manifest(p)
+    assert man.k is None and man.drop == DropPolicy(variance_floor=0, max_zero_variance=0)
+
+
 # cohort loading ---------------------------------------------------------------------
 
 

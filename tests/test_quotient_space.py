@@ -23,6 +23,7 @@ from corrgeo import (
     random_orthogonal,
 )
 
+from corrgeo.fixed_rank import HORIZ_TOL
 from corrgeo.quotient_space import _align_pairs
 
 from conftest import counterexample_pair, random_point, random_tangent
@@ -187,7 +188,7 @@ def test_orbit_log_is_certified_horizontal_at_full_rank():
     X, Y = _nearby_pair(rng, 5, 3)
     V = orbit_log(X, Y)
     assert V.horizontal_certified is True
-    assert V.vertical_norm <= DEFAULT_CONFIG.horiz_tol
+    assert V.vertical_norm <= HORIZ_TOL
     assert horizontality_defect(X, V) < 1e-8
 
 

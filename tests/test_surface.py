@@ -1,5 +1,6 @@
 """The public surface is the paper's geometry; test references live in tests."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -14,7 +15,15 @@ def test_all_names_are_unique_and_resolve():
 
 
 def test_surface_size():
-    assert len(corrgeo.__all__) <= 80
+    assert len(corrgeo.__all__) <= 78
+
+
+def test_solver_config_fields_are_the_settings_callers_set():
+    # the CLI sets grad_tol, restarts and seed; stagnation_tol is part of the
+    # distance report; require_horizontal gates outside input to orbit_exp.
+    # Every other tolerance or cap is a module constant.
+    fields = {f.name for f in dataclasses.fields(corrgeo.SolverConfig)}
+    assert fields == {"grad_tol", "restarts", "seed", "stagnation_tol", "require_horizontal"}
 
 
 @pytest.mark.parametrize("module", ["sphere", "orthogonal_group", "oracle"])
