@@ -5,7 +5,11 @@ tolerances are constants next to the code that reads them. Runs are
 reproducible given the config alone.
 """
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
+
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,9 @@ class SolverConfig:
     stagnation_tol separates harmless stops at the rounding floor from
     genuine failures: a stagnated solve with gradient norm above it is an
     error for consumers that need a converged alignment.
+    Construction raises InvalidInput unless grad_tol is finite and > 0,
+    restarts an integer >= 1, seed an integer >= 0 and stagnation_tol
+    finite and >= 0.
     """
 
     grad_tol: float = 1e-8
@@ -34,6 +41,19 @@ class SolverConfig:
     seed: int = 0
     require_horizontal: bool = False
     stagnation_tol: float = 1e-6
+
+    def __post_init__(self):
+        def number(v, low, kind=Real):  # finite and at least low; bools excluded
+            return isinstance(v, kind) and not isinstance(v, bool) and low <= v < math.inf
+
+        for name, ok, wants in (
+            ("grad_tol", number(self.grad_tol, 0) and self.grad_tol > 0, "a finite number > 0"),
+            ("restarts", number(self.restarts, 1, Integral), "an integer >= 1"),
+            ("seed", number(self.seed, 0, Integral), "an integer >= 0"),
+            ("stagnation_tol", number(self.stagnation_tol, 0), "a finite number >= 0"),
+        ):
+            if not ok:
+                raise InvalidInput(f"{name} must be {wants}, got {getattr(self, name)!r}")
 
     def with_(self, **kwargs) -> "SolverConfig":
         """Copy with selected fields replaced."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .kernels import numerical_rank, sylvester_spd
-from .product_sphere import ProductTangent, check_unit_rows, ps_project
+from .product_sphere import ProductTangent, _tangent_vec, check_unit_rows, ps_project
 
 HORIZ_TOL = 1e-8  # horizontality tolerance of checked and certified tangents
 
@@ -37,21 +37,10 @@ def _full_rank_rep(X) -> np.ndarray:
     return X
 
 
-def _tangent_vec(X, W) -> np.ndarray:
-    if isinstance(W, ProductTangent):
-        if not np.allclose(W.base, X, rtol=0.0, atol=1e-10):
-            raise InvalidInput("tangent base does not match X")
-        return W.vec
-    W = np.asarray(W, dtype=float)
-    if W.shape != X.shape:
-        raise InvalidInput(f"shape mismatch {W.shape} vs {X.shape}")
-    return W
-
-
 def horizontality_defect(X, V) -> float:
     """Frobenius norm of V^T X - X^T V, zero exactly when V is horizontal."""
     X = X.rep if hasattr(X, "rep") else check_unit_rows(X)
-    V = V.vec if isinstance(V, ProductTangent) else np.asarray(V, dtype=float)
+    V = _tangent_vec(X, V)
     return float(np.linalg.norm(V.T @ X - X.T @ V))
 
 

@@ -3,9 +3,10 @@
 Ingests per-subject CSV time series, drops zero-variance columns under an
 explicit policy, intersects the retained columns across a cohort, computes
 correlation matrices and their unit-row factors, and runs pairwise
-distances, per-group Frechet means, and mean-difference reports. All
-emitted CSV files are deterministic: fixed ordering and 17-significant-
-digit decimal formatting.
+distances, per-group Frechet means, and mean-difference reports. Every
+CSV file read or written here has one dialect: a header row, then data rows
+exactly as wide as the header, blank lines skipped. Emitted files are
+deterministic: fixed ordering and 17-significant-digit decimal formatting.
 """
 
 import csv
@@ -24,6 +25,65 @@ from .frechet import MeanReport, frechet_mean
 from .quotient_space import _align_pairs, _dist
 
 FLOAT_FMT = "{:.17g}"
+
+
+def _read_csv(path, lines):
+    """The stripped header and the non-blank (line number, row) pairs of a CSV.
+
+    Raises EmptyFile for no content or a header without rows, and
+    ParseError naming the line of a row whose width differs from the header's.
+    """
+    records = list(csv.reader(lines))
+    if not records:
+        raise EmptyFile(f"{path} is empty")
+    header = [h.strip() for h in records[0]]
+    rows = [
+        (lineno, row)
+        for lineno, row in enumerate(records[1:], start=2)
+        if any(c.strip() for c in row)
+    ]
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}"
+            )
+    if not rows:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    return header, rows
+
+
+def _parse_floats(path, columns, rows, finite=False) -> np.ndarray:
+    """The cells of rows as a float matrix; ParseError names a bad cell's line and column."""
+    data = []
+    for lineno, row in rows:
+        parsed = []
+        for col, cell in zip(columns, row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {col}: cannot parse {cell!r}"
+                ) from None
+        data.append(parsed)
+    M = np.array(data)
+    if finite and not np.all(np.isfinite(M)):
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ParseError(
+            f"{path}: line {rows[i][0]}, column {columns[j]}: "
+            f"non-finite value {rows[i][1][j]!r}"
+        )
+    return M
+
+
+def _write_csv(path, header, M, labels=None) -> None:
+    """Header, then each row of M (after its label, if any) at 17 significant digits."""
+    rows = [[FLOAT_FMT.format(v) for v in row] for row in np.asarray(M, dtype=float)]
+    if labels is not None:
+        rows = [[lab, *row] for lab, row in zip(labels, rows)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -107,25 +167,12 @@ def load_manifest(path) -> CohortManifest:
         return CohortManifest(
             subjects=tuple(subjects), k=k, drop=drop, base_dir=base
         )
-    rows = list(csv.reader(text.splitlines()))
-    header = [h.strip() for h in rows[0]]
-    required = ("subject_id", "path")
-    if any(c not in header for c in required):
+    header, rows = _read_csv(path, text.splitlines())
+    if any(c not in header for c in ("subject_id", "path")):
         raise ParseError(f"{path}: delimited manifest needs columns subject_id,path")
-    idx = {c: header.index(c) for c in header}
-    subjects = []
-    for r, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"{path}: line {r} has {len(row)} fields, expected {len(header)}")
-        group = row[idx["group"]].strip() if "group" in idx else ""
-        subjects.append(
-            SubjectSpec(row[idx["subject_id"]].strip(), row[idx["path"]].strip(), group)
-        )
-    if not subjects:
-        raise EmptyFile(f"{path}: manifest has no subject rows")
-    return CohortManifest(subjects=tuple(subjects), base_dir=base)
+    cols = [header.index(c) for c in ("subject_id", "path", "group") if c in header]
+    subjects = tuple(SubjectSpec(*(row[i].strip() for i in cols)) for _, row in rows)
+    return CohortManifest(subjects=subjects, base_dir=base)
 
 
 def _manifest_settings(path, doc):
@@ -155,39 +202,13 @@ def ingest(path) -> TimeSeriesTable:
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    header = [h.strip() for h in rows[0]]
+        header, rows = _read_csv(path, fh)
     if not header or any(not h for h in header):
         raise ParseError(f"{path}: header has an empty column name")
     if len(set(header)) != len(header):
         raise ParseError(f"{path}: header has duplicate column names")
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}"
-            )
-        parsed = []
-        for col, cell in zip(header, row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {col}: cannot parse {cell!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise ParseError(
-                    f"{path}: line {lineno}, column {col}: non-finite value {cell!r}"
-                )
-            parsed.append(v)
-        data.append(parsed)
-    if not data:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    return TimeSeriesTable(columns=tuple(header), values=np.array(data), source=str(path))
+    values = _parse_floats(path, header, rows, finite=True)
+    return TimeSeriesTable(columns=tuple(header), values=values, source=str(path))
 
 
 def correlation_of(ts: TimeSeriesTable, policy: DropPolicy = DropPolicy()):
@@ -268,29 +289,23 @@ def load_cohort(manifest: CohortManifest):
     dropped_subjects = []
     for spec in manifest.subjects:
         ts = ingest(manifest.resolve(spec))
-        var = ts.values.var(axis=0)
-        n_zero = int(np.count_nonzero(var <= manifest.drop.variance_floor))
+        keep = ts.values.var(axis=0) > manifest.drop.variance_floor
+        n_zero = int(np.count_nonzero(~keep))
         if n_zero > manifest.drop.max_zero_variance:
             dropped_subjects.append((spec.subject_id, n_zero))
             continue
-        tables.append((spec, ts))
+        tables.append((spec, ts, {c for c, k in zip(ts.columns, keep) if k}))
     if not tables:
         raise DegenerateInput("every subject was dropped by the zero-variance policy")
 
-    kept_sets = []
-    for spec, ts in tables:
-        var = ts.values.var(axis=0)
-        kept_sets.append(
-            {c for c, v in zip(ts.columns, var) if v > manifest.drop.variance_floor}
-        )
-    common_set = set.intersection(*kept_sets)
+    common_set = set.intersection(*(kept for _, _, kept in tables))
     # deterministic order: first retained subject's column order
     common = tuple(c for c in tables[0][1].columns if c in common_set)
     if len(common) < 2:
         raise DegenerateInput("fewer than 2 columns shared by all subjects")
 
     subjects = []
-    for spec, ts in tables:
+    for spec, ts, _ in tables:
         sel = [ts.columns.index(c) for c in common]
         sub = TimeSeriesTable(columns=common, values=ts.values[:, sel], source=ts.source)
         corr, kept, _ = correlation_of(sub, manifest.drop)
@@ -314,6 +329,10 @@ def _factorized_cohort(manifest: CohortManifest, k=None):
         width = len(common)
     if width < 2:
         raise InvalidInput(f"factor width must be at least 2, got {width}")
+    if width > len(common):
+        raise InvalidInput(
+            f"factor width {width} exceeds the {len(common)} columns shared by all subjects"
+        )
     width = int(width)
     for s in subjects:
         try:
@@ -447,38 +466,17 @@ def difference_report(A, B, threshold: float, columns=None) -> DiffReport:
 
 def write_matrix_csv(path, M, labels) -> None:
     """Labeled square matrix as CSV, 17 significant digits, byte-stable."""
-    M = np.asarray(M, dtype=float)
     labels = list(labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + labels)
-        for lab, row in zip(labels, M):
-            writer.writerow([lab] + [FLOAT_FMT.format(v) for v in row])
+    _write_csv(path, ["id"] + labels, M, labels)
 
 
 def read_matrix_csv(path):
     """Inverse of write_matrix_csv: returns (matrix, labels)."""
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    labels = [h.strip() for h in rows[0][1:]]
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(labels) + 1:
-            raise ParseError(
-                f"{path}: line {lineno} has {len(row)} fields, expected {len(labels) + 1}"
-            )
-        try:
-            data.append([float(c) for c in row[1:]])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno} has a non-numeric cell") from None
-    if not data:
-        raise EmptyFile(f"{path} has no data rows")
-    M = np.array(data)
+        header, rows = _read_csv(path, fh)
+    labels = header[1:]
+    M = _parse_floats(path, labels, [(n, row[1:]) for n, row in rows])
     if M.shape[0] != M.shape[1]:
         raise ParseError(f"{path}: matrix is {M.shape[0]} x {M.shape[1]}, expected square")
     return M, tuple(labels)
@@ -487,31 +485,15 @@ def read_matrix_csv(path):
 def write_factor_csv(path, X) -> None:
     """Unit-row factor as plain CSV with a generic header."""
     X = np.asarray(X, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(X.shape[1])])
-        for row in X:
-            writer.writerow([FLOAT_FMT.format(v) for v in row])
+    _write_csv(path, [f"x{i}" for i in range(X.shape[1])], X)
 
 
 def read_factor_csv(path) -> np.ndarray:
     """Read a numeric CSV (one header row, float body) as a matrix."""
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise EmptyFile(f"{path} is empty")
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            data.append([float(c) for c in row])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno} has a non-numeric cell") from None
-    if not data:
-        raise EmptyFile(f"{path} has no data rows")
-    return np.array(data)
+        header, rows = _read_csv(path, fh)
+    return _parse_floats(path, header, rows)
 
 
 def write_run_report(path, payload: dict) -> None:

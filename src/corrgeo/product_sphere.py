@@ -137,6 +137,18 @@ def ps_metric(U: ProductTangent, V: ProductTangent) -> float:
     return float(np.sum(U.vec * V.vec))
 
 
+def _tangent_vec(X, V) -> np.ndarray:
+    """The matrix of a tangent at X: a ProductTangent based at X or a raw X-shaped matrix."""
+    if isinstance(V, ProductTangent):
+        if V.base.shape != X.shape or not np.allclose(V.base, X, rtol=0.0, atol=1e-10):
+            raise InvalidInput("tangent base does not match X")
+        return V.vec
+    V = np.asarray(V, dtype=float)
+    if V.shape != X.shape:
+        raise InvalidInput(f"velocity shape {V.shape} does not match {X.shape}")
+    return V
+
+
 def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     """Rowwise exponential map: each row follows its great circle for time t.
 
@@ -144,13 +156,7 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     rowwise-tangent velocities.
     """
     X = check_unit_rows(X, "X")
-    if isinstance(V, ProductTangent):
-        if not np.allclose(V.base, X, rtol=0.0, atol=1e-10):
-            raise InvalidInput("tangent base does not match X")
-        V = V.vec
-    V = np.asarray(V, dtype=float)
-    if V.shape != X.shape:
-        raise InvalidInput(f"velocity shape {V.shape} does not match {X.shape}")
+    V = _tangent_vec(X, V)
     norms = np.linalg.norm(V, axis=1)
     ang = t * norms
     small = np.abs(ang) < SMALL_ANGLE

@@ -36,6 +36,7 @@ from .product_sphere import (
     ProductTangent,
     _angle_curvature,
     _row_angles,
+    _tangent_vec,
     _trust_region,
     angle_grad_coef,
     check_unit_rows,
@@ -329,7 +330,7 @@ def orbit_exp(X, V, t: float = 1.0, cfg: SolverConfig = DEFAULT_CONFIG) -> Orbit
     (relative to the tangent norm).
     """
     Xp = as_orbit(X)
-    vec = V.vec if isinstance(V, ProductTangent) else np.asarray(V, dtype=float)
+    vec = _tangent_vec(Xp.rep, V)
     if cfg.require_horizontal:
         defect = horizontality_defect(Xp.rep, vec)
         if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(vec))):
@@ -445,9 +446,7 @@ def max_full_rank_interval(X, V, t_max_search: float = 10.0):
     drop is found on that side.
     """
     Xp = _rep(X)
-    vec = V.vec if isinstance(V, ProductTangent) else np.asarray(V, dtype=float)
-    if vec.shape != Xp.shape:
-        raise InvalidInput(f"velocity shape {vec.shape} does not match {Xp.shape}")
+    vec = _tangent_vec(Xp, V)
     if not (t_max_search > 0.0 and np.isfinite(t_max_search)):
         raise InvalidInput("t_max_search must be positive and finite")
     k = Xp.shape[1]

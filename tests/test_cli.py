@@ -124,6 +124,33 @@ def test_dist_bad_manifest_setting_is_io_error(tmp_path, capsys):
     assert "k must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be an integer >= 0"),
+        ("--tol", "nan", "grad_tol must be a finite number > 0"),
+        ("--restarts", "-3", "restarts must be an integer >= 1"),
+        ("--restarts", "0", "restarts must be an integer >= 1"),
+    ],
+)
+def test_dist_invalid_solver_flag_is_validation_error(tmp_path, capsys, flag, value, message):
+    man = _cohort(tmp_path, np.random.default_rng(0), 2)
+    assert main(["dist", str(man), flag, value, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_dist_width_above_column_count_is_validation_error(tmp_path, capsys, source):
+    man = _cohort(tmp_path, np.random.default_rng(0), 2)  # 3 columns
+    args = ["dist", str(man), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        args += ["--k", "4"]
+    else:
+        man.write_text(json.dumps({**json.loads(man.read_text()), "k": 10**20}))
+    assert main(args) == 2
+    assert "exceeds the 3 columns" in capsys.readouterr().err
+
+
 # mean ------------------------------------------------------------------------
 
 
@@ -259,6 +286,14 @@ def test_geodesic_invalid_factor_is_validation_error(tmp_path, capsys):
     write_factor_csv(px, np.eye(2) * 2.0)  # rows not unit
     write_factor_csv(py, np.eye(2))
     assert main(["geodesic", str(px), str(py)]) == 2
+
+
+def test_geodesic_ragged_factor_is_io_error(tmp_path, capsys):
+    px, py = tmp_path / "x.csv", tmp_path / "y.csv"
+    px.write_text("x0,x1\n1,0\n0\n")
+    write_factor_csv(py, np.eye(2))
+    assert main(["geodesic", str(px), str(py)]) == 4
+    assert capsys.readouterr().err == f"error: {px}: line 3 has 1 fields, expected 2\n"
 
 
 # exit codes --------------------------------------------------------------------

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corrgeo import (
     DEFAULT_CONFIG,
@@ -99,6 +102,37 @@ def test_ingest_rejects_duplicate_columns(tmp_path):
 def test_table_needs_two_rows():
     with pytest.raises(DegenerateInput):
         TimeSeriesTable(columns=("a", "b"), values=[[1.0, 2.0]])
+
+
+# the CSV dialect shared by every reader -------------------------------------------
+
+# reader, header, two data rows, and the number of rows the reader returned
+CSV_READERS = {
+    "ingest": (ingest, "a,b", ("1,2", "3,5"), lambda ts: ts.values.shape[0]),
+    "read_matrix_csv": (read_matrix_csv, "id,a,b", ("a,1,0", "b,0,1"), lambda r: len(r[0])),
+    "read_factor_csv": (read_factor_csv, "x0,x1", ("1,0", "0,1"), len),
+    "manifest": (
+        load_manifest,
+        "subject_id,path",
+        ("s1,s1.csv", "s2,s2.csv"),
+        lambda man: len(man.subjects),
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_csv_readers_share_one_dialect(tmp_path, reader):
+    read, header, (row1, row2), count = CSV_READERS[reader]
+    p = tmp_path / "table.csv"
+    p.write_text(f"{header}\n\n{row1}\n   \n{row2}\n\n")
+    assert count(read(p)) == 2  # blank lines are skipped
+    p.write_text(f"{header}\n{row1}\n\n{row2},9\n")
+    with pytest.raises(ParseError, match=r"line 4 has \d+ fields, expected"):
+        read(p)
+    for text in (f"{header}\n\n", ""):
+        p.write_text(text)
+        with pytest.raises(EmptyFile):
+            read(p)
 
 
 # correlation ----------------------------------------------------------------------
@@ -537,6 +571,34 @@ def test_factor_csv_round_trip(tmp_path):
     p = tmp_path / "x.csv"
     write_factor_csv(p, X)
     assert np.array_equal(read_factor_csv(p), X)
+
+
+ROUND_TRIP = settings(
+    derandomize=True,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# every finite double, with -0.0 and subnormals drawn often
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308]
+)
+
+
+@ROUND_TRIP
+@given(st.integers(1, 4).flatmap(lambda n: arrays(float, (n, n), elements=FINITE)))
+def test_matrix_csv_round_trip_is_bitwise(tmp_path, M):
+    p = tmp_path / "m.csv"
+    write_matrix_csv(p, M, [f"c{i}" for i in range(len(M))])
+    assert read_matrix_csv(p)[0].tobytes() == M.tobytes()
+
+
+@ROUND_TRIP
+@given(arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 4)), elements=FINITE))
+def test_factor_csv_round_trip_is_bitwise(tmp_path, X):
+    p = tmp_path / "x.csv"
+    write_factor_csv(p, X)
+    assert read_factor_csv(p).tobytes() == X.tobytes()
 
 
 def test_run_report_serializes_arrays_and_dataclasses(tmp_path):

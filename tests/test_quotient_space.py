@@ -6,10 +6,12 @@ from corrgeo import (
     GeodesicSegment,
     InvalidInput,
     OrbitPoint,
+    ProductTangent,
     align,
     factorize,
     geodesic_rank_profile,
     gram,
+    horizontal_project,
     horizontality_defect,
     k_embedding,
     max_full_rank_interval,
@@ -21,6 +23,7 @@ from corrgeo import (
     ps_dist,
     ps_exp,
     random_orthogonal,
+    vertical_project,
 )
 
 from corrgeo.fixed_rank import HORIZ_TOL
@@ -244,6 +247,31 @@ def test_orbit_exp_horizontality_gate():
         orbit_exp(X, V, cfg=cfg)
     # without the gate the rowwise exponential just runs
     orbit_exp(X, V)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        ps_exp,
+        orbit_exp,
+        max_full_rank_interval,
+        horizontality_defect,
+        vertical_project,
+        horizontal_project,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize("tangent", ["based_elsewhere", "taller_base", "raw_wrong_shape"])
+def test_tangent_must_live_at_the_point(fn, tangent):
+    rng = np.random.default_rng(24)
+    X = random_point(rng, 4, 2)
+    if tangent == "raw_wrong_shape":
+        V = np.zeros((4, 3))
+    else:
+        Y = random_point(rng, 4 if tangent == "based_elsewhere" else 5, 2)
+        V = ProductTangent(Y, random_tangent(rng, Y))
+    with pytest.raises(InvalidInput, match="tangent base does not match X|velocity shape"):
+        fn(X, V)
 
 
 # geodesics ------------------------------------------------------------------------
