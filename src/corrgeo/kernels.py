@@ -3,9 +3,9 @@
 Thin, deterministic wrappers around LAPACK via numpy: symmetric
 eigendecomposition with a fixed ordering and sign convention, the
 sign-corrected thin QR factor, the Procrustes rotation (the polar factor
-of X^T Y, also taken for a whole stack of pairs at once), a spectral solver
-for the symmetric Sylvester system E A + A E = W, and tolerance-based
-numerical rank.
+of X^T Y, also taken for a whole stack of pairs at once), the exponential
+of a stack of skew matrices, a spectral solver for the symmetric Sylvester
+system E A + A E = W, and tolerance-based numerical rank.
 """
 
 import numpy as np
@@ -101,6 +101,17 @@ def _polar(M) -> np.ndarray:
     """Orthogonal polar factor U V^T of a matrix or a stack, from one batched SVD."""
     U, _, Vt = np.linalg.svd(M)
     return U @ Vt
+
+
+def expm(W) -> np.ndarray:
+    """Matrix exponential of a skew matrix W, or of a stack (..., k, k) of them.
+
+    W must be exactly skew (W^T = -W). Then iW is Hermitian, so one batched
+    eigh, iW = V diag(lam) V^H, gives expm(W) = V diag(exp(-i lam)) V^H,
+    whose real part is the rotation.
+    """
+    lam, V = np.linalg.eigh(1j * W)
+    return ((V * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()).real
 
 
 def sylvester_spd(E, W) -> np.ndarray:

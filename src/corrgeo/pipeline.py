@@ -471,7 +471,11 @@ def write_matrix_csv(path, M, labels) -> None:
 
 
 def read_matrix_csv(path):
-    """Inverse of write_matrix_csv: returns (matrix, labels)."""
+    """Inverse of write_matrix_csv: returns (matrix, labels).
+
+    Each row's first cell must be the header name at the same position;
+    otherwise ParseError names the line.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         header, rows = _read_csv(path, fh)
@@ -479,6 +483,11 @@ def read_matrix_csv(path):
     M = _parse_floats(path, labels, [(n, row[1:]) for n, row in rows])
     if M.shape[0] != M.shape[1]:
         raise ParseError(f"{path}: matrix is {M.shape[0]} x {M.shape[1]}, expected square")
+    for (lineno, row), label in zip(rows, labels):
+        if row[0].strip() != label:
+            raise ParseError(
+                f"{path}: line {lineno} is labeled {row[0].strip()!r}, expected {label!r}"
+            )
     return M, tuple(labels)
 
 

@@ -19,7 +19,6 @@ smallest singular value in stacked brackets.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import AlignmentStagnation, InvalidInput
@@ -27,6 +26,7 @@ from .fixed_rank import HORIZ_TOL, _vertical_part, horizontality_defect
 from .kernels import (
     RANK_RELATIVE,
     _polar,
+    expm,
     numerical_rank,
     procrustes,
     random_orthogonal,
@@ -298,15 +298,15 @@ def orbit_equal(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> bool:
 def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     """Logarithm in the quotient: rowwise log toward the aligned representative.
 
-    Aligns Y to X first, then takes the product-sphere logarithm. First-order
+    Aligns Y to X by orbit_dist's search of the unordered pair, so |log| is
+    the distance, then takes the product-sphere logarithm. First-order
     optimality of the alignment is exactly horizontality of the log, so when
     X has full rank the vertical component of the log is measured and the
     tangent carries the certificate (horizontal_certified, vertical_norm:
     at most HORIZ_TOL); rank-deficient base points skip the certificate.
     """
     Xp = as_orbit(X)
-    Yp = _rep(Y)
-    r = align(Xp, Yp, cfg)
+    r = _align_pairs([Xp], [Y], cfg)[0]
     if r.stagnated and r.grad_norm > cfg.stagnation_tol:
         raise AlignmentStagnation(
             f"rotation search stagnated at gradient norm {r.grad_norm:.3e}"

@@ -69,6 +69,13 @@ def test_validate_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.csv")]) == 4
 
 
+def test_validate_mislabeled_rows_is_io_error(tmp_path, capsys):
+    p = tmp_path / "corr.csv"
+    p.write_text("id,a,b\nx,1,0.5\ny,0.5,1\n")
+    assert main(["validate", str(p)]) == 4
+    assert "line 2 is labeled 'x', expected 'a'" in capsys.readouterr().err
+
+
 # corr ------------------------------------------------------------------------
 
 
@@ -244,6 +251,16 @@ def test_diff_mismatched_columns(tmp_path, capsys):
     write_matrix_csv(pa, np.eye(2), ["x", "y"])
     write_matrix_csv(pb, np.eye(2), ["x", "z"])
     assert main(["diff", str(pa), str(pb), "--threshold", "0.1"]) == 2
+
+
+def test_diff_reordered_rows_is_io_error(tmp_path, capsys):
+    Z = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix_csv(pa, Z, ["x", "y", "z"])
+    lines = pa.read_text().splitlines()
+    pb.write_text("\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n")
+    assert main(["diff", str(pa), str(pb), "--threshold", "0.1"]) == 4
+    assert "line 2 is labeled 'y', expected 'x'" in capsys.readouterr().err
 
 
 # geodesic --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from corrgeo import (
     InvalidInput,
@@ -13,7 +14,7 @@ from corrgeo import (
     sym_eig,
     sylvester_spd,
 )
-from corrgeo.kernels import RANK_RELATIVE
+from corrgeo.kernels import RANK_RELATIVE, expm
 
 from conftest import counterexample_pair
 
@@ -130,6 +131,28 @@ def test_procrustes_beats_random_rotations():
 def test_procrustes_shape_mismatch():
     with pytest.raises(InvalidInput):
         procrustes(np.eye(3), np.eye(2))
+
+
+# expm -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_expm_matches_scipy_on_skew_stacks(k):
+    rng = np.random.default_rng(k)
+    ia, ib = np.triu_indices(k, 1)
+    for scale in (0.0, 1e-8, 1e-3, 0.5, 2.0, 10.0):
+        W = np.zeros((12, k, k))
+        W[:, ia, ib] = scale * rng.standard_normal((12, ia.size))
+        W -= np.swapaxes(W, -1, -2)
+        Q = expm(W)
+        for Wi, Qi in zip(W, Q):
+            assert np.abs(Qi - scipy.linalg.expm(Wi)).max() <= 1e-12
+            assert np.abs(Qi.T @ Qi - np.eye(k)).max() <= 1e-13
+            assert np.linalg.det(Qi) > 0.0
+            # a stack member is bitwise the matrix exponentiated alone
+            assert np.array_equal(Qi, expm(Wi))
+    assert np.array_equal(expm(np.zeros((k, k))), np.eye(k))
+    assert np.array_equal(expm(np.zeros((3, k, k))), np.broadcast_to(np.eye(k), (3, k, k)))
 
 
 # sylvester_spd --------------------------------------------------------------

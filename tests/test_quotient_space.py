@@ -205,6 +205,16 @@ def test_orbit_log_skips_certificate_at_low_rank():
     assert V.horizontal_certified is None
 
 
+def test_orbit_log_norm_is_orbit_dist():
+    # the log aligns by the distance's own search of the unordered pair; a
+    # one-order search from fewer starts ends in a worse basin on pair 12 at m = 8
+    for m in (4, 5, 8, 15):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            X, Y = random_point(rng, m, 2), random_point(rng, m, 2)
+            assert abs(orbit_log(X, Y).norm - orbit_dist(X, Y)) <= 1e-12
+
+
 def test_orbit_exp_zero_time_and_round_trip():
     rng = np.random.default_rng(12)
     X, Y = _nearby_pair(rng, 5, 3)

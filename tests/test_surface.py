@@ -2,6 +2,9 @@
 
 import dataclasses
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,16 @@ def test_solver_config_fields_are_the_settings_callers_set():
 def test_reference_modules_are_not_in_the_package(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(f"corrgeo.{module}")
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # a fresh interpreter, so modules the tests import do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import corrgeo, corrgeo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
