@@ -22,10 +22,11 @@ class SolverConfig:
     level of the loss, steps are judged by the gradient norm instead, and
     the solve stops when that no longer falls or has fallen to grad_tol, so
     converged solves end with the gradient near rounding level.
-    restarts / seed: a pair search starts from Procrustes, restarts - 1
-    random rotations drawn from seed and their transposes, all solved as
-    one stack; restarts_used is the number of starts, so always
-    2 * restarts - 1 in distance reports (9 at the default).
+    restarts / seed: a pair search (align, orbit_dist, orbit_log and the
+    cohort distances alike) starts from Procrustes, restarts - 1 random
+    rotations drawn from seed and their transposes, all solved as one
+    stack; restarts_used is the number of starts, 2 * restarts - 1 (9 at
+    the default) plus any extra_inits passed to align or orbit_dist.
     require_horizontal makes orbit_exp check that its tangent is horizontal
     within fixed_rank.HORIZ_TOL.
     stagnation_tol separates harmless stops at the rounding floor from

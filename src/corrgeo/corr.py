@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidCorrelation, InvalidInput, RankExceedsK
 from .kernels import rank_threshold, sym_eig
-from .product_sphere import check_unit_rows
+from .product_sphere import _rep
 
 
 # acceptance bands for the correlation-matrix invariants
@@ -145,7 +145,7 @@ def gram(X) -> CorrelationMatrix:
     The product is symmetrized, clipped to [-1, 1], and given an exactly
     unit diagonal before validation.
     """
-    X = X.rep if hasattr(X, "rep") else check_unit_rows(X)
+    X = _rep(X)
     Z = X @ X.T
     Z = np.clip(0.5 * (Z + Z.T), -1.0, 1.0)
     np.fill_diagonal(Z, 1.0)

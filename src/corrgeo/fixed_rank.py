@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .kernels import numerical_rank, sylvester_spd
-from .product_sphere import ProductTangent, _tangent_vec, check_unit_rows, ps_project
+from .product_sphere import ProductTangent, _rep, _tangent_vec, ps_project
 
 HORIZ_TOL = 1e-8  # horizontality tolerance of checked and certified tangents
 
@@ -31,7 +31,7 @@ class HorizontalTangent(ProductTangent):
 
 
 def _full_rank_rep(X) -> np.ndarray:
-    X = X.rep if hasattr(X, "rep") else check_unit_rows(X)
+    X = _rep(X)
     if numerical_rank(X) < X.shape[1]:
         raise InvalidInput("base point must have full rank k")
     return X
@@ -39,7 +39,7 @@ def _full_rank_rep(X) -> np.ndarray:
 
 def horizontality_defect(X, V) -> float:
     """Frobenius norm of V^T X - X^T V, zero exactly when V is horizontal."""
-    X = X.rep if hasattr(X, "rep") else check_unit_rows(X)
+    X = _rep(X)
     V = _tangent_vec(X, V)
     return float(np.linalg.norm(V.T @ X - X.T @ V))
 

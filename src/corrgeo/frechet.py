@@ -110,8 +110,9 @@ def frechet_mean(
 
     Initialized at the sample with the smallest weighted variance, from one
     stack of n(n-1)/2 pair searches. Each outer iteration aligns every
-    sample to the current mean as one stack of align's starts per sample,
-    warm-started from its previous rotation, and then re-solves the
+    sample to the current mean as one stack of ordered searches (the
+    Procrustes and seeded random starts), each warm-started from the
+    sample's previous rotation, and then re-solves the
     rotations-fixed product-sphere mean (warm-started from the current
     mean). Stops when the relative loss change drops below MEAN_TOL
     (converged) or after MAX_OUTER iterations (not converged).

@@ -141,7 +141,8 @@ def load_manifest(path) -> CohortManifest:
     JSON files carry {"subjects": [{"subject_id", "path", "group"}, ...]}
     plus optional "k" and "drop" settings (a bad one raises ParseError);
     delimited files have a header subject_id,path,group and take all
-    policy values from defaults.
+    policy values from defaults. A subject_id listed twice raises
+    ParseError.
     """
     path = Path(path)
     text = path.read_text()
@@ -164,15 +165,19 @@ def load_manifest(path) -> CohortManifest:
                 SubjectSpec(str(s["subject_id"]), str(s["path"]), str(s.get("group", "")))
             )
         k, drop = _manifest_settings(path, doc)
-        return CohortManifest(
-            subjects=tuple(subjects), k=k, drop=drop, base_dir=base
-        )
-    header, rows = _read_csv(path, text.splitlines())
-    if any(c not in header for c in ("subject_id", "path")):
-        raise ParseError(f"{path}: delimited manifest needs columns subject_id,path")
-    cols = [header.index(c) for c in ("subject_id", "path", "group") if c in header]
-    subjects = tuple(SubjectSpec(*(row[i].strip() for i in cols)) for _, row in rows)
-    return CohortManifest(subjects=subjects, base_dir=base)
+    else:
+        header, rows = _read_csv(path, text.splitlines())
+        if any(c not in header for c in ("subject_id", "path")):
+            raise ParseError(f"{path}: delimited manifest needs columns subject_id,path")
+        cols = [header.index(c) for c in ("subject_id", "path", "group") if c in header]
+        subjects = [SubjectSpec(*(row[i].strip() for i in cols)) for _, row in rows]
+        k, drop = None, DropPolicy()
+    seen = set()
+    for spec in subjects:
+        if spec.subject_id in seen:
+            raise ParseError(f"{path}: subject_id {spec.subject_id!r} is listed twice")
+        seen.add(spec.subject_id)
+    return CohortManifest(subjects=tuple(subjects), k=k, drop=drop, base_dir=base)
 
 
 def _manifest_settings(path, doc):
@@ -225,14 +230,18 @@ def correlation_of(ts: TimeSeriesTable, policy: DropPolicy = DropPolicy()):
         raise DegenerateInput(
             f"{ts.source or 'table'}: fewer than 2 columns with positive variance"
         )
-    vals = ts.values[:, keep]
+    return _pearson(ts.values[:, keep]), kept, dropped
+
+
+def _pearson(vals) -> CorrelationMatrix:
+    """Pearson correlation of the columns of vals, all of positive variance."""
     centered = vals - vals.mean(axis=0)
     std = np.sqrt((centered * centered).mean(axis=0))
     S = centered / std
     C = (S.T @ S) / vals.shape[0]
     C = np.clip(0.5 * (C + C.T), -1.0, 1.0)
     np.fill_diagonal(C, 1.0)
-    return as_correlation(C), kept, dropped
+    return as_correlation(C)
 
 
 @dataclass
@@ -304,15 +313,10 @@ def load_cohort(manifest: CohortManifest):
     if len(common) < 2:
         raise DegenerateInput("fewer than 2 columns shared by all subjects")
 
+    # every common column passed each subject's variance screen above
     subjects = []
     for spec, ts, _ in tables:
-        sel = [ts.columns.index(c) for c in common]
-        sub = TimeSeriesTable(columns=common, values=ts.values[:, sel], source=ts.source)
-        corr, kept, _ = correlation_of(sub, manifest.drop)
-        if kept != common:
-            raise DegenerateInput(
-                f"{spec.subject_id}: column variance degenerated on the common set"
-            )
+        corr = _pearson(ts.values[:, [ts.columns.index(c) for c in common]])
         subjects.append(SubjectData(spec=spec, corr=corr, columns=common))
     return subjects, common, tuple(dropped_subjects)
 

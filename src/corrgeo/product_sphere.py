@@ -48,6 +48,11 @@ def check_unit_rows(X, name="X") -> np.ndarray:
     return X
 
 
+def _rep(X, name="X") -> np.ndarray:
+    """The unit-row matrix of an argument: an orbit point's stored rep, else check_unit_rows."""
+    return X.rep if hasattr(X, "rep") else check_unit_rows(X, name)
+
+
 def unit_rows(A) -> np.ndarray:
     """Rescale every row of A to unit norm (rows of near-zero norm are rejected)."""
     A = np.asarray(A, dtype=float)

@@ -5,10 +5,14 @@ orthogonal k x k matrix; orbits correspond one-to-one with correlation
 matrices of rank at most k. The quotient distance is the product-sphere
 distance after the best aligning rotation, found by Riemannian
 trust-region Newton iterations on O(k) (closed-form gradient and Hessian)
-from a Procrustes start plus random restarts. One solve takes all starts of
-all pairs of a batch (a cohort, a mean's samples) as one lockstep stack, a
-large batch in chunks of whole pairs under a fixed memory budget; align is
-the batch of one pair.
+from a Procrustes start plus random restarts. align, orbit_dist and
+orbit_log share one search of the unordered pair (the random starts and
+their transposes), so they agree bit for bit and cost the same. One solve
+takes all starts of all pairs of a batch (a cohort, a mean's samples) as
+one lockstep stack, a large batch in chunks of whole pairs under a fixed
+memory budget; align is the batch of one pair. Only the Frechet mean's
+outer loop runs the ordered search, warm-started from each sample's
+previous rotation.
 
 Logs and exponentials act row by row on representatives; horizontality is
 measured with fixed_rank's formulas. Rank along a geodesic is read from
@@ -28,13 +32,13 @@ from .kernels import (
     _polar,
     expm,
     numerical_rank,
-    procrustes,
     random_orthogonal,
     rank_threshold,
 )
 from .product_sphere import (
     ProductTangent,
     _angle_curvature,
+    _rep,
     _row_angles,
     _tangent_vec,
     _trust_region,
@@ -66,10 +70,6 @@ class OrbitPoint:
 def as_orbit(X) -> OrbitPoint:
     """Coerce a unit-row matrix (or pass through an OrbitPoint)."""
     return X if isinstance(X, OrbitPoint) else OrbitPoint(np.asarray(X, dtype=float))
-
-
-def _rep(X) -> np.ndarray:
-    return X.rep if isinstance(X, OrbitPoint) else check_unit_rows(X)
 
 
 @dataclass(frozen=True)
@@ -139,61 +139,6 @@ def _random_starts(k, cfg: SolverConfig):
     return [random_orthogonal(k, rng) for _ in range(max(0, cfg.restarts - 1))]
 
 
-def _align_starts(Xs, Ys, cfg: SolverConfig, extra):
-    """align's starts for a stack of pairs (Xs[p], Ys[p]), as a (P, R, k, k) array.
-
-    Per pair: the Procrustes rotation (one batched polar factor for the
-    stack), the cfg.restarts - 1 seeded random rotations, then the pair's
-    extra starts extra[p].
-    """
-    k = Xs.shape[-1]
-    rand = np.reshape(_random_starts(k, cfg), (-1, k, k))
-    return np.concatenate(
-        [
-            _polar(np.swapaxes(Xs, -1, -2) @ Ys)[:, None],
-            np.broadcast_to(rand, (len(Xs), *rand.shape)),
-            np.reshape(extra, (len(Xs), -1, k, k)),
-        ],
-        axis=1,
-    )
-
-
-def _align_stack(Xs, Ys, starts, cfg: SolverConfig):
-    """Rotation searches of a stack of pairs, all starts of all pairs in one solve.
-
-    Xs and Ys are (P, m, k) stacks of representatives, starts a (P, R, k,
-    k) array of starting rotations. One lockstep trust-region call solves
-    the P R members; members never interact, so each pair follows the
-    iterates it would follow alone. Per pair the first lowest loss wins and
-    restarts_used is R. Returns one AlignmentResult per pair.
-    """
-    P, R, k = starts.shape[:3]
-    model, retract = _alignment_model(np.repeat(Xs, R, axis=0), np.repeat(Ys, R, axis=0))
-    O, loss, gn, it, conv, stag, clamped = _trust_region(
-        model, retract, starts.reshape(P * R, k, k), cfg
-    )
-    results = []
-    for p, b in enumerate(R * np.arange(P) + np.argmin(loss.reshape(P, R), axis=1)):
-        clamped_rows = ()
-        if clamped[b]:
-            c, th = _row_angles(Xs[p] @ O[b], Ys[p])
-            clamped_rows = tuple(np.flatnonzero(angle_grad_coef(c, th)[1]))
-        results.append(
-            AlignmentResult(
-                rotation=O[b].copy(),
-                aligned=Ys[p] @ O[b].T,
-                loss=float(loss[b]),
-                grad_norm=float(gn[b]),
-                iterations=int(it[b]),
-                converged=bool(conv[b]),
-                restarts_used=R,
-                stagnated=bool(stag[b]),
-                clamped_rows=clamped_rows,
-            )
-        )
-    return results
-
-
 # Floats of model data one stacked solve may hold. A member (one start of
 # one pair) holds O(k^4) floats in its Hessian and E_p S products and O(m k^2)
 # in its rows; _align_batch solves a batch in chunks of whole pairs within
@@ -204,21 +149,54 @@ _STACK_FLOATS = 2**20
 
 
 def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
-    """align's searches of the pairs (Xs[p], Ys[p]), extra[p] further starts each.
+    """Rotation searches of the ordered pairs (Xs[p], Ys[p]), all starts in one stack.
 
-    The batch is cut into chunks of whole pairs within _STACK_FLOATS; each
-    chunk builds its starts (_align_starts) and is one _align_stack, so
-    the starts of the batch are never held at once. Returns one
-    AlignmentResult per pair.
+    Per pair the starts are the Procrustes rotation (one batched polar
+    factor), the cfg.restarts - 1 seeded random rotations, then the pair's
+    extra starts extra[p]. The batch is cut into chunks of whole pairs
+    within _STACK_FLOATS, and each chunk is one lockstep trust-region
+    solve; members never interact, so each pair follows the iterates it
+    would follow alone. Per pair the first lowest loss wins and
+    restarts_used counts its starts. Returns one AlignmentResult per pair.
     """
     P, m, k = Xs.shape
-    R = max(1, cfg.restarts) + (len(extra[0]) if P else 0)
+    rand = np.reshape(_random_starts(k, cfg), (-1, k, k))
+    R = 1 + len(rand) + (len(extra[0]) if P else 0)
     chunk = max(1, _STACK_FLOATS // (R * (k**4 + m * k * k)))
     results = []
     for lo in range(0, P, chunk):
         Xc, Yc = Xs[lo : lo + chunk], Ys[lo : lo + chunk]
-        starts = _align_starts(Xc, Yc, cfg, extra[lo : lo + chunk])
-        results += _align_stack(Xc, Yc, starts, cfg)
+        n = len(Xc)
+        starts = np.concatenate(
+            [
+                _polar(np.swapaxes(Xc, -1, -2) @ Yc)[:, None],
+                np.broadcast_to(rand, (n, *rand.shape)),
+                np.reshape(extra[lo : lo + chunk], (n, -1, k, k)),
+            ],
+            axis=1,
+        )
+        model, retract = _alignment_model(np.repeat(Xc, R, axis=0), np.repeat(Yc, R, axis=0))
+        O, loss, gn, it, conv, stag, clamped = _trust_region(
+            model, retract, starts.reshape(n * R, k, k), cfg
+        )
+        for p, b in enumerate(R * np.arange(n) + np.argmin(loss.reshape(n, R), axis=1)):
+            clamped_rows = ()
+            if clamped[b]:
+                c, th = _row_angles(Xc[p] @ O[b], Yc[p])
+                clamped_rows = tuple(np.flatnonzero(angle_grad_coef(c, th)[1]))
+            results.append(
+                AlignmentResult(
+                    rotation=O[b].copy(),
+                    aligned=Yc[p] @ O[b].T,
+                    loss=float(loss[b]),
+                    grad_norm=float(gn[b]),
+                    iterations=int(it[b]),
+                    converged=bool(conv[b]),
+                    restarts_used=R,
+                    stagnated=bool(stag[b]),
+                    clamped_rows=clamped_rows,
+                )
+            )
     return results
 
 
@@ -226,34 +204,28 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     """Best common rotation carrying X onto Y's orbit representative.
 
     Trust-region Newton iterations on O(k) for the sum of squared row
-    angles between X O and Y, initialized at the Procrustes rotation plus
-    cfg.restarts - 1 seeded random orthogonal starts (and any
-    caller-supplied extra_inits), all solved as one lockstep stack: the
-    one-pair case of _align_stack.
+    angles between X O and Y: the search of orbit_dist and orbit_log, so
+    sqrt(loss) is orbit_dist(X, Y) and align(Y, X) is align(X, Y) with the
+    rotation transposed, and a call costs what orbit_dist costs. The
+    unordered pair is searched from the Procrustes rotation, the
+    cfg.restarts - 1 seeded random rotations and their transposes, and any
+    caller-supplied extra_inits, as one lockstep stack.
     """
-    X = _rep(X)
-    Y = _rep(Y)
-    if X.shape != Y.shape:
-        raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
-    # the same starts as _align_starts, built here so that align calls the
-    # validated one-pair procrustes exactly once: perfbench's traced check
-    # holds kernels.procrustes calls equal to align calls
-    starts = [procrustes(X, Y)] + _random_starts(X.shape[1], cfg)
-    starts += [np.asarray(O, dtype=float) for O in extra_inits]
-    return _align_stack(X[None], Y[None], np.stack(starts)[None], cfg)[0]
+    return _align_pairs([X], [Y], cfg, [extra_inits])[0]
 
 
 def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
-    """align of each unordered pair (Xs[p], Ys[p]), all pairs in one stack.
+    """The rotation search of each unordered pair (Xs[p], Ys[p]), all pairs in one stack.
 
-    align(Y, X) is align(X, Y) under O -> O^T (a reversed-pair start P
-    follows the transposed iterates of P^T), so each pair is searched in
-    the order of its representatives' bytes, from align's starts plus the
-    transposes of its random starts: bitwise the same for both orders.
-    extra_inits holds per pair an equally long list of further starts.
-    Returns one AlignmentResult per pair, reported for (Xs[p], Ys[p]).
+    The search of (Y, X) is that of (X, Y) under O -> O^T (a reversed-pair
+    start P follows the transposed iterates of P^T), so each pair is
+    searched in the order of its representatives' bytes by _align_batch,
+    whose random starts are joined by their transposes: bitwise the same
+    for both orders. extra_inits holds per pair an equally long list of
+    further starts. Returns one AlignmentResult per pair, reported for
+    (Xs[p], Ys[p]).
     """
-    pairs = [(_rep(X), _rep(Y)) for X, Y in zip(Xs, Ys, strict=True)]
+    pairs = [(_rep(X, "X"), _rep(Y, "Y")) for X, Y in zip(Xs, Ys, strict=True)]
     if not pairs:
         return []
     for X, Y in pairs:
@@ -305,17 +277,17 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     tangent carries the certificate (horizontal_certified, vertical_norm:
     at most HORIZ_TOL); rank-deficient base points skip the certificate.
     """
-    Xp = as_orbit(X)
-    r = _align_pairs([Xp], [Y], cfg)[0]
+    X = _rep(X, "X")
+    r = _align_pairs([X], [Y], cfg)[0]
     if r.stagnated and r.grad_norm > cfg.stagnation_tol:
         raise AlignmentStagnation(
             f"rotation search stagnated at gradient norm {r.grad_norm:.3e}"
         )
-    V = ps_log(Xp.rep, r.aligned)
+    V = ps_log(X, r.aligned)
     certified = None
     vnorm = None
-    if numerical_rank(Xp.rep) == Xp.k:
-        vnorm = float(np.linalg.norm(_vertical_part(Xp.rep, V.vec)))
+    if numerical_rank(X) == X.shape[1]:
+        vnorm = float(np.linalg.norm(_vertical_part(X, V.vec)))
         certified = vnorm <= HORIZ_TOL
     return ProductTangent(
         base=V.base, vec=V.vec, horizontal_certified=certified, vertical_norm=vnorm
@@ -329,13 +301,13 @@ def orbit_exp(X, V, t: float = 1.0, cfg: SolverConfig = DEFAULT_CONFIG) -> Orbit
     cfg.require_horizontal to have the defect checked against HORIZ_TOL
     (relative to the tangent norm).
     """
-    Xp = as_orbit(X)
-    vec = _tangent_vec(Xp.rep, V)
+    X = _rep(X, "X")
+    vec = _tangent_vec(X, V)
     if cfg.require_horizontal:
-        defect = horizontality_defect(Xp.rep, vec)
+        defect = horizontality_defect(X, vec)
         if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(vec))):
             raise InvalidInput(f"tangent is not horizontal (defect {defect:.3e})")
-    return OrbitPoint(ps_exp(Xp.rep, vec, t))
+    return OrbitPoint(ps_exp(X, vec, t))
 
 
 @dataclass(frozen=True)

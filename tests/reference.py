@@ -18,7 +18,7 @@ from corrgeo.errors import AntipodalLogarithm, InvalidInput, RetractionFailure
 from corrgeo.frechet import MAX_OUTER, MEAN_TOL
 from corrgeo.kernels import qf
 from corrgeo.product_sphere import ANTIPODAL_GUARD, SMALL_ANGLE, check_unit_rows, ps_frechet_fixed
-from corrgeo.quotient_space import _align_pairs, align
+from corrgeo.quotient_space import _align_batch, _align_pairs
 
 # sphere S^{k-1} in R^k ---------------------------------------------------------
 
@@ -218,7 +218,8 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
     """The alternating Frechet mean with every rotation search solved alone.
 
     The initializer searches each unordered pair in a stack of its own, and
-    each outer iteration calls align once per sample. Returns (mean,
+    each outer iteration runs the ordered, warm-started search of every
+    sample in a stack of its own. Returns (mean,
     loss_history, outer_iterations, converged, per-sample alignments of the
     last outer iteration).
     """
@@ -240,7 +241,8 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
         results = [
-            align(reps[i], mean, cfg, extra_inits=[rotations[i]]) for i in range(n)
+            _align_batch(reps[i][None], mean[None], cfg, [[rotations[i]]])[0]
+            for i in range(n)
         ]
         rotations = [r.rotation for r in results]
         rotated = [reps[i] @ rotations[i] for i in range(n)]

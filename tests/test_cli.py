@@ -131,6 +131,16 @@ def test_dist_bad_manifest_setting_is_io_error(tmp_path, capsys):
     assert "k must be" in capsys.readouterr().err
 
 
+def test_dist_duplicate_subject_id_is_io_error(tmp_path, capsys):
+    man = _cohort(tmp_path, np.random.default_rng(0), 2)
+    doc = json.loads(man.read_text())
+    doc["subjects"][1]["subject_id"] = "s0"
+    man.write_text(json.dumps(doc))
+    assert main(["dist", str(man), "--out", str(tmp_path / "out")]) == 4
+    assert "subject_id 's0' is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "distances.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -303,6 +313,14 @@ def test_geodesic_invalid_factor_is_validation_error(tmp_path, capsys):
     write_factor_csv(px, np.eye(2) * 2.0)  # rows not unit
     write_factor_csv(py, np.eye(2))
     assert main(["geodesic", str(px), str(py)]) == 2
+
+
+def test_geodesic_invalid_second_factor_names_y(tmp_path, capsys):
+    px, py = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_factor_csv(px, np.eye(2))
+    write_factor_csv(py, np.eye(2) * 2.0)
+    assert main(["geodesic", str(px), str(py)]) == 2
+    assert "row 0 of Y has norm" in capsys.readouterr().err
 
 
 def test_geodesic_ragged_factor_is_io_error(tmp_path, capsys):

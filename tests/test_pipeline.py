@@ -209,6 +209,21 @@ def test_load_manifest_rejects_empty(tmp_path):
         load_manifest(p)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("cohort.json", json.dumps({"subjects": [
+        {"subject_id": "s0", "path": "a.csv"},
+        {"subject_id": "s1", "path": "b.csv"},
+        {"subject_id": "s0", "path": "c.csv"},
+    ]})),
+    ("cohort.csv", "subject_id,path\ns0,a.csv\ns1,b.csv\ns0,c.csv\n"),
+], ids=["json", "delimited"])
+def test_load_manifest_rejects_duplicate_subject_ids(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError, match="subject_id 's0' is listed twice"):
+        load_manifest(p)
+
+
 ONE_SUBJECT = [{"subject_id": "s1", "path": "s1.csv"}]
 
 

@@ -17,12 +17,7 @@ from corrgeo import (
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import procrustes, random_orthogonal
 from corrgeo.product_sphere import _row_mean_model, _trust_region, angle_grad_coef
-from corrgeo.quotient_space import (
-    _align_batch,
-    _align_stack,
-    _align_starts,
-    _alignment_model,
-)
+from corrgeo.quotient_space import _align_batch, _alignment_model
 
 from conftest import random_point, random_rank_point, random_tangent
 from reference import sphere_dist, sphere_exp
@@ -280,19 +275,20 @@ def test_trust_region_stack_member_matches_solve_alone():
 
 def test_align_stack_pair_matches_pair_solved_alone():
     # a pair in a multi-pair stack follows the iterates it would follow in a
-    # stack of its own: same rotation and loss, bit for bit, same flags
+    # stack of its own: same rotation and loss, bit for bit, same flags; its
+    # first start is the Procrustes rotation, so a one-start search is a
+    # one-member trust-region solve from procrustes(X, Y)
     rng = np.random.default_rng(45)
     cfg = DEFAULT_CONFIG
+    one_start = cfg.with_(restarts=1)
     iterations = set()
     for m, k in ((5, 2), (6, 3), (10, 3), (15, 5)):
         ranks = sorted({1, k - 1, k})
         Xs = np.stack([random_rank_point(rng, m, k, r) for r in ranks for _ in ranks])
         Ys = np.stack([random_rank_point(rng, m, k, r) for _ in ranks for r in ranks])
         extra = [[random_orthogonal(k, rng)] for _ in Xs]
-        starts = _align_starts(Xs, Ys, cfg, extra)
-        for p, r in enumerate(_align_stack(Xs, Ys, starts, cfg)):
-            assert np.array_equal(starts[p, 0], procrustes(Xs[p], Ys[p]))
-            (alone,) = _align_stack(Xs[p : p + 1], Ys[p : p + 1], starts[p : p + 1], cfg)
+        for p, r in enumerate(_align_batch(Xs, Ys, cfg, extra)):
+            (alone,) = _align_batch(Xs[p : p + 1], Ys[p : p + 1], cfg, extra[p : p + 1])
             assert np.array_equal(r.rotation, alone.rotation)
             assert r.loss == alone.loss
             assert (r.iterations, r.converged, r.stagnated, r.clamped_rows) == (
@@ -301,8 +297,16 @@ def test_align_stack_pair_matches_pair_solved_alone():
                 alone.stagnated,
                 alone.clamped_rows,
             )
-            assert r.restarts_used == starts.shape[1]
+            assert r.restarts_used == cfg.restarts + 1
             iterations.add(r.iterations)
+
+            (first,) = _align_batch(Xs[p : p + 1], Ys[p : p + 1], one_start, [[]])
+            model, retract = _alignment_model(Xs[p : p + 1], Ys[p : p + 1])
+            O, loss, _, it, *_ = _trust_region(
+                model, retract, procrustes(Xs[p], Ys[p])[None], one_start
+            )
+            assert np.array_equal(first.rotation, O[0])
+            assert (first.loss, first.iterations, first.restarts_used) == (loss[0], it[0], 1)
     assert len(iterations) > 3
 
 
@@ -317,9 +321,8 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
     Xs = np.stack([random_rank_point(rng, m, k, r) for r in (1, 2, 3, 3, 2)])
     Ys = np.stack([random_rank_point(rng, m, k, r) for r in (3, 3, 2, 1, 3)])
     extra = [[random_orthogonal(k, rng)] for _ in Xs]
-    starts = _align_starts(Xs, Ys, cfg, extra)
-    R = starts.shape[1]
-    whole = _align_stack(Xs, Ys, starts, cfg)
+    R = cfg.restarts + 1
+    whole = _align_batch(Xs, Ys, cfg, extra)
 
     sizes = []
 

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrgeo import align, k_embedding, orbit_dist
+from corrgeo import align, k_embedding, orbit_dist, random_orthogonal
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -32,6 +32,16 @@ def test_orbit_dist_invariant_under_row_permutation(pair, random):
     perm = list(range(X.shape[0]))
     random.shuffle(perm)
     assert abs(orbit_dist(X[perm], Y[perm]) - orbit_dist(X, Y)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(unit_row_pairs(), st.integers(0, 2**32 - 1))
+def test_orbit_dist_invariant_under_rotation_of_either_representative(pair, seed):
+    X, Y = pair
+    Q = random_orthogonal(X.shape[1], np.random.default_rng(seed))
+    d = orbit_dist(X, Y)
+    assert abs(orbit_dist(X @ Q, Y) - d) <= 1e-9
+    assert abs(orbit_dist(X, Y @ Q) - d) <= 1e-9
 
 
 @PROPERTY_SETTINGS

@@ -107,6 +107,29 @@ def test_align_shape_mismatch():
         align(np.eye(2), np.eye(3))
 
 
+def test_align_is_the_search_of_orbit_dist():
+    # align searches the unordered pair from orbit_dist's starts, so its loss
+    # is the squared distance and swapping the arguments transposes the
+    # rotation, bit for bit; 200 seeds reach pairs with several basins
+    for s in range(200):
+        rng = np.random.default_rng(s)
+        X, Y = random_point(rng, 15, 2), random_point(rng, 15, 2)
+        r = align(X, Y)
+        assert np.sqrt(r.loss) == orbit_dist(X, Y)
+        assert np.array_equal(align(Y, X).rotation, r.rotation.T)
+        assert r.restarts_used == 2 * DEFAULT_CONFIG.restarts - 1
+
+
+@pytest.mark.parametrize("fn", [align, orbit_dist, orbit_log])
+def test_bad_unit_rows_name_their_argument(fn):
+    good = np.eye(2)
+    bad = np.array([[2.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidInput, match="row 0 of Y has norm"):
+        fn(good, bad)
+    with pytest.raises(InvalidInput, match="row 0 of X has norm"):
+        fn(bad, good)
+
+
 # orbit_dist ---------------------------------------------------------------------
 
 

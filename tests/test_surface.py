@@ -1,5 +1,6 @@
 """The public surface is the paper's geometry; test references live in tests."""
 
+import ast
 import dataclasses
 import importlib
 import subprocess
@@ -46,3 +47,20 @@ def test_numpy_is_the_only_runtime_dependency():
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_library_code_never_prints():
+    # the library reports through return values, exceptions and logging; only
+    # the CLI writes to the terminal
+    package = Path(corrgeo.__file__).parent
+    modules = sorted(p for p in package.rglob("*.py") if p.name != "cli.py")
+    assert len(modules) > 5
+    prints = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    ]
+    assert prints == []
