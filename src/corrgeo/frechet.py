@@ -38,7 +38,7 @@ class WeightedSampleSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(as_orbit(P) for P in self.points)
+        pts = tuple(as_orbit(P, f"points[{i}]") for i, P in enumerate(self.points))
         if not pts:
             raise InvalidInput("need at least one sample")
         shape = pts[0].rep.shape
@@ -98,7 +98,7 @@ def frechet_variance(
     orbit_dist.
     """
     ss = _as_sample_set(samples, weights)
-    cand = as_orbit(candidate).rep
+    cand = as_orbit(candidate, "candidate").rep
     results = _align_pairs([P.rep for P in ss.points], [cand] * len(ss), cfg)
     return float(sum(w * _dist(r) ** 2 for r, w in zip(results, ss.weights)))
 

@@ -7,11 +7,14 @@ single sphere is the case m = 1: a 1 x k matrix.
 
 Iterative solves in the package (row means here, the rotation search in
 quotient_space) share one Riemannian trust-region Newton method, fed a
-closed-form model: loss, gradient and Hessian in orthonormal tangent
-coordinates, plus a retraction. It solves a stack of independent problems
-in lockstep (all rows of a row mean, all starts of all pairs of a stack of
-alignments), one batched eigendecomposition, step, retraction and model
-evaluation per iteration; a member that finishes drops out of the stack.
+closed-form model: loss, gradient in orthonormal tangent coordinates and
+Hessian-vector products, plus a retraction. It solves a stack of
+independent problems in lockstep (all rows of a row mean, all starts of all
+pairs of a stack of alignments): per iteration one truncated-CG solve of
+the trust-region subproblems, one retraction and one model evaluation for
+the whole stack; a member that finishes drops out of the stack. No
+Hessian matrix is formed: a member holds its model's data, never K x K
+floats for K tangent coordinates.
 """
 
 from dataclasses import dataclass
@@ -226,73 +229,113 @@ def _angle_curvature(c, theta):
     return np.where(theta < 1e-2, 2.0 / 3.0 + (4.0 / 15.0) * theta**2, direct)
 
 
-def _trust_region_step(lam, gt, radius):
-    """Trust-region steps in the eigenbases of a stack of model Hessians.
+class _HessianOp:
+    """The model Hessians of a stack of members, applied as products.
 
-    Row r minimizes gt[r].s + s.(lam[r] s)/2 over |s| <= radius[r] with the
-    shift mu >= max(0, -lam_min) of the exact solution; returns the steps
-    and their predicted decreases. Components whose shifted eigenvalue
-    lam + mu sits at rounding level are left at zero, so flat directions
-    (the stabilizer of a rank-deficient cloud) stay untouched. Negative
-    curvature is followed only as far as the gradient reaches it, as in a
-    Krylov solve: near a degenerate minimum (rank-deficient clouds on both
-    sides) the curvature along the set of minimizers is negative in
-    proportion to the gradient and carries no gradient component, and a
-    step along it gains nothing. Each row runs its own secular-equation
-    iteration until its own tolerance is met.
+    state holds per-member arrays along the first axis (no member axis for
+    a single evaluation); product(*state, d) applies each member's Hessian
+    to its coordinate vector d[..., :]. Indexing selects members and
+    assignment overwrites them, as for an array of Hessians. np.asarray
+    densifies the operator with one product per coordinate (size of them).
     """
-    tiny = 1e-12 * np.maximum(np.abs(lam).max(axis=1), np.finfo(float).tiny)
-    lo = np.where(lam[:, 0] < -tiny, -lam[:, 0], 0.0)
 
-    def step(rows, mu):
-        d = lam[rows] + mu[:, None]
-        keep = d > tiny[rows, None]
-        return np.where(keep, -gt[rows] / np.where(keep, d, 1.0), 0.0), d, keep
+    def __init__(self, product, size, *state):
+        self.product, self.size, self.state = product, size, state
 
-    flat = lam <= lam[:, :1] + tiny[:, None]
-    g_min = np.sqrt(np.sum(np.where(flat, gt * gt, 0.0), axis=1))
-    # the most negative curvature alone carries the step past the boundary
-    push = (lo > 0.0) & (g_min > 2.0 * tiny * radius)
-    mu = np.where(push, lo + g_min / (2.0 * radius), lo)
-    s, d, keep = step(slice(None), mu)
-    ns = np.linalg.norm(s, axis=1)
-    clip = live = np.flatnonzero(ns > radius)
-    # Newton on the concave 1/|s(mu)| - 1/radius approaches the root from
-    # the left; bisection guards against a step out of the bracket [a, b]
-    a = mu.copy()
-    b = lo + np.linalg.norm(gt, axis=1) / radius
-    for _ in range(60):
-        if not live.size:
+    def __matmul__(self, d):
+        return self.product(*self.state, d)
+
+    def __getitem__(self, members):
+        return _HessianOp(self.product, self.size, *(a[members] for a in self.state))
+
+    def __setitem__(self, members, other):
+        for a, b in zip(self.state, other.state):
+            a[members] = b
+
+    def __array__(self, dtype=None, copy=None):
+        return np.stack([self @ e for e in np.eye(self.size)], axis=-1).astype(dtype)
+
+
+def _truncated_cg(H, g, gn, radius):
+    """Steihaug-Toint truncated CG steps on a stack of trust-region models.
+
+    Member r approximately minimizes g[r].s + s.(H[r] s)/2 over |s| <=
+    radius[r], starting from s = 0: conjugate gradients until the residual
+    is at most |g| min(|g|, 0.1), a direction of nonpositive curvature is
+    met, or the step reaches the boundary (then the step ends on it), and at
+    most as many iterations as coordinates. The iterates stay in the Krylov
+    space of g, so flat directions without a gradient component (the
+    stabilizer of a rank-deficient cloud) stay untouched and a zero gradient
+    gives s = 0. Members iterate in lockstep; a member that stops takes zero
+    steps from then on, and once half the working set has stopped the set
+    shrinks to the members still iterating, so the products skip finished
+    members without indexing on every iteration. Returns the steps and their
+    predicted decreases.
+    """
+    step, Hstep = np.zeros_like(g), np.zeros_like(g)
+    sel = np.arange(len(g))  # the working set's members
+    s, Hs, r, p = step.copy(), Hstep.copy(), g.copy(), -g
+    # s.s, s.p and p.p follow the CG recurrences, three row sums fewer per
+    # iteration. Rows are C-contiguous (the models return them so), so a
+    # member's row sums do not depend on its place in the stack
+    rr = pp = gn * gn
+    ss = sp = np.zeros_like(gn)
+    tol2 = rr * np.minimum(gn, 0.1) ** 2
+    live = rr > tol2
+    r2 = radius * radius
+    tiny = np.finfo(float).tiny
+    for _ in range(g.shape[1]):
+        n_live = np.count_nonzero(live)
+        if not n_live:
             break
-        r, n, kl = radius[live], ns[live], keep[live]
-        dk = np.where(kl, d[live], 1.0)
-        q = np.sum(np.where(kl, gt[live] ** 2 / dk**3, 0.0), axis=1)
-        mu_next = mu[live] + (n - r) / r * n * n / q
-        inside = (a[live] < mu_next) & (mu_next < b[live])
-        mu[live] = np.where(inside, mu_next, 0.5 * (a[live] + b[live]))
-        s[live], d[live], keep[live] = step(live, mu[live])
-        n = ns[live] = np.linalg.norm(s[live], axis=1)
-        a[live] = np.where(n > r, mu[live], a[live])
-        b[live] = np.where(n > r, b[live], mu[live])
-        live = live[np.abs(n - r) > 1e-9 * r]
-    s[clip] *= np.minimum(1.0, radius[clip] / ns[clip])[:, None]
-    return s, -(np.sum(gt * s, axis=1) + 0.5 * np.sum(lam * s * s, axis=1))
+        if 2 * n_live <= live.size:
+            step[sel], Hstep[sel] = s, Hs
+            keep = np.flatnonzero(live)
+            sel, H, live = sel[keep], H[keep], live[keep]
+            s, Hs, r, p = s[keep], Hs[keep], r[keep], p[keep]
+            rr, pp, ss, sp, tol2, r2 = (a[keep] for a in (rr, pp, ss, sp, tol2, r2))
+        Hp = H @ p
+        pHp = (p * Hp).sum(axis=1)
+        # the step length that reaches the boundary from s along p
+        tau = (np.sqrt(np.maximum(sp * sp + pp * (r2 - ss), 0.0)) - sp) / np.maximum(pp, tiny)
+        # positive curvature and the CG step rr / pHp stays inside; else
+        # the step ends on the boundary at tau; zero once stopped
+        inside = tau * pHp > rr
+        alpha = np.divide(rr, pHp, out=tau, where=inside)
+        alpha *= live
+        s += alpha[:, None] * p
+        aHp = alpha[:, None] * Hp
+        Hs += aHp
+        r += aHp
+        rr_new = (r * r).sum(axis=1)
+        live &= inside & (rr_new > tol2)
+        beta = rr_new / np.maximum(rr, tiny)
+        p *= beta[:, None]
+        p -= r
+        apP = alpha * pp
+        ss = ss + alpha * (2.0 * sp + apP)
+        sp = beta * (sp + apP)
+        pp = rr_new + beta * beta * pp
+        rr = rr_new
+    step[sel], Hstep[sel] = s, Hs
+    return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
 
 
 def _trust_region(model, retract, x, cfg: SolverConfig):
-    """Riemannian trust-region Newton method with an exact subproblem solve.
+    """Riemannian trust-region Newton method with truncated-CG steps.
 
     Solves a stack of independent problems in lockstep: x holds one
     starting point per member along its first axis. model(x, members)
     returns (loss, g, H, clamped) for the points x of the listed members
-    (indices into the stack): per member the loss, its gradient and
-    Hessian in orthonormal coordinates of the tangent space, and which rows
-    had their gradient factor clamped; retract(x, s) maps coordinate steps
-    to the next points. Each iteration factors the Hessians of the active
-    members with one eigh and takes their steps, retractions and model
-    evaluations as one stack; radius and stopping state are each member's
-    own, and a member that stops leaves the active set, so every member
-    follows the iterates it would follow alone.
+    (indices into the stack): per member the loss, its gradient in
+    orthonormal coordinates of the tangent space, its Hessian as a
+    _HessianOp (Hessian-vector products only), and which rows had their
+    gradient factor clamped; retract(x, s) maps coordinate steps to the
+    next points. Each iteration takes the steps of the active members from
+    one lockstep Steihaug-Toint truncated CG (_truncated_cg) and their
+    retractions and model evaluations as one stack; radius and stopping
+    state are each member's own, and a member that stops leaves the active
+    set, so every member follows the iterates it would follow alone.
 
     Steps are accepted on the ratio of actual to predicted decrease. Once
     the predicted decrease is below the rounding level of the loss, loss
@@ -320,11 +363,8 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     while not done.all():
         act = np.flatnonzero(~done)
         it[act] += 1
-        lam, V = np.linalg.eigh(H[act])
-        s, pred = _trust_region_step(
-            lam, np.einsum("rpq,rp->rq", V, g[act]), radius[act]
-        )
-        x_new = retract(x[act], np.einsum("rpq,rq->rp", V, s))
+        s, pred = _truncated_cg(H[act], g[act], gn[act], radius[act])
+        x_new = retract(x[act], s)
         loss_new, g_new, H_new, clamped_new = model(x_new, act)
         gn_new = np.linalg.norm(g_new, axis=1)
         floored = pred <= floor * np.maximum(1.0, loss[act])
@@ -365,11 +405,14 @@ def _row_mean_model(P, w):
     P is one n x k cloud or an (m, n, k) stack of clouds, w the weights.
     model(x, members) evaluates the clouds of the listed members (all of P
     when members is None) at the points x. In coordinates of the tangent
-    basis B at x, g = B^T egrad and H = (P B)^T diag(w phi'') (P B) -
-    (x . egrad) I, the Riemannian Hessian of sum_i w_i arccos(p_i . x)^2;
-    steps retract by normalization.
+    basis B at x, g = B^T egrad and H d = (P B)^T (w phi'' * (P B d)) -
+    (x . egrad) d, the Riemannian Hessian of sum_i w_i arccos(p_i . x)^2
+    applied to d; steps retract by normalization.
     """
-    eye = np.eye(P.shape[-1] - 1)
+
+    def product(PB, wcurv, xeg, d):
+        PBd = (PB @ d[..., None])[..., 0]
+        return ((wcurv * PBd)[..., None, :] @ PB)[..., 0, :] - xeg[..., None] * d
 
     def model(x, members=None):
         Q = P if members is None else P[members]
@@ -378,8 +421,7 @@ def _row_mean_model(P, w):
         wc = w * coef
         PB = Q @ _tangent_basis(x)
         xeg = np.einsum("...k,...k->...", (wc[..., None, :] @ Q)[..., 0, :], x)
-        H = np.swapaxes(PB, -1, -2) @ ((w * _angle_curvature(c, th))[..., None] * PB)
-        H -= xeg[..., None, None] * eye
+        H = _HessianOp(product, x.shape[-1] - 1, PB, w * _angle_curvature(c, th), xeg)
         return (th * th) @ w, (wc[..., None, :] @ PB)[..., 0, :], H, clamped
 
     def retract(x, s):

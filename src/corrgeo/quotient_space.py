@@ -4,8 +4,9 @@ Two unit-row matrices are identified when one is the other times a single
 orthogonal k x k matrix; orbits correspond one-to-one with correlation
 matrices of rank at most k. The quotient distance is the product-sphere
 distance after the best aligning rotation, found by Riemannian
-trust-region Newton iterations on O(k) (closed-form gradient and Hessian)
-from a Procrustes start plus random restarts. align, orbit_dist and
+trust-region Newton iterations on O(k) (closed-form gradient and
+Hessian-vector products, truncated-CG steps, no Hessian matrix) from a
+Procrustes start plus random restarts. align, orbit_dist and
 orbit_log share one search of the unordered pair (the random starts and
 their transposes), so they agree bit for bit and cost the same. One solve
 takes all starts of all pairs of a batch (a cohort, a mean's samples) as
@@ -20,6 +21,7 @@ stacked SVDs of points on the path, and escape times zoom into dips of the
 smallest singular value in stacked brackets.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +39,7 @@ from .kernels import (
 )
 from .product_sphere import (
     ProductTangent,
+    _HessianOp,
     _angle_curvature,
     _rep,
     _row_angles,
@@ -67,9 +70,9 @@ class OrbitPoint:
         return self.rep.shape[1]
 
 
-def as_orbit(X) -> OrbitPoint:
-    """Coerce a unit-row matrix (or pass through an OrbitPoint)."""
-    return X if isinstance(X, OrbitPoint) else OrbitPoint(np.asarray(X, dtype=float))
+def as_orbit(X, name="rep") -> OrbitPoint:
+    """Coerce a unit-row matrix (or pass through an OrbitPoint); errors call it name."""
+    return X if isinstance(X, OrbitPoint) else OrbitPoint(check_unit_rows(X, name))
 
 
 @dataclass(frozen=True)
@@ -99,19 +102,35 @@ def _alignment_model(X, Y):
     holding the pair of each member of a trust-region stack; model(O,
     members) then evaluates the pairs of the listed members.
     Coordinates w of the skew W = sum_p w_p E_p, with E_p = (e_a e_b^T -
-    e_b e_a^T)/sqrt(2) orthonormal for a < b, and the retraction O expm(W).
-    With u_i the rows of X O and phi(c) = arccos(c)^2:
-    g_p = sum_i phi'(c_i) u_i^T E_p y_i and
-    H = A^T diag(phi'') A + [tr(E_p E_q S)] with A_ip = u_i^T E_p y_i and S
-    the symmetric part of sum_i phi'(c_i) y_i u_i^T. |g| is the Riemannian
-    gradient norm |O skew(O^T G)|_F.
+    e_b e_a^T)/sqrt(2) orthonormal for a < b, so coords(M)_p = <E_p, M> =
+    (M_ab - M_ba)/sqrt(2); the retraction is O expm(W). With u_i the rows
+    of X O and phi(c) = arccos(c)^2: A_ip = u_i^T E_p y_i (so (A d)_i =
+    u_i^T W y_i for W the skew of d), g = A^T phi' and H d = A^T (phi'' *
+    A d) - coords(W S), S the symmetric part of sum_i phi'(c_i) y_i u_i^T:
+    the Riemannian Hessian applied in O(m k^2 + k^3), from m K + k^2 floats
+    per member. |g| is the Riemannian gradient norm |O skew(O^T G)|_F.
     """
     k = X.shape[-1]
     ia, ib = np.triu_indices(k, 1)
-    E = np.zeros((ia.size, k, k))
-    E[np.arange(ia.size), ia, ib] = 1.0 / np.sqrt(2.0)
-    E[np.arange(ia.size), ib, ia] = -1.0 / np.sqrt(2.0)
-    E_flat = E.reshape(ia.size, -1)
+    upper = ia * k + ib  # flat index of E_p's entry +1/sqrt(2)
+    # W.flat = w[entry] * sign: the skew of w by one gather (zero diagonal)
+    entry = np.zeros(k * k, dtype=int)
+    sign = np.zeros(k * k)
+    entry[upper] = entry[ib * k + ia] = np.arange(ia.size)
+    sign[upper], sign[ib * k + ia] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+
+    def skew(w):
+        return (w.take(entry, axis=-1) * sign).reshape(*w.shape[:-1], k, k)
+
+    def coords(M):
+        # take keeps rows C-contiguous, so row sums of a member do not
+        # depend on the size of its stack
+        M = (M - np.swapaxes(M, -1, -2)).reshape(*M.shape[:-2], k * k)
+        return M.take(upper, axis=-1) / np.sqrt(2.0)
+
+    def product(A, curv, S, d):
+        Ad = curv * (A @ d[..., None])[..., 0]
+        return (Ad[..., None, :] @ A)[..., 0, :] - coords(skew(d) @ S)
 
     def model(O, members=None):
         # O is one rotation or a stack; members share one pair or index theirs
@@ -119,33 +138,44 @@ def _alignment_model(X, Y):
         U = Xm @ O
         c, th = _row_angles(U, Ym)
         coef, clamped = angle_grad_coef(c, th)
-        A = (U[..., ia] * Ym[..., ib] - U[..., ib] * Ym[..., ia]) / np.sqrt(2.0)
+        A = U.take(ia, axis=-1) * Ym.take(ib, axis=-1)
+        A -= U.take(ib, axis=-1) * Ym.take(ia, axis=-1)
+        A /= np.sqrt(2.0)
         S = np.swapaxes(Ym * coef[..., None], -1, -2) @ U
-        ES = E @ (0.5 * (S + np.swapaxes(S, -1, -2)))[..., None, :, :]
-        ES = np.swapaxes(ES, -1, -2).reshape(*ES.shape[:-2], -1)
-        H = np.swapaxes(A, -1, -2) @ (_angle_curvature(c, th)[..., None] * A)
-        H += E_flat @ np.swapaxes(ES, -1, -2)
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        H = _HessianOp(product, ia.size, A, _angle_curvature(c, th), S)
         g = (coef[..., None, :] @ A)[..., 0, :]
         return np.einsum("...i,...i->...", th, th), g, H, clamped
 
     def retract(O, w):
-        return O @ expm(np.tensordot(w, E, axes=1))
+        return O @ expm(skew(w))
 
     return model, retract
 
 
-def _random_starts(k, cfg: SolverConfig):
-    rng = np.random.default_rng(cfg.seed)
-    return [random_orthogonal(k, rng) for _ in range(max(0, cfg.restarts - 1))]
+@functools.lru_cache(maxsize=32)
+def _random_starts(k, restarts, seed):
+    """The restarts - 1 seeded random rotations of every search, built once (read-only)."""
+    rng = np.random.default_rng(seed)
+    rand = np.reshape([random_orthogonal(k, rng) for _ in range(restarts - 1)], (-1, k, k))
+    rand.flags.writeable = False
+    return rand
 
 
 # Floats of model data one stacked solve may hold. A member (one start of
-# one pair) holds O(k^4) floats in its Hessian and E_p S products and O(m k^2)
-# in its rows; _align_batch solves a batch in chunks of whole pairs within
-# this budget (peak memory a small multiple of 8 bytes times it), so memory
-# stays flat in the number of pairs. Members never interact, so the chunking
-# moves no number.
+# one pair) holds O(m k^2) floats: the m x K matrix A of its model (in the
+# current and the trial model, the active copy and the temporaries that
+# build it) plus its rows, k x k blocks and truncated-CG vectors;
+# _align_batch solves a batch in chunks of whole pairs within this budget
+# (peak memory a small multiple of 8 bytes times it), so memory stays flat
+# in the number of pairs. Members never interact, so the chunking moves no
+# number.
 _STACK_FLOATS = 2**20
+
+
+def _member_floats(m, k):
+    """The floats _STACK_FLOATS charges one member of an m x k alignment stack."""
+    return 3 * m * k * k + 8 * k * k
 
 
 def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
@@ -160,9 +190,9 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
     restarts_used counts its starts. Returns one AlignmentResult per pair.
     """
     P, m, k = Xs.shape
-    rand = np.reshape(_random_starts(k, cfg), (-1, k, k))
+    rand = _random_starts(k, cfg.restarts, cfg.seed)
     R = 1 + len(rand) + (len(extra[0]) if P else 0)
-    chunk = max(1, _STACK_FLOATS // (R * (k**4 + m * k * k)))
+    chunk = max(1, _STACK_FLOATS // (R * _member_floats(m, k)))
     results = []
     for lo in range(0, P, chunk):
         Xc, Yc = Xs[lo : lo + chunk], Ys[lo : lo + chunk]
@@ -237,7 +267,7 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
     swap = [Y.tobytes() < X.tobytes() for X, Y in pairs]
     A = np.stack([Y if s else X for (X, Y), s in zip(pairs, swap)])
     B = np.stack([X if s else Y for (X, Y), s in zip(pairs, swap)])
-    flipped = [O.T for O in _random_starts(k, cfg)]
+    flipped = list(np.swapaxes(_random_starts(k, cfg.restarts, cfg.seed), -1, -2))
     extra = [
         flipped + [np.asarray(O, dtype=float).T if s else O for O in inits]
         for inits, s in zip(extra_inits, swap, strict=True)

@@ -4,9 +4,11 @@ Single-vector sphere maps (the m = 1 case of the product_sphere maps,
 written without sharing their code), the QR retraction on O(k), and slow
 independent oracles: the k = 2 distance as a dense scan of the whole
 orthogonal group, gradients from central finite differences, and the tiny
-circle mean as an exhaustive angle grid. The Frechet mean is also kept in
-its per-pair form: one rotation search per pair and per sample, which the
-package's stacked searches must reproduce bit for bit.
+circle mean as an exhaustive angle grid. The trust-region models' Hessians
+are kept as dense matrices, built from the K basis matrices of so(k), for
+the Hessian-vector products to be checked against. The Frechet mean is also
+kept in its per-pair form: one rotation search per pair and per sample,
+which the package's stacked searches must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,16 @@ from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.errors import AntipodalLogarithm, InvalidInput, RetractionFailure
 from corrgeo.frechet import MAX_OUTER, MEAN_TOL
 from corrgeo.kernels import qf
-from corrgeo.product_sphere import ANTIPODAL_GUARD, SMALL_ANGLE, check_unit_rows, ps_frechet_fixed
+from corrgeo.product_sphere import (
+    ANTIPODAL_GUARD,
+    SMALL_ANGLE,
+    _angle_curvature,
+    _row_angles,
+    _tangent_basis,
+    angle_grad_coef,
+    check_unit_rows,
+    ps_frechet_fixed,
+)
 from corrgeo.quotient_space import _align_batch, _align_pairs
 
 # sphere S^{k-1} in R^k ---------------------------------------------------------
@@ -209,6 +220,46 @@ def exhaustive_small_frechet(points, weights, resolution: int = 200000) -> np.nd
     th = np.arccos(inner)
     obj = (th * th) @ w
     return cand[int(np.argmin(obj))]
+
+
+# dense trust-region Hessians ------------------------------------------------------
+
+
+def dense_alignment_hessian(X, Y, O):
+    """Hessian of the alignment loss at O on O(k) as a dense K x K matrix.
+
+    Coordinates of the skew W = sum_p w_p E_p, E_p = (e_a e_b^T - e_b
+    e_a^T)/sqrt(2) for a < b. With u_i the rows of X O and phi(c) =
+    arccos(c)^2: H = A^T diag(phi'') A + [tr(E_p E_q S)], A_ip = u_i^T E_p
+    y_i and S the symmetric part of sum_i phi'(c_i) y_i u_i^T.
+    """
+    k = X.shape[1]
+    ia, ib = np.triu_indices(k, 1)
+    E = np.zeros((ia.size, k, k))
+    E[np.arange(ia.size), ia, ib] = 1.0 / np.sqrt(2.0)
+    E[np.arange(ia.size), ib, ia] = -1.0 / np.sqrt(2.0)
+    U = X @ O
+    c, th = _row_angles(U, Y)
+    coef, _ = angle_grad_coef(c, th)
+    A = np.einsum("ia,pab,ib->ip", U, E, Y)
+    S = (Y * coef[:, None]).T @ U
+    S = 0.5 * (S + S.T)
+    H = A.T @ (_angle_curvature(c, th)[:, None] * A)
+    return H + np.einsum("pab,qbc,ca->pq", E, E, S)
+
+
+def dense_row_mean_hessian(P, w, x):
+    """Hessian of sum_i w_i arccos(p_i . x)^2 at x in the package's tangent basis.
+
+    (P B)^T diag(w phi'') (P B) - (x . egrad) I, as a dense (k-1) x (k-1)
+    matrix, with B = _tangent_basis(x).
+    """
+    c, th = _row_angles(P, x)
+    coef, _ = angle_grad_coef(c, th)
+    PB = P @ _tangent_basis(x)
+    egrad = P.T @ (w * coef)
+    H = PB.T @ ((w * _angle_curvature(c, th))[:, None] * PB)
+    return H - (x @ egrad) * np.eye(x.size - 1)
 
 
 # Frechet mean, one rotation search at a time ------------------------------------

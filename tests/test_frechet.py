@@ -48,6 +48,16 @@ def test_sample_set_rejects_bad_input():
 # variance ---------------------------------------------------------------------
 
 
+def test_invalid_sample_or_candidate_is_named():
+    bad = [[2.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(InvalidInput, match=r"row 0 of points\[1\] has norm 2"):
+        frechet_mean([np.eye(2), bad])
+    with pytest.raises(InvalidInput, match=r"row 0 of points\[1\] has norm 2"):
+        WeightedSampleSet(points=(np.eye(2), bad), weights=[1.0, 1.0])
+    with pytest.raises(InvalidInput, match=r"row 0 of candidate has norm 2"):
+        frechet_variance([np.eye(2)], bad)
+
+
 def test_variance_zero_at_common_orbit():
     rng = np.random.default_rng(2)
     X = random_point(rng, 4, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,21 @@ from corrgeo import (
 )
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import procrustes, random_orthogonal
-from corrgeo.product_sphere import _row_mean_model, _trust_region, angle_grad_coef
-from corrgeo.quotient_space import _align_batch, _alignment_model
+from corrgeo.product_sphere import (
+    _row_mean_model,
+    _truncated_cg,
+    _trust_region,
+    angle_grad_coef,
+)
+from corrgeo.quotient_space import _align_batch, _alignment_model, _member_floats
 
 from conftest import random_point, random_rank_point, random_tangent
-from reference import sphere_dist, sphere_exp
+from reference import (
+    dense_alignment_hessian,
+    dense_row_mean_hessian,
+    sphere_dist,
+    sphere_exp,
+)
 
 
 # validation -----------------------------------------------------------------
@@ -331,7 +343,7 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
         return _trust_region(model, retract, x, cfg)
 
     monkeypatch.setattr(quotient_space, "_trust_region", counted)
-    monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * (k**4 + m * k * k))
+    monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * _member_floats(m, k))
     chunked = _align_batch(Xs, Ys, cfg, extra)
     assert sizes == [2 * R, 2 * R, R]
     for a, b in zip(whole, chunked, strict=True):
@@ -348,3 +360,109 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
             b.stagnated,
             b.clamped_rows,
         )
+
+
+# Hessian-vector products --------------------------------------------------------
+
+
+def _product_error(H, D, rng):
+    """Largest relative error of H @ d against the dense D @ d, over random d."""
+    d = rng.standard_normal((4, D.shape[0]))
+    scale = np.linalg.norm(D, 2) * np.linalg.norm(d, axis=1)
+    return float(np.max(np.linalg.norm(H @ d - d @ D.T, axis=1) / scale))
+
+
+def test_alignment_hessian_products_match_dense_oracle():
+    # H d of the alignment model, one pair and a stack of members, and the
+    # operator densified, against the dense K x K Hessian
+    rng = np.random.default_rng(47)
+    for k in (2, 3, 5, 8, 12):
+        m = k + 3
+        for r in sorted({1, max(1, k // 2), k}):
+            X = random_rank_point(rng, m, k, r)
+            Y = random_point(rng, m, k)
+            Os = np.stack([random_orthogonal(k, rng) for _ in range(3)])
+            dense = [dense_alignment_hessian(X, Y, O) for O in Os]
+            H = _alignment_model(X, Y)[0](Os[0])[2]
+            assert _product_error(H, dense[0], rng) <= 1e-12
+            assert np.abs(np.asarray(H) - dense[0]).max() <= 1e-12 * np.abs(dense[0]).max()
+            model = _alignment_model(np.stack([X] * 3), np.stack([Y] * 3))[0]
+            Hs = model(Os, np.arange(3))[2]
+            for j in range(3):
+                assert _product_error(Hs[[j]], dense[j], rng) <= 1e-12
+
+
+def test_row_mean_hessian_products_match_dense_oracle():
+    rng = np.random.default_rng(48)
+    for k in (2, 3, 5, 8, 12):
+        m, n = 4, 6
+        clouds = np.stack([random_rank_point(rng, n, k, min(k, 3)) for _ in range(m)])
+        w = rng.uniform(0.5, 2.0, n)
+        x = random_point(rng, m, k)
+        model = _row_mean_model(clouds, w)[0]
+        H = model(x, np.arange(m))[2]
+        for j in range(m):
+            D = dense_row_mean_hessian(clouds[j], w, x[j])
+            assert _product_error(H[[j]], D, rng) <= 1e-12
+            single = _row_mean_model(clouds[j], w)[0](x[j])[2]
+            assert np.abs(np.asarray(single) - D).max() <= 1e-12 * np.abs(D).max()
+
+
+def test_zero_gradient_member_takes_no_step():
+    # a member started where its gradient is exactly zero gets an exactly
+    # zero step (no 0/0 in the CG recurrences, which would reach expm as
+    # NaN) and stays put, while the rest of its stack iterates as alone.
+    # Row means: row 0's samples and start are all e_0.
+    rng = np.random.default_rng(49)
+    m, n, k = 4, 5, 3
+    clouds = np.stack([random_point(rng, n, k) for _ in range(m)])
+    clouds[0] = np.eye(k)[0]
+    w = rng.uniform(0.5, 2.0, n)
+    x0 = random_point(rng, m, k)
+    x0[0] = np.eye(k)[0]
+    model, retract = _row_mean_model(clouds, w)
+    _, g, H, _ = model(x0, np.arange(m))
+    assert not g[0].any() and g[1:].all()
+    gn = np.linalg.norm(g, axis=1)
+    s, pred = _truncated_cg(H, g, gn, np.ones(m))
+    assert not s[0].any() and pred[0] == 0.0
+    assert np.all(np.linalg.norm(s[1:], axis=1) > 0.0) and np.all(pred[1:] > 0.0)
+
+    x, loss, gn, it, conv, stag, _ = _trust_region(model, retract, x0, DEFAULT_CONFIG)
+    assert np.array_equal(x[0], x0[0])
+    assert (loss[0], gn[0], it[0], conv[0], stag[0]) == (0.0, 0.0, 1, True, False)
+    assert it[1:].max() > 1
+    _check_members_solve_alone(
+        lambda sel: _row_mean_model(clouds[sel], w)[0], retract, x0, 1e-14
+    )
+
+    # alignment: X = Y = I started at O = I, where A = 0, beside random starts
+    k = 4
+    model, retract = _alignment_model(np.eye(k), np.eye(k))
+    starts = np.stack([np.eye(k)] + [random_orthogonal(k, rng) for _ in range(3)])
+    _, g, _, _ = model(starts, np.arange(4))
+    assert not g[0].any() and g[1:].any(axis=1).all()
+    O, loss, gn, it, conv, stag, _ = _trust_region(model, retract, starts, DEFAULT_CONFIG)
+    assert np.array_equal(O[0], np.eye(k))
+    assert (loss[0], gn[0], it[0], conv[0], stag[0]) == (0.0, 0.0, 1, True, False)
+    _check_members_solve_alone(lambda sel: model, retract, starts, 0.0)
+
+
+def test_model_and_product_memory_at_width_60():
+    # the models hold no K x K matrix: at m = k = 60 (K = 1770) a dense
+    # Hessian alone is 25 MB, one evaluation plus one product stays below 5 MB
+    rng = np.random.default_rng(50)
+    m = k = 60
+    X, Y = random_point(rng, m, k), random_point(rng, m, k)
+    O = random_orthogonal(k, rng)
+    d = rng.standard_normal(k * (k - 1) // 2)
+    tracemalloc.start()
+    try:
+        model = _alignment_model(X, Y)[0]
+        _, g, H, _ = model(O)
+        Hd = H @ d
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Hd.shape == g.shape == d.shape
+    assert peak < 5 * 2**20

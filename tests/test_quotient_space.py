@@ -27,7 +27,7 @@ from corrgeo import (
 )
 
 from corrgeo.fixed_rank import HORIZ_TOL
-from corrgeo.quotient_space import _align_pairs
+from corrgeo.quotient_space import _align_pairs, _random_starts
 
 from conftest import counterexample_pair, random_point, random_tangent
 from reference import o2_grid_distance
@@ -438,3 +438,14 @@ def test_orbit_point_properties():
     assert p.m == 5 and p.k == 3
     with pytest.raises(InvalidInput):
         OrbitPoint(2.0 * X)
+
+
+def test_seeded_starts_are_built_once():
+    # every search of a (k, restarts, seed) shares one read-only array of
+    # the seeded rotations, equal to drawing them afresh
+    starts = _random_starts(4, 5, 3)
+    assert _random_starts(4, 5, 3) is starts
+    assert not starts.flags.writeable
+    rng = np.random.default_rng(3)
+    assert np.array_equal(starts, [random_orthogonal(4, rng) for _ in range(4)])
+    assert _random_starts(4, 1, 3).shape == (0, 4, 4)
