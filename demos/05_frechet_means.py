@@ -19,7 +19,7 @@ for _ in range(6):
     samples.append(S @ random_orthogonal(k, rng))  # scramble representatives
 
 report = frechet_mean(samples)
-print("converged:", report.converged, "in", report.outer_iterations, "outer iterations")
+print("converged:", report.converged, "in", report.outer_iterations, "trust-region iterations")
 print("loss history:", np.array2string(np.array(report.loss_history), precision=6))
 
 d_template = orbit_dist(report.mean, T)

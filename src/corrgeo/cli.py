@@ -2,8 +2,8 @@
 
 Subcommands: validate, corr, dist, mean, diff, geodesic. Exit codes:
 0 success, 2 validation failure (invalid matrices, rank or domain errors),
-3 stagnation or a mean stopped at frechet.MAX_OUTER outer iterations without
-converging, 4 unreadable or unparseable input.
+3 stagnation or a mean whose joint solve stopped at product_sphere.MAX_ITERS
+iterations without converging, 4 unreadable or unparseable input.
 """
 
 import argparse
@@ -110,6 +110,8 @@ def cmd_mean(args) -> int:
             "loss_history": gm.report.loss_history,
             "outer_iterations": gm.report.outer_iterations,
             "converged": gm.report.converged,
+            "grad_norm": gm.report.inner.grad_norm if gm.report.inner else 0.0,
+            "grad_tol": cfg.grad_tol,
             "alignments": [
                 {
                     "subject_id": sid,
@@ -126,7 +128,7 @@ def cmd_mean(args) -> int:
         pipeline.write_run_report(out / f"mean_{label}_report.json", report)
         print(
             f"group {label}: {len(gm.subject_ids)} subjects, "
-            f"{gm.report.outer_iterations} outer iterations -> {dest}"
+            f"{gm.report.outer_iterations} trust-region iterations -> {dest}"
         )
         stagnated = stagnated or not gm.report.converged
     return EXIT_STAGNATION if stagnated else EXIT_OK

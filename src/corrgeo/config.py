@@ -16,9 +16,9 @@ from .errors import InvalidInput
 class SolverConfig:
     """Settings of the rotation search, row means and Frechet means.
 
-    grad_tol governs each trust-region Newton solve (rotation search and
-    row means): it converges when the Riemannian gradient norm is at most
-    grad_tol. Once the predicted decrease of a step is below the rounding
+    grad_tol governs each trust-region Newton solve (rotation search, row
+    means and the joint Frechet mean): it converges when the Riemannian
+    gradient norm is at most grad_tol. Once the predicted decrease of a step is below the rounding
     level of the loss, steps are judged by the gradient norm instead, and
     the solve stops when that no longer falls or has fallen to grad_tol, so
     converged solves end with the gradient near rounding level.

@@ -6,13 +6,14 @@ product, so the squared distance is the sum of squared row angles. A
 single sphere is the case m = 1: a 1 x k matrix.
 
 Iterative solves in the package (row means here, the rotation search in
-quotient_space) share one Riemannian trust-region Newton method, fed a
-closed-form model: loss, gradient in orthonormal tangent coordinates and
-Hessian-vector products, plus a retraction. It solves a stack of
-independent problems in lockstep (all rows of a row mean, all starts of all
-pairs of a stack of alignments): per iteration one truncated-CG solve of
-the trust-region subproblems, one retraction and one model evaluation for
-the whole stack; a member that finishes drops out of the stack. No
+quotient_space, the joint Frechet mean in frechet) share one Riemannian
+trust-region Newton method, fed a closed-form model: loss, gradient in
+orthonormal tangent coordinates and Hessian-vector products, plus a
+retraction. It solves a stack of independent problems in lockstep (all
+rows of a row mean, all starts of all pairs of a stack of alignments): per
+iteration one truncated-CG solve of the trust-region subproblems, one
+retraction and one model evaluation for the whole stack; a member that
+finishes drops out of the stack. No
 Hessian matrix is formed: a member holds its model's data, never K x K
 floats for K tangent coordinates.
 """
@@ -424,22 +425,22 @@ def _row_mean_model(P, w):
         H = _HessianOp(product, x.shape[-1] - 1, PB, w * _angle_curvature(c, th), xeg)
         return (th * th) @ w, (wc[..., None, :] @ PB)[..., 0, :], H, clamped
 
-    def retract(x, s):
-        y = x + (_tangent_basis(x) @ s[..., None])[..., 0]
-        return y / np.linalg.norm(y, axis=-1, keepdims=True)
-
-    return model, retract
+    return model, _sphere_retract
 
 
-def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=None):
+def _sphere_retract(x, s):
+    """Unit vectors x (last axis) moved by tangent coordinates s, then normalized."""
+    y = x + (_tangent_basis(x) @ s[..., None])[..., 0]
+    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+
+def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG):
     """Weighted Frechet mean on the product of spheres, rotations held fixed.
 
     Solves the m independent weighted spherical-mean problems as one stack
     of trust-region Newton iterations. Each row starts from the normalized
     weighted Euclidean mean (first sample's row when that mean is near
-    zero). When init is given and beats that solve's loss on some rows,
-    those rows are solved again from init as a second stack and the rerun
-    kept, so the returned loss never exceeds the loss at init.
+    zero).
 
     Returns (mean, report).
     """
@@ -455,10 +456,6 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=N
         raise InvalidInput(f"weights shape {w.shape} does not match {len(pts)} samples")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)) or w.sum() <= 0.0:
         raise InvalidInput("weights must be nonnegative with positive sum")
-    if init is not None:
-        init = check_unit_rows(init, "init")
-        if init.shape != shape:
-            raise InvalidInput(f"init shape {init.shape}, expected {shape}")
 
     clouds = np.stack(pts, axis=1)  # m x n x k, the samples of each row
     x0 = w @ clouds
@@ -466,18 +463,6 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG, init=N
     x0 = np.where(n0 < 1e-8, clouds[:, 0], x0 / np.maximum(n0, 1e-8))
     model, retract = _row_mean_model(clouds, w)
     mean, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
-    if init is not None:
-        th = _row_angles(clouds, init[:, None, :])[1]
-        redo = np.flatnonzero((th * th) @ w < loss)
-        if redo.size:
-            model, retract = _row_mean_model(clouds[redo], w)
-            x, loss[redo], gn[redo], it2, conv[redo], stag[redo], cl2 = _trust_region(
-                model, retract, init[redo], cfg
-            )
-            mean[redo] = x
-            it[redo] = np.maximum(it[redo], it2)
-            clamped[redo] |= cl2
-
     report = SolverReport(
         converged=bool(conv.all()),
         iterations=int(it.max()),

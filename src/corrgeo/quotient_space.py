@@ -12,8 +12,8 @@ their transposes), so they agree bit for bit and cost the same. One solve
 takes all starts of all pairs of a batch (a cohort, a mean's samples) as
 one lockstep stack, a large batch in chunks of whole pairs under a fixed
 memory budget; align is the batch of one pair. Only the Frechet mean's
-outer loop runs the ordered search, warm-started from each sample's
-previous rotation.
+final alignment stack runs the ordered search, warm-started from each
+sample's rotation in the joint mean solve.
 
 Logs and exponentials act row by row on representatives; horizontality is
 measured with fixed_rank's formulas. Rank along a geodesic is read from
@@ -111,26 +111,11 @@ def _alignment_model(X, Y):
     per member. |g| is the Riemannian gradient norm |O skew(O^T G)|_F.
     """
     k = X.shape[-1]
-    ia, ib = np.triu_indices(k, 1)
-    upper = ia * k + ib  # flat index of E_p's entry +1/sqrt(2)
-    # W.flat = w[entry] * sign: the skew of w by one gather (zero diagonal)
-    entry = np.zeros(k * k, dtype=int)
-    sign = np.zeros(k * k)
-    entry[upper] = entry[ib * k + ia] = np.arange(ia.size)
-    sign[upper], sign[ib * k + ia] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
-
-    def skew(w):
-        return (w.take(entry, axis=-1) * sign).reshape(*w.shape[:-1], k, k)
-
-    def coords(M):
-        # take keeps rows C-contiguous, so row sums of a member do not
-        # depend on the size of its stack
-        M = (M - np.swapaxes(M, -1, -2)).reshape(*M.shape[:-2], k * k)
-        return M.take(upper, axis=-1) / np.sqrt(2.0)
+    K = _so_index(k)[0].size
 
     def product(A, curv, S, d):
         Ad = curv * (A @ d[..., None])[..., 0]
-        return (Ad[..., None, :] @ A)[..., 0, :] - coords(skew(d) @ S)
+        return (Ad[..., None, :] @ A)[..., 0, :] - _so_coords(_skew(d, k) @ S)
 
     def model(O, members=None):
         # O is one rotation or a stack; members share one pair or index theirs
@@ -138,19 +123,61 @@ def _alignment_model(X, Y):
         U = Xm @ O
         c, th = _row_angles(U, Ym)
         coef, clamped = angle_grad_coef(c, th)
-        A = U.take(ia, axis=-1) * Ym.take(ib, axis=-1)
-        A -= U.take(ib, axis=-1) * Ym.take(ia, axis=-1)
-        A /= np.sqrt(2.0)
+        A = _alignment_rows(U, Ym)
         S = np.swapaxes(Ym * coef[..., None], -1, -2) @ U
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        H = _HessianOp(product, ia.size, A, _angle_curvature(c, th), S)
+        H = _HessianOp(product, K, A, _angle_curvature(c, th), S)
         g = (coef[..., None, :] @ A)[..., 0, :]
         return np.einsum("...i,...i->...", th, th), g, H, clamped
 
     def retract(O, w):
-        return O @ expm(skew(w))
+        return O @ expm(_skew(w, k))
 
     return model, retract
+
+
+@functools.lru_cache(maxsize=None)
+def _so_index(k):
+    """Index arrays of the orthonormal basis E_p of so(k), built once (read-only).
+
+    Returns (ia, ib, upper, entry, sign): the pairs a < b of E_p, the flat
+    index of E_p's entry +1/sqrt(2), and the gather W.flat = w[entry] *
+    sign that builds the skew of w (zero diagonal).
+    """
+    ia, ib = np.triu_indices(k, 1)
+    upper = ia * k + ib
+    entry = np.zeros(k * k, dtype=int)
+    sign = np.zeros(k * k)
+    entry[upper] = entry[ib * k + ia] = np.arange(ia.size)
+    sign[upper], sign[ib * k + ia] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+    for a in (ia, ib, upper, entry, sign):
+        a.flags.writeable = False
+    return ia, ib, upper, entry, sign
+
+
+def _skew(w, k):
+    """The k x k skew matrix sum_p w_p E_p of coordinates w (last axis), by one gather."""
+    _, _, _, entry, sign = _so_index(k)
+    return (w.take(entry, axis=-1) * sign).reshape(*w.shape[:-1], k, k)
+
+
+def _so_coords(M):
+    """Coordinates <E_p, M> = (M_ab - M_ba)/sqrt(2) of k x k matrices (last two axes)."""
+    k = M.shape[-1]
+    upper = _so_index(k)[2]
+    # take keeps rows C-contiguous, so row sums of a member do not depend
+    # on the size of its stack
+    M = (M - np.swapaxes(M, -1, -2)).reshape(*M.shape[:-2], k * k)
+    return M.take(upper, axis=-1) / np.sqrt(2.0)
+
+
+def _alignment_rows(U, Y):
+    """The matrix A_ip = u_i^T E_p y_i of the rows of U and Y: (A w)_i = u_i^T W y_i."""
+    ia, ib = _so_index(U.shape[-1])[:2]
+    A = U.take(ia, axis=-1) * Y.take(ib, axis=-1)
+    A -= U.take(ib, axis=-1) * Y.take(ia, axis=-1)
+    A /= np.sqrt(2.0)
+    return A
 
 
 @functools.lru_cache(maxsize=32)

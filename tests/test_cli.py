@@ -18,7 +18,7 @@ from corrgeo import (
     write_factor_csv,
     write_matrix_csv,
 )
-from corrgeo import cli, frechet
+from corrgeo import cli, product_sphere
 from corrgeo.cli import main
 
 from conftest import random_correlation, random_point
@@ -210,15 +210,18 @@ def test_mean_single_group_flag(tmp_path):
 
 
 def test_mean_stopped_at_max_outer_exits_3(tmp_path, monkeypatch):
-    man = _cohort(tmp_path, np.random.default_rng(3), 4)
+    # five short series: one joint iteration does not reach grad_tol
+    man = _cohort(tmp_path, np.random.default_rng(3), 4, columns=tuple("abcde"), T=20)
     assert main(["mean", str(man), "--out", str(tmp_path / "full")]) == 0
     full = json.loads((tmp_path / "full" / "mean_all_report.json").read_text())
     assert full["converged"] is True and full["outer_iterations"] > 1
-    monkeypatch.setattr(frechet, "MAX_OUTER", 1)
+    assert full["grad_norm"] <= full["grad_tol"] == DEFAULT_CONFIG.grad_tol
+    monkeypatch.setattr(product_sphere, "MAX_ITERS", 1)
     out = tmp_path / "out"
     assert main(["mean", str(man), "--out", str(out)]) == 3
     doc = json.loads((out / "mean_all_report.json").read_text())
     assert doc["converged"] is False and doc["outer_iterations"] == 1
+    assert doc["grad_norm"] > doc["grad_tol"]
 
 
 def test_mean_unknown_group_is_validation_error(tmp_path, capsys):

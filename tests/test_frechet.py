@@ -4,12 +4,18 @@ import pytest
 from corrgeo import (
     InvalidInput,
     WeightedSampleSet,
+    frechet,
     frechet_mean,
     frechet_variance,
     orbit_dist,
     ps_exp,
     random_orthogonal,
+    unit_rows,
 )
+from corrgeo.config import DEFAULT_CONFIG
+from corrgeo.frechet import _joint_model
+from corrgeo.product_sphere import _row_angles
+from corrgeo.quotient_space import _align_batch, _align_pairs
 
 from conftest import random_point, random_rank_point, random_tangent
 from reference import frechet_mean_per_pair
@@ -156,22 +162,33 @@ def test_mean_variance_consistent_with_history():
     assert abs(var - rep.loss_history[-1]) < 1e-8
 
 
-def test_mean_stacks_match_per_pair_searches():
-    # the initializer's pairs and each outer iteration's samples are one
-    # stack, which must change no number of the per-pair loop
+def test_mean_stacks_match_per_pair_searches(monkeypatch):
+    # the joint solve ends at or below the loss of the alternating loop with
+    # every search solved alone, and the final alignment stack gives each
+    # sample the numbers of its own search at the returned mean,
+    # warm-started from its joint rotation
+    warm = []
+
+    def spy(Xs, Ys, cfg, extra):
+        warm.append(np.array(extra))
+        return _align_batch(Xs, Ys, cfg, extra)
+
+    monkeypatch.setattr(frechet, "_align_batch", spy)
     rng = np.random.default_rng(21)
     for m, k, ranks in ((6, 3, (3, 3, 2, 1)), (9, 4, (4, 3, 4, 4, 2)), (5, 2, (2, 1, 2))):
         pts = [random_rank_point(rng, m, k, r) for r in ranks]
         w = rng.uniform(0.5, 2.0, len(pts))
+        warm.clear()
         rep = frechet_mean(pts, weights=w)
-        mean, history, outer, converged, results = frechet_mean_per_pair(
-            pts, w / w.sum()
-        )
-        assert np.array_equal(rep.mean.rep, mean)
-        assert rep.loss_history == history
-        assert (rep.outer_iterations, rep.converged) == (outer, converged)
+        _, history, _, converged, _ = frechet_mean_per_pair(pts, w / w.sum())
+        assert rep.converged and converged
+        loss = rep.loss_history[-1]
+        assert loss <= history[-1] + 1e-12 * max(1.0, loss)
         assert len(rep.alignments) == len(pts)
-        for a, b in zip(rep.alignments, results):
+        for i, a in enumerate(rep.alignments):
+            (b,) = _align_batch(
+                pts[i][None], rep.mean.rep[None], DEFAULT_CONFIG, warm[-1][i : i + 1]
+            )
             assert np.array_equal(a.rotation, b.rotation)
             assert (a.loss, a.grad_norm, a.iterations) == (b.loss, b.grad_norm, b.iterations)
             assert (a.converged, a.stagnated, a.restarts_used) == (
@@ -179,3 +196,64 @@ def test_mean_stacks_match_per_pair_searches():
                 b.stagnated,
                 b.restarts_used,
             )
+
+
+# joint model ------------------------------------------------------------------
+
+
+def test_joint_model_matches_differences_along_the_retraction():
+    # gradient and Hessian-vector products of the joint (M, O_1...O_n) model
+    # against first and second differences of its loss along the
+    # retraction, relative to the gradient and Hessian norms; unequal
+    # weights, one rank-deficient sample, a pinned rotation
+    rng = np.random.default_rng(1404)
+    h = 1e-4
+    for k in (2, 3, 4):
+        for _ in range(4):
+            m, n = 6, 4
+            w = rng.uniform(0.5, 2.0, n)
+            w /= w.sum()
+            while True:
+                reps = np.stack(
+                    [random_rank_point(rng, m, k, 1 if i == 2 else k) for i in range(n)]
+                )
+                M = random_point(rng, m, k)
+                Os = np.stack([random_orthogonal(k, rng) for _ in range(n)])
+                if np.all(_row_angles(reps @ Os, M)[0] >= -1.0 + 1e-3):
+                    break
+            model, retract = _joint_model(reps, w, pin=int(rng.integers(n)))
+            x = np.concatenate([M, Os.reshape(n * k, k)])[None]
+            f0, g, H, _ = model(x, [0])
+            assert g.shape == (1, m * (k - 1) + (n - 1) * k * (k - 1) // 2)
+            Hd = np.asarray(H)[0]
+            scale = np.linalg.norm(Hd, 2)
+            assert np.abs(Hd - Hd.T).max() <= 1e-14 * scale
+            d = rng.standard_normal(g.shape[1])
+            d /= np.linalg.norm(d)
+            fp = model(retract(x, h * d[None]), [0])[0][0]
+            fm = model(retract(x, -h * d[None]), [0])[0][0]
+            assert abs((fp - fm) / (2.0 * h) - g[0] @ d) <= 1e-6 * max(np.linalg.norm(g), 1.0)
+            q = d @ Hd @ d
+            assert abs((fp - 2.0 * f0[0] + fm) / h**2 - q) <= 1e-5 * max(abs(q), scale)
+
+
+def test_pinned_rotation_lets_the_joint_solve_converge():
+    # the joint solve from the initializer (the best sample and the pair
+    # rotation onto it) converges to 2.6e-15 in 4 iterations; without the
+    # pinned rotation the common-rotation gauge left K flat directions and
+    # it stagnated at gradient norm 1.06e-8, above grad_tol
+    rng = np.random.default_rng(1029)
+    m, k, n = int(rng.integers(4, 20)), int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    spread = rng.uniform(0.05, 1.5)
+    c = unit_rows(rng.standard_normal((m, k)))
+    reps = np.stack([unit_rows(c + spread * rng.standard_normal((m, k))) for _ in range(n)])
+    assert (m, k, n) == (12, 5, 2)
+    (r,) = _align_pairs([reps[1]], [reps[0]])
+    w = np.full(n, 1.0 / n)
+    # sample 0 (the initializer on the tie) as the mean, sample 1 rotated onto it
+    _, _, inner = frechet._joint_solve(
+        reps, w, 0, reps[0], np.stack([np.eye(k), r.rotation]), DEFAULT_CONFIG
+    )
+    assert inner.converged and not inner.stagnated
+    assert inner.grad_norm <= DEFAULT_CONFIG.grad_tol
+    assert frechet_mean(list(reps)).converged

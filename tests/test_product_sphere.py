@@ -209,17 +209,6 @@ def test_ps_frechet_matches_grid_scan():
             assert best <= loss_at(y) + 1e-3
 
 
-def test_ps_frechet_warm_start_never_hurts():
-    rng = np.random.default_rng(13)
-    pts = [random_point(rng, 3, 3) for _ in range(4)]
-    w = np.ones(4)
-    init = pts[0]
-    mean, report = ps_frechet_fixed(pts, w, init=init)
-    theta = [ps_dist(init, p) for p in pts]
-    init_loss = float(sum(wi * t * t for wi, t in zip(w, theta)))
-    assert report.loss <= init_loss + 1e-12
-
-
 def test_ps_frechet_rejects_bad_weights():
     X = np.eye(2)
     with pytest.raises(InvalidInput):

@@ -1,13 +1,32 @@
-"""Property-based checks of the quotient distance's invariances."""
+"""Property-based checks of the quotient distance's invariances and the Frechet mean."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrgeo import align, k_embedding, orbit_dist, random_orthogonal
+from corrgeo import (
+    align,
+    frechet_mean,
+    frechet_variance,
+    k_embedding,
+    orbit_dist,
+    random_orthogonal,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def _unit_row_matrices(draw, n, m, k):
+    """n m x k matrices with unit rows, no row drawn shorter than 0.1."""
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    out = []
+    for _ in range(n):
+        A = draw(arrays(float, (m, k), elements=entries))
+        norms = np.linalg.norm(A, axis=1)
+        assume(norms.min() > 0.1)
+        out.append(A / norms[:, None])
+    return out
 
 
 @st.composite
@@ -15,14 +34,17 @@ def unit_row_pairs(draw):
     """Two m x k matrices with unit rows, m in 2..6 and k in 2..4."""
     m = draw(st.integers(2, 6))
     k = draw(st.integers(2, 4))
-    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
-    pair = []
-    for _ in range(2):
-        A = draw(arrays(float, (m, k), elements=entries))
-        norms = np.linalg.norm(A, axis=1)
-        assume(norms.min() > 0.1)
-        pair.append(A / norms[:, None])
-    return pair
+    return _unit_row_matrices(draw, 2, m, k)
+
+
+@st.composite
+def weighted_sample_sets(draw):
+    """2..4 m x k unit-row samples, m in 2..6 and k in 2..4, with weights in [0.5, 2]."""
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 4))
+    samples = _unit_row_matrices(draw, n, m, k)
+    return samples, draw(arrays(float, n, elements=st.floats(0.5, 2.0)))
 
 
 @PROPERTY_SETTINGS
@@ -66,3 +88,17 @@ def test_orbit_dist_does_not_grow_under_k_embedding(pair):
         lifts.append(L)
     d_wide = orbit_dist(k_embedding(X, k + 1), k_embedding(Y, k + 1), extra_inits=lifts)
     assert d_wide <= d + 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(weighted_sample_sets(), st.integers(0, 2**32 - 1))
+def test_frechet_mean_loss_is_its_variance_and_ignores_representatives(sets, seed):
+    samples, w = sets
+    rep = frechet_mean(samples, weights=w)
+    loss = rep.loss_history[-1]
+    assert abs(frechet_variance(samples, rep.mean, weights=w) - loss) <= 1e-9
+    for S in samples:
+        assert loss <= frechet_variance(samples, S, weights=w)
+    rng = np.random.default_rng(seed)
+    moved = [S @ random_orthogonal(S.shape[1], rng) for S in samples]
+    assert abs(frechet_mean(moved, weights=w).loss_history[-1] - loss) <= 1e-9
