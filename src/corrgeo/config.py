@@ -12,6 +12,11 @@ from numbers import Integral, Real
 from .errors import InvalidInput
 
 
+def is_number(v, low, kind=Real) -> bool:
+    """Whether v is a finite number of type kind and at least low; bools excluded."""
+    return isinstance(v, kind) and not isinstance(v, bool) and low <= v < math.inf
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the rotation search, row means and Frechet means.
@@ -44,14 +49,11 @@ class SolverConfig:
     stagnation_tol: float = 1e-6
 
     def __post_init__(self):
-        def number(v, low, kind=Real):  # finite and at least low; bools excluded
-            return isinstance(v, kind) and not isinstance(v, bool) and low <= v < math.inf
-
         for name, ok, wants in (
-            ("grad_tol", number(self.grad_tol, 0) and self.grad_tol > 0, "a finite number > 0"),
-            ("restarts", number(self.restarts, 1, Integral), "an integer >= 1"),
-            ("seed", number(self.seed, 0, Integral), "an integer >= 0"),
-            ("stagnation_tol", number(self.stagnation_tol, 0), "a finite number >= 0"),
+            ("grad_tol", is_number(self.grad_tol, 0) and self.grad_tol > 0, "a finite number > 0"),
+            ("restarts", is_number(self.restarts, 1, Integral), "an integer >= 1"),
+            ("seed", is_number(self.seed, 0, Integral), "an integer >= 0"),
+            ("stagnation_tol", is_number(self.stagnation_tol, 0), "a finite number >= 0"),
         ):
             if not ok:
                 raise InvalidInput(f"{name} must be {wants}, got {getattr(self, name)!r}")

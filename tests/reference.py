@@ -3,12 +3,13 @@
 Single-vector sphere maps (the m = 1 case of the product_sphere maps,
 written without sharing their code), the QR retraction on O(k), and slow
 independent oracles: the k = 2 distance as a dense scan of the whole
-orthogonal group, gradients from central finite differences, and the tiny
-circle mean as an exhaustive angle grid. The trust-region models' Hessians
-are kept as dense matrices, built from the K basis matrices of so(k), for
-the Hessian-vector products to be checked against. The Frechet mean is also
-kept in its alternating per-pair form (Gower's generalized Procrustes
-loop: one rotation search per pair and per sample, then the
+orthogonal group, gradients from central finite differences, the tiny
+circle mean as an exhaustive angle grid, and the escape-time scan with the
+gap taken at every time of its dense grid. The trust-region models'
+Hessians are kept as dense matrices, built from the K basis matrices of
+so(k), for the Hessian-vector products to be checked against. The Frechet
+mean is also kept in its alternating per-pair form (Gower's generalized
+Procrustes loop: one rotation search per pair and per sample, then the
 rotations-fixed row means), which the package's joint solve must match or
 beat.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.errors import AntipodalLogarithm, InvalidInput, RetractionFailure
-from corrgeo.kernels import qf
+from corrgeo.kernels import RANK_RELATIVE, qf
 from corrgeo.product_sphere import (
     ANTIPODAL_GUARD,
     SMALL_ANGLE,
@@ -32,7 +33,7 @@ from corrgeo.product_sphere import (
     check_unit_rows,
     ps_frechet_fixed,
 )
-from corrgeo.quotient_space import _align_batch, _align_pairs
+from corrgeo.quotient_space import _align_batch, _align_pairs, _gaps, _stays_positive, _zoom
 
 # sphere S^{k-1} in R^k ---------------------------------------------------------
 
@@ -223,6 +224,30 @@ def exhaustive_small_frechet(points, weights, resolution: int = 200000) -> np.nd
     th = np.arccos(inner)
     obj = (th * th) @ w
     return cand[int(np.argmin(obj))]
+
+
+# escape times, dense grid ---------------------------------------------------------
+
+
+def dense_first_drop(X, V, T: float):
+    """quotient_space._first_drop with the gap taken at all 1025 grid times.
+
+    Candidate dips are the grid crossings and interior local minima of the
+    gap, zoomed into unless the Lipschitz bound certifies them.
+    """
+    grid = 1024  # intervals of the dense scan over (0, T]
+    ts = np.linspace(0.0, T, grid + 1)
+    gaps = _gaps(X, V, ts)
+    lipschitz = (1.0 + RANK_RELATIVE) * np.linalg.norm(V)
+    for i in range(1, grid + 1):
+        if gaps[i] <= 0.0:
+            return _zoom(X, V, ts[i - 1], ts[i], lipschitz)
+        is_min = gaps[i] <= gaps[i - 1] and (i == grid or gaps[i] <= gaps[i + 1])
+        if is_min and not _stays_positive(gaps[i - 1 : i + 2], ts[1] - ts[0], lipschitz):
+            t = _zoom(X, V, ts[i - 1], ts[min(i + 1, grid)], lipschitz)
+            if t is not None:
+                return t
+    return None
 
 
 # dense trust-region Hessians ------------------------------------------------------

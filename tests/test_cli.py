@@ -318,6 +318,17 @@ def test_geodesic_invalid_factor_is_validation_error(tmp_path, capsys):
     assert main(["geodesic", str(px), str(py)]) == 2
 
 
+def test_geodesic_sample_count_must_be_a_positive_integer(tmp_path, capsys):
+    px, py = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_factor_csv(px, np.eye(2))
+    write_factor_csv(py, np.eye(2))
+    assert main(["geodesic", str(px), str(py), "--samples", "0"]) == 2
+    assert "samples must be an integer >= 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # argparse rejects non-integers
+        main(["geodesic", str(px), str(py), "--samples", "2.5"])
+    assert exc.value.code == 2
+
+
 def test_geodesic_invalid_second_factor_names_y(tmp_path, capsys):
     px, py = tmp_path / "x.csv", tmp_path / "y.csv"
     write_factor_csv(px, np.eye(2))

@@ -26,11 +26,12 @@ from corrgeo import (
     vertical_project,
 )
 
+from corrgeo import quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
 from corrgeo.quotient_space import _align_pairs, _random_starts
 
-from conftest import counterexample_pair, random_point, random_tangent
-from reference import o2_grid_distance
+from conftest import counterexample_pair, random_point, random_rank_point, random_tangent
+from reference import dense_first_drop, o2_grid_distance
 
 HALF_SQRT2_PI = np.pi / np.sqrt(2.0)
 
@@ -307,6 +308,16 @@ def test_tangent_must_live_at_the_point(fn, tangent):
         fn(X, V)
 
 
+def test_escape_times_reject_a_raw_velocity_that_is_not_tangent():
+    # ps_exp renormalizes rows, so such a path is no geodesic and its gap
+    # is not (1 + RANK_RELATIVE) |V|_F-Lipschitz
+    rng = np.random.default_rng(24)
+    X = random_point(rng, 4, 2)
+    V = random_tangent(rng, X) + 0.5 * X
+    with pytest.raises(InvalidInput, match="is not tangent"):
+        max_full_rank_interval(X, V)
+
+
 # geodesics ------------------------------------------------------------------------
 
 
@@ -314,13 +325,21 @@ def test_segment_validation():
     rng = np.random.default_rng(15)
     X, Y = _nearby_pair(rng, 4, 3)
     V = orbit_log(X, Y)
-    with pytest.raises(InvalidInput):
-        GeodesicSegment(start=X, velocity=V, duration=0.0)
+    for duration in (0.0, np.inf, True, "1"):
+        with pytest.raises(InvalidInput, match="duration must be positive"):
+            GeodesicSegment(start=X, velocity=V, duration=duration)
     with pytest.raises(InvalidInput):
         GeodesicSegment(start=Y, velocity=V, duration=1.0)
     seg = GeodesicSegment(start=X, velocity=V, duration=1.0)
     assert np.allclose(seg.point(0.0), X)
     assert ps_dist(seg.point(1.0), ps_exp(X, V.vec)) < 1e-12
+    for samples in (0, 2.5, True, np.float64(3.0), "3"):
+        with pytest.raises(InvalidInput, match="samples must be an integer >= 1"):
+            geodesic_rank_profile(seg, samples=samples)
+    assert len(geodesic_rank_profile(seg, samples=np.int64(3))) == 5
+    for t_max in (0.0, -1.0, np.inf, np.nan, True, "4"):
+        with pytest.raises(InvalidInput, match="t_max_search must be positive and finite"):
+            max_full_rank_interval(X, V, t_max_search=t_max)
 
 
 def test_rank_profile_constant_for_zero_velocity():
@@ -387,6 +406,49 @@ def test_full_rank_interval_square_base_keeps_determinant_sign():
             for W, end in ((V, hi), (-V, -lo)):
                 dets = [np.linalg.det(ps_exp(X, W, t)) for t in np.linspace(0.0, end, 101)]
                 assert np.all(np.sign(dets[:-1]) == np.sign(dets[0])), (k, end)
+
+
+def _escape_corpus():
+    """Seeded (X, V) pairs at full-rank bases, the analytic collision first."""
+    rng = np.random.default_rng(31)
+    yield np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])
+    for k in (2, 3, 4):
+        for m in range(k, 10):
+            X = random_point(rng, m, k)
+            for r in range(1, k):  # log toward a rank-r endpoint: a drop by t = 1
+                yield X, orbit_log(X, random_rank_point(rng, m, k, r)).vec
+            for _ in range(2):
+                yield X, random_tangent(rng, X, scale=rng.uniform(0.3, 3.0))
+
+
+def test_escape_times_equal_the_dense_scan():
+    cases = drops = 0
+    for X, V in _escape_corpus():
+        up, down = dense_first_drop(X, V, 4.0), dense_first_drop(X, -V, 4.0)
+        expected = (-4.0 if down is None else -down, 4.0 if up is None else up)
+        assert max_full_rank_interval(X, V, t_max_search=4.0) == expected
+        cases += 1
+        drops += (up is not None) + (down is not None)
+    assert cases == 83 and drops > 50
+
+
+def test_escape_scan_skips_the_certified_stretches(monkeypatch):
+    times = []  # the number of times of each gap evaluation
+    gaps = quotient_space._gaps
+    monkeypatch.setattr(
+        quotient_space, "_gaps", lambda X, V, ts: times.append(len(ts)) or gaps(X, V, ts)
+    )
+    # gap near 1 and |V| = 0.05: every coarse interval is certified, so
+    # each direction takes its 33 coarse times and nothing else
+    X = np.vstack([np.eye(3), np.full((1, 3), 1.0 / np.sqrt(3.0))])
+    V = random_tangent(np.random.default_rng(3), X, scale=0.05)
+    assert max_full_rank_interval(X, V, t_max_search=4.0) == (-4.0, 4.0)
+    assert times == [33, 33]
+    # a drop at pi/2 costs a few uncertified intervals, not the dense grid
+    times.clear()
+    lo, hi = max_full_rank_interval(np.eye(2), [[0.0, 1.0], [0.0, 0.0]], t_max_search=4.0)
+    assert abs(hi - np.pi / 2.0) < 1e-6 and abs(lo + np.pi / 2.0) < 1e-6
+    assert sum(times) < 2 * 1025
 
 
 def test_full_rank_interval_rejects_rank_deficient_base():
