@@ -6,10 +6,11 @@ minimum is the Frechet mean. It is one trust-region Newton solve of the
 package's solver (closed-form gradient and Hessian-vector products), with
 the rotation of the initializer's sample held fixed to remove the
 common-rotation gauge (M Q, O_i Q). It starts at the sample of smallest
-weighted variance, from one stack of all pair searches, takes one
-alternating step (row means, then a stack of alignments) to pick each
-sample's basin, and ends with one stack of ordered alignments of every
-sample to the mean; frechet_variance's distances are one stack as well.
+weighted variance, from one stack of the pair searches that bounds on
+their losses cannot rule out, takes one alternating step (row means, then
+a stack of alignments) to pick each sample's basin, and ends with one
+stack of ordered alignments of every sample to the mean;
+frechet_variance's distances are one stack as well.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .errors import InvalidInput
 from .kernels import expm
 from .product_sphere import (
     _HessianOp,
-    _angle_curvature,
+    _angle_factors,
     _row_angles,
     _sphere_retract,
     _tangent_basis,
@@ -122,6 +123,29 @@ def frechet_variance(
     return float(sum(w * _dist(r) ** 2 for r, w in zip(results, ss.weights)))
 
 
+def _initializer_candidates(reps, w):
+    """The samples that can have the smallest weighted variance of the pair searches.
+
+    Brackets every pair's search loss without searching: below by the
+    chordal bound 2 m - 2 |X_i^T X_j|_* (theta^2 >= 2 - 2 cos theta, and
+    the trace is at most the nuclear norm), above by the loss at the
+    Procrustes rotation, one of the search's starts, from one batched SVD.
+    A sample whose weighted lower bound exceeds the least weighted upper
+    bound cannot be the initializer; the slack of 1e-9 relative covers the
+    loss the search may gain on its rounding-floor steps and the SVD's
+    rounding. Returns a boolean mask over the samples.
+    """
+    n, m, _ = reps.shape
+    iu, ju = np.triu_indices(n, 1)
+    U, sig, Vt = np.linalg.svd(np.swapaxes(reps[iu], -1, -2) @ reps[ju])
+    _, th = _row_angles(reps[iu] @ (U @ Vt), reps[ju])
+    lower, upper = np.zeros((n, n)), np.zeros((n, n))
+    lower[iu, ju] = lower[ju, iu] = 2.0 * m - 2.0 * sig.sum(axis=-1)
+    upper[iu, ju] = upper[ju, iu] = np.einsum("pr,pr->p", th, th)
+    best = (w @ upper).min()
+    return w @ lower <= best + 1e-9 * max(1.0, best)
+
+
 def _joint_model(reps, w, pin):
     """Closed-form trust-region model of the Frechet loss over (M, O_1...O_n).
 
@@ -171,7 +195,7 @@ def _joint_model(reps, w, pin):
         M, O = unpack(x[0])
         U = reps @ O
         c, th = _row_angles(U, M)
-        coef, clamped = angle_grad_coef(c, th)
+        coef, curv, clamped = _angle_factors(c, th)
         wcoef = w[:, None] * coef
         B = _tangent_basis(M)
         P = (U[..., None, :] @ B)[..., 0, :]
@@ -180,7 +204,7 @@ def _joint_model(reps, w, pin):
         xeg = np.einsum("rk,rk->r", wU.sum(axis=0), M)
         wS = np.swapaxes(M * wcoef[..., None], -1, -2) @ U
         wS = 0.5 * (wS + np.swapaxes(wS, -1, -2))
-        wcurv = w[:, None] * _angle_curvature(c, th)
+        wcurv = w[:, None] * curv
         state = (v[None] for v in (A, P, B, wU, wcurv, xeg, wS))
         H = _HessianOp(product, split + free.size * K, *state)
         gM = np.einsum("ir,irl->rl", wcoef, P)
@@ -231,7 +255,9 @@ def frechet_mean(
     """Weighted Frechet mean of orbit samples.
 
     Initialized at the sample with the smallest weighted variance, from one
-    stack of n(n-1)/2 pair searches, with each sample's rotation onto it.
+    stack of pair searches, with each sample's rotation onto it; only the
+    pairs that touch a sample _initializer_candidates cannot rule out are
+    searched (n - 1 of the n(n-1)/2 on tight sets).
     One alternating step follows, kept when it lowers the loss: the
     rotations-fixed row means, then one stack aligning every sample to them
     from its Procrustes start and its current rotation. Without it the
@@ -259,13 +285,17 @@ def frechet_mean(
 
     # pick the sample with the smallest weighted variance as the initializer;
     # rot[i, j] carries sample i onto sample j, one search per unordered pair
+    # that touches a candidate
+    cand = _initializer_candidates(reps, w)
     rot = np.tile(np.eye(reps.shape[2]), (n, n, 1, 1))
     losses = np.zeros((n, n))
     iu, ju = np.triu_indices(n, 1)
+    touch = cand[iu] | cand[ju]
+    iu, ju = iu[touch], ju[touch]
     for i, j, r in zip(iu, ju, _align_pairs(reps[iu], reps[ju], cfg)):
         rot[i, j], rot[j, i] = r.rotation, r.rotation.T
         losses[i, j] = losses[j, i] = r.loss
-    variances = w @ losses
+    variances = np.where(cand, w @ losses, np.inf)
     best_j = int(np.argmin(variances))
 
     mean = reps[best_j]

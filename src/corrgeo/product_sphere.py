@@ -165,14 +165,21 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     rowwise-tangent velocities.
     """
     X = check_unit_rows(X, "X")
-    V = _tangent_vec(X, V)
+    return unit_rows(_great_circles(X, _tangent_vec(X, V), t))
+
+
+def _great_circles(X, V, t):
+    """The rows of X moved for time t along the rows of V, before renormalization.
+
+    ps_exp's row arithmetic without its checks, for callers whose X and V
+    are already validated.
+    """
     norms = np.linalg.norm(V, axis=1)
     ang = t * norms
     small = np.abs(ang) < SMALL_ANGLE
     # sin(ang)/norms is t*sinc(ang); guard the zero-velocity rows
     scale = np.where(small, t, np.sin(ang) / np.where(norms > 0, norms, 1.0))
-    Y = np.cos(ang)[:, None] * X + scale[:, None] * V
-    return unit_rows(Y)
+    return np.cos(ang)[:, None] * X + scale[:, None] * V
 
 
 def ps_log(X, Y) -> ProductTangent:
@@ -195,39 +202,39 @@ def ps_log(X, Y) -> ProductTangent:
     return ProductTangent(X, V)
 
 
-def angle_grad_coef(c, theta):
-    """Derivative factor of the squared row angle with respect to the cosine.
+def _angle_factors(c, theta):
+    """First and second derivatives of the squared row angle arccos(c)^2 in c.
 
-    Returns (coef, clamped) where coef = -2 theta / sin(theta), the
-    derivative of theta^2 = arccos(c)^2 in c. The factor tends to -2 as
-    c -> 1 (limit substituted inside a 1e-12 band) and diverges as
-    c -> -1 (magnitude capped, the row flagged).
+    Returns (coef, curv, clamped) from one sine. coef = -2 theta /
+    sin(theta) tends to -2 as c -> 1 (limit substituted inside a 1e-12
+    band) and diverges as c -> -1 (magnitude capped at GRAD_FACTOR_CAP, the
+    row flagged clamped). curv = 2 (sin theta - theta cos theta) / sin^3
+    theta tends to 2/3 at theta = 0 (series substituted below 1e-2) and
+    diverges at pi, where sin theta is floored as in the cap.
     """
     c = np.asarray(c, dtype=float)
     theta = np.asarray(theta, dtype=float)
     s = np.sin(theta)
     near_one = (1.0 - c) < 1e-12
+    s_floor = np.maximum(s, theta / GRAD_FACTOR_CAP)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(near_one, 1.0, theta / np.where(s > 0.0, s, np.inf))
+        direct = 2.0 * (s_floor - theta * c) / s_floor**3
     ratio = np.where(np.isfinite(ratio), ratio, GRAD_FACTOR_CAP)
     clamped = ratio > GRAD_FACTOR_CAP
     ratio = np.minimum(ratio, GRAD_FACTOR_CAP)
-    return -2.0 * ratio, clamped
+    curv = np.where(theta < 1e-2, 2.0 / 3.0 + (4.0 / 15.0) * theta**2, direct)
+    return -2.0 * ratio, curv, clamped
 
 
-def _angle_curvature(c, theta):
-    """Second derivative of the squared row angle arccos(c)^2 in c.
+def angle_grad_coef(c, theta):
+    """Derivative factor of the squared row angle with respect to the cosine.
 
-    2 (sin theta - theta cos theta) / sin^3 theta, which tends to 2/3 at
-    theta = 0 (series substituted below 1e-2) and diverges at pi, where
-    sin theta is floored as in angle_grad_coef's cap.
+    Returns (coef, clamped), the gradient factor of _angle_factors and
+    which rows had it capped.
     """
-    c = np.asarray(c, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    s = np.maximum(np.sin(theta), theta / GRAD_FACTOR_CAP)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = 2.0 * (s - theta * c) / s**3
-    return np.where(theta < 1e-2, 2.0 / 3.0 + (4.0 / 15.0) * theta**2, direct)
+    coef, _, clamped = _angle_factors(c, theta)
+    return coef, clamped
 
 
 class _HessianOp:
@@ -354,7 +361,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     x = np.array(x, dtype=float)
     size = x.shape[0]
     loss, g, H, clamped = model(x, np.arange(size))
-    gn = np.linalg.norm(g, axis=1)
+    gn = np.sqrt((g * g).sum(axis=1))
     clamped_any = np.any(clamped, axis=1)
     radius = np.ones(size)
     stagnated = np.zeros(size, dtype=bool)
@@ -364,24 +371,32 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     while not done.all():
         act = np.flatnonzero(~done)
         it[act] += 1
-        s, pred = _truncated_cg(H[act], g[act], gn[act], radius[act])
-        x_new = retract(x[act], s)
+        # while every member is active, the stack's own arrays are its active set
+        if act.size == size:
+            xa, la, ga, gna, ra, Ha = x, loss, g, gn, radius, H
+        else:
+            xa, la, ga, gna, ra, Ha = x[act], loss[act], g[act], gn[act], radius[act], H[act]
+        s, pred = _truncated_cg(Ha, ga, gna, ra)
+        x_new = retract(xa, s)
         loss_new, g_new, H_new, clamped_new = model(x_new, act)
-        gn_new = np.linalg.norm(g_new, axis=1)
-        floored = pred <= floor * np.maximum(1.0, loss[act])
-        stop = floored & (gn_new >= gn[act])
-        stagnated[act[stop]] = gn[act[stop]] > cfg.grad_tol
-        rho = (loss[act] - loss_new) / np.where(floored, 1.0, pred)
-        ns = np.linalg.norm(s, axis=1)
-        r = radius[act]
+        gn_new = np.sqrt((g_new * g_new).sum(axis=1))
+        floored = pred <= floor * np.maximum(1.0, la)
+        stop = floored & (gn_new >= gna)
+        stagnated[act] = stop & (gna > cfg.grad_tol)
+        rho = (la - loss_new) / np.where(floored, 1.0, pred)
+        ns = np.sqrt((s * s).sum(axis=1))
         shrink = ~floored & (rho < 0.25)
-        grow = ~floored & (rho > 0.75) & (ns >= 0.99 * r)
-        radius[act] = np.where(shrink, 0.25 * ns, np.where(grow, 2.0 * r, r))
+        grow = ~floored & (rho > 0.75) & (ns >= 0.99 * ra)
+        radius[act] = np.where(shrink, 0.25 * ns, np.where(grow, 2.0 * ra, ra))
         take = ~stop & (floored | (rho > 0.1))
         acc = act[take]
-        x[acc], loss[acc], gn[acc] = x_new[take], loss_new[take], gn_new[take]
-        g[acc], H[acc] = g_new[take], H_new[take]
-        clamped_any[acc] |= np.any(clamped_new[take], axis=1)
+        if acc.size == size:
+            x, loss, gn, g, H = x_new, loss_new, gn_new, g_new, H_new
+            clamped_any |= np.any(clamped_new, axis=1)
+        elif acc.size:
+            x[acc], loss[acc], gn[acc] = x_new[take], loss_new[take], gn_new[take]
+            g[acc], H[acc] = g_new[take], H_new[take]
+            clamped_any[acc] |= np.any(clamped_new[take], axis=1)
         done[act] = stop | (floored & (gn[act] <= cfg.grad_tol))
         done[act] |= it[act] >= MAX_ITERS
     return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped_any
@@ -418,11 +433,11 @@ def _row_mean_model(P, w):
     def model(x, members=None):
         Q = P if members is None else P[members]
         c, th = _row_angles(Q, x[..., None, :])
-        coef, clamped = angle_grad_coef(c, th)
+        coef, curv, clamped = _angle_factors(c, th)
         wc = w * coef
         PB = Q @ _tangent_basis(x)
         xeg = np.einsum("...k,...k->...", (wc[..., None, :] @ Q)[..., 0, :], x)
-        H = _HessianOp(product, x.shape[-1] - 1, PB, w * _angle_curvature(c, th), xeg)
+        H = _HessianOp(product, x.shape[-1] - 1, PB, w * curv, xeg)
         return (th * th) @ w, (wc[..., None, :] @ PB)[..., 0, :], H, clamped
 
     return model, _sphere_retract

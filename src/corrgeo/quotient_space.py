@@ -44,7 +44,8 @@ from .kernels import (
 from .product_sphere import (
     ProductTangent,
     _HessianOp,
-    _angle_curvature,
+    _angle_factors,
+    _great_circles,
     _rep,
     _row_angles,
     _tangent_vec,
@@ -53,6 +54,7 @@ from .product_sphere import (
     check_unit_rows,
     ps_exp,
     ps_log,
+    unit_rows,
 )
 
 
@@ -126,11 +128,11 @@ def _alignment_model(X, Y):
         Xm, Ym = (X[members], Y[members]) if X.ndim == 3 else (X, Y)
         U = Xm @ O
         c, th = _row_angles(U, Ym)
-        coef, clamped = angle_grad_coef(c, th)
+        coef, curv, clamped = _angle_factors(c, th)
         A = _alignment_rows(U, Ym)
         S = np.swapaxes(Ym * coef[..., None], -1, -2) @ U
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        H = _HessianOp(product, K, A, _angle_curvature(c, th), S)
+        H = _HessianOp(product, K, A, curv, S)
         g = (coef[..., None, :] @ A)[..., 0, :]
         return np.einsum("...i,...i->...", th, th), g, H, clamped
 
@@ -404,8 +406,11 @@ def geodesic_rank_profile(seg: GeodesicSegment, samples: int):
 
 
 def _path(X, V, ts):
-    """exp(X, t V) at every t of ts, as one stack of independent rows."""
-    rows = ps_exp(np.tile(X, (ts.size, 1)), np.kron(ts[:, None], V))
+    """exp(X, t V) at every t of ts, as one stack of independent rows.
+
+    X and V are validated by the caller, so the rows skip ps_exp's checks.
+    """
+    rows = unit_rows(_great_circles(np.tile(X, (ts.size, 1)), np.kron(ts[:, None], V), 1.0))
     return rows.reshape(-1, *X.shape)
 
 

@@ -24,7 +24,7 @@ from corrgeo.kernels import RANK_RELATIVE, qf
 from corrgeo.product_sphere import (
     ANTIPODAL_GUARD,
     SMALL_ANGLE,
-    _angle_curvature,
+    _angle_factors,
     _row_angles,
     _row_mean_model,
     _tangent_basis,
@@ -272,7 +272,7 @@ def dense_alignment_hessian(X, Y, O):
     A = np.einsum("ia,pab,ib->ip", U, E, Y)
     S = (Y * coef[:, None]).T @ U
     S = 0.5 * (S + S.T)
-    H = A.T @ (_angle_curvature(c, th)[:, None] * A)
+    H = A.T @ (_angle_factors(c, th)[1][:, None] * A)
     return H + np.einsum("pab,qbc,ca->pq", E, E, S)
 
 
@@ -286,7 +286,7 @@ def dense_row_mean_hessian(P, w, x):
     coef, _ = angle_grad_coef(c, th)
     PB = P @ _tangent_basis(x)
     egrad = P.T @ (w * coef)
-    H = PB.T @ ((w * _angle_curvature(c, th))[:, None] * PB)
+    H = PB.T @ ((w * _angle_factors(c, th)[1])[:, None] * PB)
     return H - (x @ egrad) * np.eye(x.size - 1)
 
 

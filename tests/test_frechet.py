@@ -198,6 +198,59 @@ def test_mean_stacks_match_per_pair_searches(monkeypatch):
             )
 
 
+def _spread_set(rng, m, k, n, spread):
+    # samples around one centre, each in a random frame
+    center = unit_rows(rng.standard_normal((m, k)))
+    return [
+        unit_rows(center + spread * rng.standard_normal((m, k))) @ random_orthogonal(k, rng)
+        for _ in range(n)
+    ]
+
+
+def test_initializer_pruning_changes_no_bit(monkeypatch):
+    # the pair searches skipped by the bounds cannot change the initializer:
+    # with the candidate mask forced to all samples every output is the same
+    sets = [
+        (_spread_set(np.random.default_rng([20240103, 1, s]), m, k, n, spread), None)
+        for s, (m, k, n, spread) in enumerate(
+            ((30, 3, 4, 0.1), (12, 3, 5, 0.1), (16, 4, 4, 0.3), (12, 3, 4, 0.6))
+        )
+    ]
+    rng = np.random.default_rng(1701)
+    for spread in (0.2, 0.5, 1.0, 2.0):
+        m, k, n = int(rng.integers(5, 12)), int(rng.integers(2, 5)), int(rng.integers(3, 9))
+        sets.append((_spread_set(rng, m, k, n, spread), rng.uniform(0.1, 1.1, n)))
+    pruned = [frechet_mean(pts, weights=w) for pts, w in sets]
+    monkeypatch.setattr(
+        frechet, "_initializer_candidates", lambda reps, w: np.ones(len(reps), dtype=bool)
+    )
+    for (pts, w), a in zip(sets, pruned):
+        b = frechet_mean(pts, weights=w)
+        assert np.array_equal(a.mean.rep, b.mean.rep)
+        assert (a.loss_history, a.outer_iterations, a.converged) == (
+            b.loss_history,
+            b.outer_iterations,
+            b.converged,
+        )
+        for x, y in zip(a.alignments, b.alignments):
+            assert np.array_equal(x.rotation, y.rotation) and x.loss == y.loss
+
+
+def test_tight_set_searches_only_the_pairs_of_its_initializer(monkeypatch):
+    # at spread 0.2 the bounds leave one candidate of 20, so the initializer
+    # searches its n - 1 pairs instead of all n (n - 1) / 2
+    searched = []
+
+    def spy(Xs, Ys, cfg=DEFAULT_CONFIG, extra_inits=None):
+        searched.append(len(Xs))
+        return _align_pairs(Xs, Ys, cfg, extra_inits)
+
+    monkeypatch.setattr(frechet, "_align_pairs", spy)
+    n = 20
+    rep = frechet_mean(_spread_set(np.random.default_rng(3), 10, 4, n, 0.2))
+    assert rep.converged and searched == [n - 1]
+
+
 # joint model ------------------------------------------------------------------
 
 

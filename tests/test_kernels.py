@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,7 @@ from corrgeo import (
     sym_eig,
     sylvester_spd,
 )
-from corrgeo.kernels import RANK_RELATIVE, expm
+from corrgeo.kernels import _THETA13, RANK_RELATIVE, expm
 
 from conftest import counterexample_pair
 
@@ -136,14 +138,18 @@ def test_procrustes_shape_mismatch():
 # expm -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def _skew_stack(rng, n, k, scale):
+    ia, ib = np.triu_indices(k, 1)
+    W = np.zeros((n, k, k))
+    W[:, ia, ib] = scale * rng.standard_normal((n, ia.size))
+    return W - np.swapaxes(W, -1, -2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 40])
 def test_expm_matches_scipy_on_skew_stacks(k):
     rng = np.random.default_rng(k)
-    ia, ib = np.triu_indices(k, 1)
     for scale in (0.0, 1e-8, 1e-3, 0.5, 2.0, 10.0):
-        W = np.zeros((12, k, k))
-        W[:, ia, ib] = scale * rng.standard_normal((12, ia.size))
-        W -= np.swapaxes(W, -1, -2)
+        W = _skew_stack(rng, 12, k, scale)
         Q = expm(W)
         for Wi, Qi in zip(W, Q):
             assert np.abs(Qi - scipy.linalg.expm(Wi)).max() <= 1e-12
@@ -153,6 +159,35 @@ def test_expm_matches_scipy_on_skew_stacks(k):
             assert np.array_equal(Qi, expm(Wi))
     assert np.array_equal(expm(np.zeros((k, k))), np.eye(k))
     assert np.array_equal(expm(np.zeros((3, k, k))), np.broadcast_to(np.eye(k), (3, k, k)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 40])
+def test_expm_squaring_matches_scipy_relative_to_the_norm(k):
+    # at these scales the members are scaled down by 2^s and squared back
+    # s times: the error and the loss of orthogonality grow with |W|_1
+    rng = np.random.default_rng(100 + k)
+    for scale in (50.0, 200.0):
+        W = _skew_stack(rng, 6, k, scale)
+        for Wi, Qi in zip(W, expm(W)):
+            norm = max(1.0, np.abs(Wi).sum(axis=0).max())
+            assert np.abs(Qi - scipy.linalg.expm(Wi)).max() <= 1e-12 * norm
+            assert np.abs(Qi.T @ Qi - np.eye(k)).max() <= 1e-13 * norm
+
+
+def test_expm_members_with_different_squarings_match_their_lone_exponentials():
+    # members needing s = 0, 3 and 6 squarings share one stack; each is
+    # squared only its own s times, so it is bitwise its lone exponential
+    rng = np.random.default_rng(7)
+    k = 6
+    W = _skew_stack(rng, 3, k, 1.0)
+    W /= np.abs(W).sum(axis=1).max(axis=1)[:, None, None]
+    W *= np.array([0.5, 6.0, 50.0])[:, None, None] * _THETA13
+    s = [max(0, math.ceil(math.log2(np.abs(Wi).sum(axis=0).max() / _THETA13))) for Wi in W]
+    assert s == [0, 3, 6]
+    Q = expm(W[[2, 0, 1]])[[1, 2, 0]]
+    for Wi, Qi in zip(W, Q):
+        assert np.array_equal(Qi, expm(Wi))
+        assert np.abs(Qi - scipy.linalg.expm(Wi)).max() <= 1e-12 * np.abs(Wi).sum(axis=0).max()
 
 
 # sylvester_spd --------------------------------------------------------------

@@ -16,15 +16,17 @@ from corrgeo import (
     ps_project,
     unit_rows,
 )
+from corrgeo import frechet
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import procrustes, random_orthogonal
 from corrgeo.product_sphere import (
+    _HessianOp,
     _row_mean_model,
     _truncated_cg,
     _trust_region,
     angle_grad_coef,
 )
-from corrgeo.quotient_space import _align_batch, _alignment_model, _member_floats
+from corrgeo.quotient_space import _align_batch, _align_pairs, _alignment_model, _member_floats
 
 from conftest import random_point, random_rank_point, random_tangent
 from reference import (
@@ -272,6 +274,45 @@ def test_trust_region_stack_member_matches_solve_alone():
         )
     # members that stop at different iterations exercise the active set
     assert len(iterations) > 3
+
+
+def test_one_member_solve_copies_no_model_state(monkeypatch):
+    # while every member is active the loop hands the stack's own arrays to
+    # the truncated CG, and a step that every member takes replaces the
+    # model whole: a stack of one never indexes or assigns its Hessians
+    rng = np.random.default_rng(51)
+    m, k = 8, 4
+    X, Y = random_point(rng, m, k), random_point(rng, m, k)
+    reps = np.stack([random_point(rng, m, k) for _ in range(4)])
+    (r,) = _align_pairs([reps[1]], [reps[0]])
+    rotations = np.stack([np.eye(k), r.rotation, random_orthogonal(k, rng), np.eye(k)])
+    starts = np.stack([random_orthogonal(k, rng) for _ in range(4)])
+
+    calls = []
+    getitem, setitem = _HessianOp.__getitem__, _HessianOp.__setitem__
+
+    def counted_getitem(self, members):
+        calls.append("get")
+        return getitem(self, members)
+
+    def counted_setitem(self, members, other):
+        calls.append("set")
+        setitem(self, members, other)
+
+    monkeypatch.setattr(_HessianOp, "__getitem__", counted_getitem)
+    monkeypatch.setattr(_HessianOp, "__setitem__", counted_setitem)
+    model, retract = _alignment_model(X[None], Y[None])
+    it = _trust_region(model, retract, starts[:1], DEFAULT_CONFIG)[3]
+    assert it[0] > 3 and calls == []
+    _, _, inner = frechet._joint_solve(
+        reps, np.full(4, 0.25), 0, reps[0], rotations, DEFAULT_CONFIG
+    )
+    assert inner.iterations > 3 and calls == []
+
+    # the counters do see a stack whose members stop at different iterations
+    model, retract = _alignment_model(np.stack([X] * 4), np.stack([Y] * 4))
+    it = _trust_region(model, retract, starts, DEFAULT_CONFIG)[3]
+    assert len(set(it)) > 1 and "get" in calls and "set" in calls
 
 
 def test_align_stack_pair_matches_pair_solved_alone():
