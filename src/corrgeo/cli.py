@@ -118,6 +118,8 @@ def cmd_mean(args) -> int:
                     "grad_norm": r.grad_norm,
                     "iterations": r.iterations,
                     "converged": r.converged,
+                    "restarts_used": r.restarts_used,
+                    "retired": r.retired,
                     "stagnated": r.stagnated,
                 }
                 for sid, r in zip(gm.subject_ids, gm.report.alignments)

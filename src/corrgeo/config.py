@@ -31,7 +31,8 @@ class SolverConfig:
     cohort distances alike) starts from Procrustes, restarts - 1 random
     rotations drawn from seed and their transposes, all solved as one
     stack; restarts_used is the number of starts, 2 * restarts - 1 (9 at
-    the default) plus any extra_inits passed to align or orbit_dist.
+    the default) plus any extra_inits passed to align or orbit_dist, and
+    retired the number of them the search dropped early as redundant.
     require_horizontal makes orbit_exp check that its tangent is horizontal
     within fixed_rank.HORIZ_TOL.
     stagnation_tol separates harmless stops at the rounding floor from

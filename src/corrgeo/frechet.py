@@ -231,7 +231,7 @@ def _joint_solve(reps, w, pin, mean, rotations, cfg):
     n, m, k = reps.shape
     model, retract = _joint_model(reps, w, pin)
     x0 = np.concatenate([mean, rotations.reshape(n * k, k)])[None]
-    x, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
+    x, loss, gn, it, conv, stag, clamped, _ = _trust_region(model, retract, x0, cfg)
     mean, rotations = x[0, :m], x[0, m:].reshape(n, k, k)
     clamped_rows = ()
     if clamped[0]:

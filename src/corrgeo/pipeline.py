@@ -254,7 +254,11 @@ class SubjectData:
 
 @dataclass
 class PairReport:
-    """Convergence diagnostics of one pairwise distance."""
+    """Convergence diagnostics of one pairwise distance.
+
+    restarts_used counts the rotation search's starts, retired those of
+    them that left early (see quotient_space.AlignmentResult).
+    """
 
     subject_a: str
     subject_b: str
@@ -264,6 +268,7 @@ class PairReport:
     iterations: int
     converged: bool
     restarts_used: int
+    retired: int
     stagnated: bool
 
 
@@ -374,6 +379,7 @@ def pairwise_distances(
                 iterations=r.iterations,
                 converged=r.converged,
                 restarts_used=r.restarts_used,
+                retired=r.retired,
                 stagnated=r.stagnated,
             )
         )

@@ -13,7 +13,8 @@ retraction. It solves a stack of independent problems in lockstep (all
 rows of a row mean, all starts of all pairs of a stack of alignments): per
 iteration one truncated-CG solve of the trust-region subproblems, one
 retraction and one model evaluation for the whole stack; a member that
-finishes drops out of the stack. No
+finishes drops out of the stack, and a start of a rotation search also
+leaves early when a sibling start of its pair makes it redundant. No
 Hessian matrix is formed: a member holds its model's data, never K x K
 floats for K tangent coordinates.
 """
@@ -33,6 +34,9 @@ GRAD_FACTOR_CAP = 1e8
 ANTIPODAL_GUARD = 1e-6
 # iteration cap of every trust-region solve
 MAX_ITERS = 500
+# Frobenius distance from a sibling start's converged point within which a
+# rotation-search start at no lower loss is retired (see _trust_region)
+RETIRE_RADIUS = 1e-3
 
 
 def check_unit_rows(X, name="X") -> np.ndarray:
@@ -329,7 +333,7 @@ def _truncated_cg(H, g, gn, radius):
     return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
 
 
-def _trust_region(model, retract, x, cfg: SolverConfig):
+def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None):
     """Riemannian trust-region Newton method with truncated-CG steps.
 
     Solves a stack of independent problems in lockstep: x holds one
@@ -345,6 +349,20 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     state are each member's own, and a member that stops leaves the active
     set, so every member follows the iterates it would follow alone.
 
+    pairs, when given, holds per member the id (a nonnegative integer) of
+    the pair whose rotation search it starts; members of one pair minimize one loss, and the
+    pair's answer is its lowest loss over the members that were not
+    retired. A member is retired (leaves the active set early) only
+    because of a sibling of its own pair: before its first iteration when
+    its start has clamped rows and a sibling's has none (at antipodal rows
+    the capped factor leaves a gradient of order 1e-8 and curvatures of
+    order -1e8, and the radius shrinks and regrows for about 30
+    iterations), and after any iteration once it lies within Frobenius
+    distance RETIRE_RADIUS of a sibling that has stopped with grad_norm <=
+    cfg.grad_tol, at a loss not below that sibling's. Pairs never
+    interact, so a pair follows the iterates it would follow in a stack of
+    its own.
+
     Steps are accepted on the ratio of actual to predicted decrease. Once
     the predicted decrease is below the rounding level of the loss, loss
     differences carry no information; from there a step is accepted only if
@@ -354,9 +372,10 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     rounding level on the way. No member runs more than MAX_ITERS iterations.
 
     Returns per-member arrays (x, loss, grad_norm, iterations, converged,
-    stagnated, clamped_any): converged means grad_norm <= cfg.grad_tol,
-    stagnated that the trust region collapsed with the gradient still above
-    it.
+    stagnated, clamped_any, retired): converged means grad_norm <=
+    cfg.grad_tol, stagnated that the trust region collapsed with the
+    gradient still above it; a retired member's arrays hold the point where
+    it left.
     """
     x = np.array(x, dtype=float)
     size = x.shape[0]
@@ -365,7 +384,14 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
     clamped_any = np.any(clamped, axis=1)
     radius = np.ones(size)
     stagnated = np.zeros(size, dtype=bool)
-    done = np.zeros(size, dtype=bool)
+    retired = np.zeros(size, dtype=bool)
+    if pairs is not None:
+        pairs = np.asarray(pairs)
+        clean = np.bincount(pairs[~clamped_any], minlength=pairs.max() + 1)
+        retired = clamped_any & (clean[pairs] > 0)
+    # (live member, sibling that stopped converged), checked every iteration
+    couples = np.zeros((2, 0), dtype=int)
+    done = retired.copy()
     it = np.zeros(size, dtype=int)
     floor = 100.0 * np.finfo(float).eps
     while not done.all():
@@ -397,9 +423,37 @@ def _trust_region(model, retract, x, cfg: SolverConfig):
             x[acc], loss[acc], gn[acc] = x_new[take], loss_new[take], gn_new[take]
             g[acc], H[acc] = g_new[take], H_new[take]
             clamped_any[acc] |= np.any(clamped_new[take], axis=1)
-        done[act] = stop | (floored & (gn[act] <= cfg.grad_tol))
-        done[act] |= it[act] >= MAX_ITERS
-    return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped_any
+        conv = gn[act] <= cfg.grad_tol
+        stopped = stop | (floored & conv) | (it[act] >= MAX_ITERS)
+        done[act] = stopped
+        # couple the members that stopped converged with their pairs' live
+        # members, and retire those within RETIRE_RADIUS at no lower loss
+        if pairs is not None and stopped.any():
+            couples = couples[:, ~done[couples[0]]]
+            if (stopped & conv).any():
+                couples = np.hstack([couples, _siblings(pairs, ~done, act[stopped & conv])])
+        if couples.size:
+            i, j = couples
+            d = (x[i] - x[j]).reshape(i.size, -1)
+            near = i[(np.einsum("ij,ij->i", d, d) <= RETIRE_RADIUS**2) & (loss[i] >= loss[j])]
+            if near.size:
+                retired[near] = done[near] = True
+                couples = couples[:, ~done[couples[0]]]
+    return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped_any, retired
+
+
+def _siblings(pairs, live, anchors):
+    """The couples (i, j) of a live member i and one of the anchors j of its pair, as a 2 x n array.
+
+    Matched by sorting the anchors' pair ids, so the work is the number of
+    members plus the number of couples.
+    """
+    i = np.flatnonzero(live)
+    a = anchors[np.argsort(pairs[anchors], kind="stable")]
+    lo = np.searchsorted(pairs[a], pairs[i], "left")
+    count = np.searchsorted(pairs[a], pairs[i], "right") - lo
+    j = a[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+    return np.stack([np.repeat(i, count), j])
 
 
 def _tangent_basis(x):
@@ -477,7 +531,7 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG):
     n0 = np.linalg.norm(x0, axis=1)[:, None]
     x0 = np.where(n0 < 1e-8, clouds[:, 0], x0 / np.maximum(n0, 1e-8))
     model, retract = _row_mean_model(clouds, w)
-    mean, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
+    mean, loss, gn, it, conv, stag, clamped, _ = _trust_region(model, retract, x0, cfg)
     report = SolverReport(
         converged=bool(conv.all()),
         iterations=int(it.max()),

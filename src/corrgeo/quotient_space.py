@@ -11,9 +11,14 @@ orbit_log share one search of the unordered pair (the random starts and
 their transposes), so they agree bit for bit and cost the same. One solve
 takes all starts of all pairs of a batch (a cohort, a mean's samples) as
 one lockstep stack, a large batch in chunks of whole pairs under a fixed
-memory budget; align is the batch of one pair. Only the Frechet mean's
-final alignment stack runs the ordered search, warm-started from each
-sample's rotation in the joint mean solve.
+memory budget; align is the batch of one pair. A start that cannot change
+its pair's answer is retired early: one whose start has antipodal
+(clamped) rows while a sibling start has none, and one that comes within
+product_sphere.RETIRE_RADIUS of a sibling's converged rotation at no lower
+loss. A retired start never wins, and pairs never interact, so batching
+moves no number. Only the Frechet mean's final alignment stack runs the
+ordered search, warm-started from each sample's rotation in the joint
+mean solve.
 
 Logs and exponentials act row by row on representatives; horizontality is
 measured with fixed_rank's formulas. Rank along a geodesic is read from
@@ -87,7 +92,8 @@ class AlignmentResult:
 
     rotation is the minimizing O, aligned the equivalent second
     representative Y O^T, so the product-sphere distance from X to aligned
-    is sqrt(loss).
+    is sqrt(loss). restarts_used counts the search's starts, retired those
+    of them that left early because a sibling start made them redundant.
     """
 
     rotation: np.ndarray
@@ -97,6 +103,7 @@ class AlignmentResult:
     iterations: int
     converged: bool
     restarts_used: int
+    retired: int
     stagnated: bool = False
     clamped_rows: tuple = ()
 
@@ -201,8 +208,8 @@ def _random_starts(k, restarts, seed):
 # build it) plus its rows, k x k blocks and truncated-CG vectors;
 # _align_batch solves a batch in chunks of whole pairs within this budget
 # (peak memory a small multiple of 8 bytes times it), so memory stays flat
-# in the number of pairs. Members never interact, so the chunking moves no
-# number.
+# in the number of pairs. Pairs never interact (a start is retired only
+# because of its own pair's starts), so the chunking moves no number.
 _STACK_FLOATS = 2**20
 
 
@@ -218,9 +225,14 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
     factor), the cfg.restarts - 1 seeded random rotations, then the pair's
     extra starts extra[p]. The batch is cut into chunks of whole pairs
     within _STACK_FLOATS, and each chunk is one lockstep trust-region
-    solve; members never interact, so each pair follows the iterates it
-    would follow alone. Per pair the first lowest loss wins and
-    restarts_used counts its starts. Returns one AlignmentResult per pair.
+    solve with the starts' pair ids. A start is retired early only because
+    of a sibling start of its pair (_trust_region): a start with clamped
+    (antipodal) rows beside a sibling without any, before it iterates, and
+    a start within product_sphere.RETIRE_RADIUS of a sibling's converged
+    rotation at no lower loss. Pairs never interact, so each pair follows the iterates it
+    would follow alone. Per pair the first lowest loss over the starts not
+    retired wins, restarts_used counts every start and retired those that
+    left early. Returns one AlignmentResult per pair.
     """
     P, m, k = Xs.shape
     rand = _random_starts(k, cfg.restarts, cfg.seed)
@@ -239,10 +251,13 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
             axis=1,
         )
         model, retract = _alignment_model(np.repeat(Xc, R, axis=0), np.repeat(Yc, R, axis=0))
-        O, loss, gn, it, conv, stag, clamped = _trust_region(
-            model, retract, starts.reshape(n * R, k, k), cfg
+        O, loss, gn, it, conv, stag, clamped, retired = _trust_region(
+            model, retract, starts.reshape(n * R, k, k), cfg, np.repeat(np.arange(n), R)
         )
-        for p, b in enumerate(R * np.arange(n) + np.argmin(loss.reshape(n, R), axis=1)):
+        # a retired start never wins, ties included
+        best = np.argmin(np.where(retired, np.inf, loss).reshape(n, R), axis=1)
+        left = retired.reshape(n, R).sum(axis=1)
+        for p, b in enumerate(R * np.arange(n) + best):
             clamped_rows = ()
             if clamped[b]:
                 c, th = _row_angles(Xc[p] @ O[b], Yc[p])
@@ -256,6 +271,7 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
                     iterations=int(it[b]),
                     converged=bool(conv[b]),
                     restarts_used=R,
+                    retired=int(left[p]),
                     stagnated=bool(stag[b]),
                     clamped_rows=clamped_rows,
                 )

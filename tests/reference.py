@@ -11,7 +11,8 @@ so(k), for the Hessian-vector products to be checked against. The Frechet
 mean is also kept in its alternating per-pair form (Gower's generalized
 Procrustes loop: one rotation search per pair and per sample, then the
 rotations-fixed row means), which the package's joint solve must match or
-beat.
+beat, and the rotation search in its form without early retirement, every
+start iterated to its own stop.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.errors import AntipodalLogarithm, InvalidInput, RetractionFailure
-from corrgeo.kernels import RANK_RELATIVE, qf
+from corrgeo.kernels import RANK_RELATIVE, procrustes, qf
 from corrgeo.product_sphere import (
     ANTIPODAL_GUARD,
     SMALL_ANGLE,
@@ -33,7 +34,15 @@ from corrgeo.product_sphere import (
     check_unit_rows,
     ps_frechet_fixed,
 )
-from corrgeo.quotient_space import _align_batch, _align_pairs, _gaps, _stays_positive, _zoom
+from corrgeo.quotient_space import (
+    _align_batch,
+    _align_pairs,
+    _alignment_model,
+    _gaps,
+    _random_starts,
+    _stays_positive,
+    _zoom,
+)
 
 # sphere S^{k-1} in R^k ---------------------------------------------------------
 
@@ -288,6 +297,29 @@ def dense_row_mean_hessian(P, w, x):
     egrad = P.T @ (w * coef)
     H = PB.T @ ((w * _angle_factors(c, th)[1])[:, None] * PB)
     return H - (x @ egrad) * np.eye(x.size - 1)
+
+
+# rotation search, every start to its own stop ------------------------------------
+
+
+def align_every_start(X, Y, cfg=DEFAULT_CONFIG):
+    """The rotation search of the unordered pair (X, Y) with no start retired.
+
+    The starts of quotient_space.align in its order (the pair searched in
+    the order of the representatives' bytes: the Procrustes rotation, the
+    seeded random rotations, then their transposes), solved as one
+    trust-region stack without pair ids, so every start iterates to its own
+    stop; the first lowest loss wins. Returns (loss, rotation carrying X
+    onto Y's orbit, lockstep iterations of the stack).
+    """
+    swap = Y.tobytes() < X.tobytes()
+    A, B = (Y, X) if swap else (X, Y)
+    rand = _random_starts(A.shape[1], cfg.restarts, cfg.seed)
+    starts = np.concatenate([procrustes(A, B)[None], rand, np.swapaxes(rand, -1, -2)])
+    model, retract = _alignment_model(np.stack([A] * len(starts)), np.stack([B] * len(starts)))
+    O, loss, _, it, *_ = _trust_region(model, retract, starts, cfg)
+    b = int(np.argmin(loss))
+    return float(loss[b]), O[b].T if swap else O[b], int(it.max())
 
 
 # Frechet mean, one rotation search at a time ------------------------------------

@@ -105,6 +105,8 @@ def test_dist_outputs_and_report(tmp_path, capsys):
     assert doc["k"] == 3
     assert len(doc["pairs"]) == 3
     assert all(p["converged"] for p in doc["pairs"])
+    # every start is counted; the retired ones never win, so one is left
+    assert all(0 <= p["retired"] < p["restarts_used"] for p in doc["pairs"])
     assert doc["wall_seconds"] > 0.0
 
 
@@ -195,7 +197,16 @@ def test_mean_report_lists_per_subject_alignments(tmp_path):
     # the final outer iteration's alignment of every subject to the mean
     assert [a["subject_id"] for a in doc["alignments"]] == doc["subjects"]
     for a in doc["alignments"]:
-        assert set(a) == {"subject_id", "grad_norm", "iterations", "converged", "stagnated"}
+        assert set(a) == {
+            "subject_id",
+            "grad_norm",
+            "iterations",
+            "converged",
+            "restarts_used",
+            "retired",
+            "stagnated",
+        }
+        assert 0 <= a["retired"] < a["restarts_used"]
         assert a["converged"] is True and a["stagnated"] is False
         assert a["grad_norm"] <= DEFAULT_CONFIG.grad_tol
 

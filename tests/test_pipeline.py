@@ -439,6 +439,9 @@ def test_pairwise_deterministic(tmp_path):
     r1 = pairwise_distances(load_manifest(man))
     r2 = pairwise_distances(load_manifest(man))
     assert np.array_equal(r1.distances, r2.distances)
+    assert [(p.restarts_used, p.retired) for p in r1.pair_reports] == [
+        (p.restarts_used, p.retired) for p in r2.pair_reports
+    ]
 
 
 def test_any_stagnation_uses_the_run_tolerance(tmp_path):
@@ -451,6 +454,7 @@ def test_any_stagnation_uses_the_run_tolerance(tmp_path):
         iterations=3,
         converged=False,
         restarts_used=5,
+        retired=0,
         stagnated=True,
     )
     run = DistanceRun(

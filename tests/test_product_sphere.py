@@ -18,7 +18,7 @@ from corrgeo import (
 )
 from corrgeo import frechet
 from corrgeo.config import DEFAULT_CONFIG
-from corrgeo.kernels import procrustes, random_orthogonal
+from corrgeo.kernels import expm, procrustes, random_orthogonal
 from corrgeo.product_sphere import (
     _HessianOp,
     _row_mean_model,
@@ -352,6 +352,26 @@ def test_align_stack_pair_matches_pair_solved_alone():
     assert len(iterations) > 3
 
 
+def test_retirement_never_crosses_pairs():
+    # a rank-1 pair whose two starts both sit on the cut locus (the Procrustes
+    # rotation, and that rotation turned about the target direction) retires
+    # neither and iterates both to the minimum, alone and beside a pair whose
+    # starts are clean: a start is retired only for a sibling of its own pair
+    rng = np.random.default_rng(53)
+    cfg = DEFAULT_CONFIG.with_(restarts=1)
+    X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
+    P = procrustes(X, Y)
+    v = Y[0]
+    turn = expm(np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]))
+    (alone,) = _align_batch(X[None], Y[None], cfg, [[P @ turn]])
+    assert alone.retired == 0 and alone.iterations > 30
+    X2, Y2 = random_point(rng, 6, 3), random_point(rng, 6, 3)
+    extra = [[P @ turn], [random_orthogonal(3, rng)]]
+    r, _ = _align_batch(np.stack([X, X2]), np.stack([Y, Y2]), cfg, extra)
+    assert np.array_equal(r.rotation, alone.rotation) and r.loss == alone.loss
+    assert r.retired == 0
+
+
 def test_align_batch_chunks_match_one_solve(monkeypatch):
     # a batch cut into chunks of whole pairs gives the one-solve results bit
     # for bit, and no chunk exceeds the float budget
@@ -368,9 +388,9 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
 
     sizes = []
 
-    def counted(model, retract, x, cfg):
+    def counted(model, retract, x, cfg, pairs=None):
         sizes.append(len(x))
-        return _trust_region(model, retract, x, cfg)
+        return _trust_region(model, retract, x, cfg, pairs)
 
     monkeypatch.setattr(quotient_space, "_trust_region", counted)
     monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * _member_floats(m, k))
@@ -458,7 +478,7 @@ def test_zero_gradient_member_takes_no_step():
     assert not s[0].any() and pred[0] == 0.0
     assert np.all(np.linalg.norm(s[1:], axis=1) > 0.0) and np.all(pred[1:] > 0.0)
 
-    x, loss, gn, it, conv, stag, _ = _trust_region(model, retract, x0, DEFAULT_CONFIG)
+    x, loss, gn, it, conv, stag, *_ = _trust_region(model, retract, x0, DEFAULT_CONFIG)
     assert np.array_equal(x[0], x0[0])
     assert (loss[0], gn[0], it[0], conv[0], stag[0]) == (0.0, 0.0, 1, True, False)
     assert it[1:].max() > 1
@@ -472,7 +492,7 @@ def test_zero_gradient_member_takes_no_step():
     starts = np.stack([np.eye(k)] + [random_orthogonal(k, rng) for _ in range(3)])
     _, g, _, _ = model(starts, np.arange(4))
     assert not g[0].any() and g[1:].any(axis=1).all()
-    O, loss, gn, it, conv, stag, _ = _trust_region(model, retract, starts, DEFAULT_CONFIG)
+    O, loss, gn, it, conv, stag, *_ = _trust_region(model, retract, starts, DEFAULT_CONFIG)
     assert np.array_equal(O[0], np.eye(k))
     assert (loss[0], gn[0], it[0], conv[0], stag[0]) == (0.0, 0.0, 1, True, False)
     _check_members_solve_alone(lambda sel: model, retract, starts, 0.0)

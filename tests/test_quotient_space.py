@@ -28,10 +28,11 @@ from corrgeo import (
 
 from corrgeo import quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
+from corrgeo.product_sphere import RETIRE_RADIUS, _trust_region
 from corrgeo.quotient_space import _align_pairs, _random_starts
 
 from conftest import counterexample_pair, random_point, random_rank_point, random_tangent
-from reference import dense_first_drop, o2_grid_distance
+from reference import align_every_start, dense_first_drop, o2_grid_distance
 
 HALF_SQRT2_PI = np.pi / np.sqrt(2.0)
 
@@ -119,6 +120,95 @@ def test_align_is_the_search_of_orbit_dist():
         assert np.sqrt(r.loss) == orbit_dist(X, Y)
         assert np.array_equal(align(Y, X).rotation, r.rotation.T)
         assert r.restarts_used == 2 * DEFAULT_CONFIG.restarts - 1
+
+
+def _recording_trust_region(monkeypatch, edit=None):
+    """Wrap the rotation search's solver; returns the list of its outputs.
+
+    edit(out), when given, may change an output before align reads it.
+    """
+    outputs = []
+
+    def recorded(model, retract, x, cfg, pairs=None):
+        out = _trust_region(model, retract, x, cfg, pairs)
+        if edit is not None:
+            edit(out)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(quotient_space, "_trust_region", recorded)
+    return outputs
+
+
+def test_cut_locus_procrustes_start_is_retired(monkeypatch):
+    # two rank-1 factors: the Procrustes start carries one row direction onto
+    # the other, so the rows of opposite sign agreement are antipodal
+    # (clamped). Iterated, that start takes more than 30 lockstep iterations
+    # while the random starts reach the same loss in 2-3; retired, the stack
+    # stops with them
+    rng = np.random.default_rng(0)
+    X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
+    loss, _, iterations = align_every_start(X, Y)
+    assert iterations > 30
+    outputs = _recording_trust_region(monkeypatch)
+    r = align(X, Y)
+    (out,) = outputs
+    assert out[3].max() <= 4
+    assert out[7][0] and r.retired >= 1
+    assert abs(np.sqrt(r.loss) - np.sqrt(loss)) <= 1e-12
+
+
+def test_retired_starts_match_every_start_oracle(monkeypatch):
+    # against the search that iterates every start to its own stop: the
+    # same loss, a winner that was never retired (also when a retired start
+    # ties it exactly), and align(Y, X) still align(X, Y) transposed
+    rng = np.random.default_rng(52)
+    outputs = _recording_trust_region(monkeypatch)
+    retired = 0
+    for m, k in ((4, 2), (8, 2), (6, 3), (10, 4), (10, 10)):
+        ranks = sorted({1, max(1, k // 2), k})
+        for rx in ranks:
+            for ry in ranks:
+                X, Y = random_rank_point(rng, m, k, rx), random_rank_point(rng, m, k, ry)
+                outputs.clear()
+                r = align(X, Y)
+                loss, _, _ = align_every_start(X, Y)
+                assert abs(r.loss - loss) <= 1e-12 * max(1.0, loss)
+                (out,) = outputs
+                O, losses, it, conv, clamped, gone = (out[j] for j in (0, 1, 3, 4, 6, 7))
+                searched = r.rotation.T if Y.tobytes() < X.tobytes() else r.rotation
+                b = [j for j in range(len(O)) if np.array_equal(O[j], searched)]
+                assert b and not gone[b[0]] and losses[b[0]] == r.loss
+                assert r.retired == gone.sum()
+                retired += r.retired
+                # each retirement has its reason in its own pair: a clamped
+                # start beside a clean one, or a converged sibling within
+                # RETIRE_RADIUS at no higher loss
+                anchors = np.flatnonzero(conv & ~gone)
+                for j in np.flatnonzero(gone):
+                    if it[j] == 0:
+                        assert clamped[j] and not clamped.all()
+                    else:
+                        gap = np.linalg.norm(O[anchors] - O[j], axis=(1, 2))
+                        assert np.any((gap <= RETIRE_RADIUS) & (losses[anchors] <= losses[j]))
+                assert np.array_equal(align(Y, X).rotation, r.rotation.T)
+    assert retired > 0
+
+    # an exact tie: every retired start handed the winner's loss, the cut-locus
+    # Procrustes start (the first start) among them
+    rng = np.random.default_rng(0)
+    X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
+    r = align(X, Y)
+
+    def tie(out):
+        loss, gone = out[1], out[7]
+        loss[gone] = loss[~gone].min()
+
+    monkeypatch.undo()
+    outputs = _recording_trust_region(monkeypatch, tie)
+    tied = align(X, Y)
+    assert outputs[0][7][0] and outputs[0][1][0] == tied.loss
+    assert np.array_equal(tied.rotation, r.rotation) and tied.loss == r.loss
 
 
 @pytest.mark.parametrize("fn", [align, orbit_dist, orbit_log])
