@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
 from .errors import InvalidInput
-from .kernels import expm
+from .kernels import cayley
 from .product_sphere import (
     _HessianOp,
     _angle_factors,
@@ -155,7 +155,7 @@ def _joint_model(reps, w, pin):
     orthonormal: each row of M in its tangent basis B_r (as the row means),
     then the so(k) coordinates b_i of every other rotation (as the rotation
     search), m (k-1) + (n-1) K in all; steps retract rows by normalization
-    and rotations by O_i expm(W_i), W_i the skew of b_i.
+    and rotations by O_i cay(W_i) (kernels.cayley), W_i the skew of b_i.
 
     With u_ir the rows of X_i O_i, phi(c) = arccos(c)^2, P_ir = B_r^T u_ir
     and A_i the alignment matrix of (X_i O_i, M), a direction (a, b) moves
@@ -216,7 +216,7 @@ def _joint_model(reps, w, pin):
     def retract(x, s):
         M, O = unpack(x[0])
         O = O.copy()
-        O[free] = O[free] @ expm(_skew(s[0, split:].reshape(-1, K), k))
+        O[free] = O[free] @ cayley(_skew(s[0, split:].reshape(-1, K), k))
         M = _sphere_retract(M, s[0, :split].reshape(m, k - 1))
         return np.concatenate([M, O.reshape(n * k, k)])[None]
 

@@ -3,9 +3,9 @@
 Thin, deterministic wrappers around LAPACK via numpy: symmetric
 eigendecomposition with a fixed ordering and sign convention, the
 sign-corrected thin QR factor, the Procrustes rotation (the polar factor
-of X^T Y, also taken for a whole stack of pairs at once), the exponential
-of a stack of matrices (scaling and squaring with a Pade approximant, in
-real arithmetic), a spectral solver for the symmetric Sylvester system
+of X^T Y, also taken for a whole stack of pairs at once), the Cayley
+transform of a stack of skew matrices (the rotation search's retraction, one
+batched solve), a spectral solver for the symmetric Sylvester system
 E A + A E = W, and tolerance-based numerical rank.
 """
 
@@ -104,49 +104,19 @@ def _polar(M) -> np.ndarray:
     return U @ Vt
 
 
-# Pade [13/13] coefficients b_0..b_13 (Higham 2005), divided by b_0 so that
-# expm(0) solves I X = I and returns the identity exactly
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-]) / 64764752532480000.0
-# largest 1-norm at which the [13/13] approximant is accurate to unit roundoff
-_THETA13 = 5.371920351148152
+def cayley(W) -> np.ndarray:
+    """Cayley transform (I - W/2)^-1 (I + W/2) of a matrix W, or of a stack (..., k, k).
 
-
-def expm(W) -> np.ndarray:
-    """Matrix exponential of a matrix W, or of a stack (..., k, k) of them.
-
-    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM J.
-    Matrix Anal. Appl. 26, 2005): each member is scaled by its own 2^-s,
-    s = max(0, ceil(log2(|W|_1 / theta_13))), the approximant is
-    solve(V - U, V + U) from real matmuls and one batched solve, and then
-    squared s times. Round j squares only the members with s > j, so a
-    member of a stack is bitwise the matrix exponentiated alone.
+    For skew W it is a rotation, exactly I at W = 0, and it agrees with the
+    exponential to second order (I + W + W^2/2 + W^3/4 + ...), which makes
+    O cayley(W) a second-order retraction on O(k) at the cost of one
+    batched solve. Each member is its own LAPACK solve, so a member of a
+    stack is bitwise the matrix transformed alone.
     """
     W = np.asarray(W, dtype=float)
-    k = W.shape[-1]
-    A = W.reshape(-1, k, k)
-    # ceil(log2(x)) is frexp's exponent e, less one when x is exactly 2^(e-1)
-    frac, s = np.frexp(np.abs(A).sum(axis=1).max(axis=1) / _THETA13)
-    s = np.maximum(0, s - (frac == 0.5))
-    A = np.ldexp(A, -s[:, None, None])
-    b = _PADE13
-    eye = np.eye(k)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    # the odd (U) and even (V) parts of the approximant's numerator
-    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-    U = A @ (U + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-    V = V + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye
-    E = np.linalg.solve(V - U, V + U)
-    for j in range(s.max(initial=0)):
-        sq = s > j
-        E[sq] = E[sq] @ E[sq]
-    return E.reshape(W.shape)
+    eye = np.eye(W.shape[-1])
+    half = 0.5 * W
+    return np.linalg.solve(eye - half, eye + half)
 
 
 def sylvester_spd(E, W) -> np.ndarray:

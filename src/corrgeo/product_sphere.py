@@ -34,8 +34,8 @@ GRAD_FACTOR_CAP = 1e8
 ANTIPODAL_GUARD = 1e-6
 # iteration cap of every trust-region solve
 MAX_ITERS = 500
-# Frobenius distance from a sibling start's converged point within which a
-# rotation-search start at no lower loss is retired (see _trust_region)
+# Frobenius distance from a sibling start's converged aligned rows within
+# which a rotation-search start at no lower loss is retired (see _trust_region)
 RETIRE_RADIUS = 1e-3
 
 
@@ -333,7 +333,7 @@ def _truncated_cg(H, g, gn, radius):
     return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
 
 
-def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None):
+def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None, rows=None):
     """Riemannian trust-region Newton method with truncated-CG steps.
 
     Solves a stack of independent problems in lockstep: x holds one
@@ -349,19 +349,23 @@ def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None):
     state are each member's own, and a member that stops leaves the active
     set, so every member follows the iterates it would follow alone.
 
-    pairs, when given, holds per member the id (a nonnegative integer) of
-    the pair whose rotation search it starts; members of one pair minimize one loss, and the
-    pair's answer is its lowest loss over the members that were not
-    retired. A member is retired (leaves the active set early) only
-    because of a sibling of its own pair: before its first iteration when
-    its start has clamped rows and a sibling's has none (at antipodal rows
-    the capped factor leaves a gradient of order 1e-8 and curvatures of
-    order -1e8, and the radius shrinks and regrows for about 30
-    iterations), and after any iteration once it lies within Frobenius
-    distance RETIRE_RADIUS of a sibling that has stopped with grad_norm <=
-    cfg.grad_tol, at a loss not below that sibling's. Pairs never
-    interact, so a pair follows the iterates it would follow in a stack of
-    its own.
+    pairs and rows, when given, hold per member the id (a nonnegative
+    integer) of the pair whose rotation search it starts and the pair's
+    first factor X, whose rows X O the member aligns; members of one pair
+    minimize one loss, and the pair's answer is its lowest loss over the
+    members that were not retired. A member is retired (leaves the active
+    set early) only because of a sibling of its own pair: before its first
+    iteration when its start has clamped rows and a sibling's has none (at
+    antipodal rows the capped factor leaves a gradient of order 1e-8 and
+    curvatures of order -1e8, and the radius shrinks and regrows for about
+    30 iterations), and after any iteration once its aligned rows lie
+    within Frobenius distance RETIRE_RADIUS of those of a sibling that has
+    stopped with grad_norm <= cfg.grad_tol, at a loss not below that
+    sibling's. The distance is |X (O_i - O_j)|_F, not |O_i - O_j|_F: the
+    loss depends on O only through X O, so for a rank-deficient X the
+    minimizers form a continuum of rotations with one set of aligned rows.
+    Pairs never interact, so a pair follows the iterates it would follow in
+    a stack of its own.
 
     Steps are accepted on the ratio of actual to predicted decrease. Once
     the predicted decrease is below the rounding level of the loss, loss
@@ -427,14 +431,15 @@ def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None):
         stopped = stop | (floored & conv) | (it[act] >= MAX_ITERS)
         done[act] = stopped
         # couple the members that stopped converged with their pairs' live
-        # members, and retire those within RETIRE_RADIUS at no lower loss
+        # members, and retire those whose aligned rows come within
+        # RETIRE_RADIUS at no lower loss
         if pairs is not None and stopped.any():
             couples = couples[:, ~done[couples[0]]]
             if (stopped & conv).any():
                 couples = np.hstack([couples, _siblings(pairs, ~done, act[stopped & conv])])
         if couples.size:
             i, j = couples
-            d = (x[i] - x[j]).reshape(i.size, -1)
+            d = (rows[i] @ (x[i] - x[j])).reshape(i.size, -1)
             near = i[(np.einsum("ij,ij->i", d, d) <= RETIRE_RADIUS**2) & (loss[i] >= loss[j])]
             if near.size:
                 retired[near] = done[near] = True

@@ -5,20 +5,21 @@ orthogonal k x k matrix; orbits correspond one-to-one with correlation
 matrices of rank at most k. The quotient distance is the product-sphere
 distance after the best aligning rotation, found by Riemannian
 trust-region Newton iterations on O(k) (closed-form gradient and
-Hessian-vector products, truncated-CG steps, no Hessian matrix) from a
-Procrustes start plus random restarts. align, orbit_dist and
-orbit_log share one search of the unordered pair (the random starts and
-their transposes), so they agree bit for bit and cost the same. One solve
-takes all starts of all pairs of a batch (a cohort, a mean's samples) as
-one lockstep stack, a large batch in chunks of whole pairs under a fixed
-memory budget; align is the batch of one pair. A start that cannot change
-its pair's answer is retired early: one whose start has antipodal
-(clamped) rows while a sibling start has none, and one that comes within
-product_sphere.RETIRE_RADIUS of a sibling's converged rotation at no lower
-loss. A retired start never wins, and pairs never interact, so batching
-moves no number. Only the Frechet mean's final alignment stack runs the
-ordered search, warm-started from each sample's rotation in the joint
-mean solve.
+Hessian-vector products, truncated-CG steps, no Hessian matrix, steps
+retracted by the Cayley transform) from a Procrustes start plus random
+restarts. align, orbit_dist and orbit_log share one search of the
+unordered pair (the random starts and their transposes), so they agree bit
+for bit and cost the same. One solve takes all starts of all pairs of a
+batch (a cohort, a mean's samples) as one lockstep stack, a large batch in
+chunks of whole pairs under a fixed memory budget; align is the batch of
+one pair. A start that cannot change its pair's answer is retired early:
+one whose start has antipodal (clamped) rows while a sibling start has
+none, and one whose aligned rows X O come within
+product_sphere.RETIRE_RADIUS of those of a sibling's converged rotation at
+no lower loss. A retired start never wins, and pairs never interact, so
+batching moves no number. Only the Frechet mean's final alignment stack
+runs the ordered search, warm-started from each sample's rotation in the
+joint mean solve.
 
 Logs and exponentials act row by row on representatives; horizontality is
 measured with fixed_rank's formulas. Rank along a geodesic is read from
@@ -41,7 +42,7 @@ from .fixed_rank import HORIZ_TOL, _vertical_part, horizontality_defect
 from .kernels import (
     RANK_RELATIVE,
     _polar,
-    expm,
+    cayley,
     numerical_rank,
     random_orthogonal,
     rank_threshold,
@@ -116,7 +117,8 @@ def _alignment_model(X, Y):
     members) then evaluates the pairs of the listed members.
     Coordinates w of the skew W = sum_p w_p E_p, with E_p = (e_a e_b^T -
     e_b e_a^T)/sqrt(2) orthonormal for a < b, so coords(M)_p = <E_p, M> =
-    (M_ab - M_ba)/sqrt(2); the retraction is O expm(W). With u_i the rows
+    (M_ab - M_ba)/sqrt(2); the retraction is O cay(W), the Cayley transform
+    (kernels.cayley), second order like O expm(W). With u_i the rows
     of X O and phi(c) = arccos(c)^2: A_ip = u_i^T E_p y_i (so (A d)_i =
     u_i^T W y_i for W the skew of d), g = A^T phi' and H d = A^T (phi'' *
     A d) - coords(W S), S the symmetric part of sum_i phi'(c_i) y_i u_i^T:
@@ -144,7 +146,7 @@ def _alignment_model(X, Y):
         return np.einsum("...i,...i->...", th, th), g, H, clamped
 
     def retract(O, w):
-        return O @ expm(_skew(w, k))
+        return O @ cayley(_skew(w, k))
 
     return model, retract
 
@@ -228,11 +230,12 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
     solve with the starts' pair ids. A start is retired early only because
     of a sibling start of its pair (_trust_region): a start with clamped
     (antipodal) rows beside a sibling without any, before it iterates, and
-    a start within product_sphere.RETIRE_RADIUS of a sibling's converged
-    rotation at no lower loss. Pairs never interact, so each pair follows the iterates it
-    would follow alone. Per pair the first lowest loss over the starts not
-    retired wins, restarts_used counts every start and retired those that
-    left early. Returns one AlignmentResult per pair.
+    a start whose aligned rows come within product_sphere.RETIRE_RADIUS of
+    those of a sibling's converged rotation at no lower loss. Pairs never
+    interact, so each pair follows the iterates it would follow alone. Per
+    pair the first lowest loss over the starts not retired wins,
+    restarts_used counts every start and retired those that left early.
+    Returns one AlignmentResult per pair.
     """
     P, m, k = Xs.shape
     rand = _random_starts(k, cfg.restarts, cfg.seed)
@@ -250,9 +253,10 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
             ],
             axis=1,
         )
-        model, retract = _alignment_model(np.repeat(Xc, R, axis=0), np.repeat(Yc, R, axis=0))
+        rows = np.repeat(Xc, R, axis=0)
+        model, retract = _alignment_model(rows, np.repeat(Yc, R, axis=0))
         O, loss, gn, it, conv, stag, clamped, retired = _trust_region(
-            model, retract, starts.reshape(n * R, k, k), cfg, np.repeat(np.arange(n), R)
+            model, retract, starts.reshape(n * R, k, k), cfg, np.repeat(np.arange(n), R), rows
         )
         # a retired start never wins, ties included
         best = np.argmin(np.where(retired, np.inf, loss).reshape(n, R), axis=1)

@@ -238,7 +238,7 @@ def test_criterion_04_gradient_fidelity():
 
 def test_criterion_04_hessian_fidelity():
     # the closed-form Hessians of the trust-region models against second
-    # differences of the loss along O expm(tW) and along great circles,
+    # differences of the loss along O cay(tW) and along great circles,
     # relative to the Hessian's norm; rank-deficient X included on O(k)
     t0 = time.perf_counter()
     rng = np.random.default_rng(405)

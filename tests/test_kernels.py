@@ -16,7 +16,7 @@ from corrgeo import (
     sym_eig,
     sylvester_spd,
 )
-from corrgeo.kernels import _THETA13, RANK_RELATIVE, expm
+from corrgeo.kernels import RANK_RELATIVE, cayley
 
 from conftest import counterexample_pair
 
@@ -135,7 +135,7 @@ def test_procrustes_shape_mismatch():
         procrustes(np.eye(3), np.eye(2))
 
 
-# expm -----------------------------------------------------------------------
+# cayley ---------------------------------------------------------------------
 
 
 def _skew_stack(rng, n, k, scale):
@@ -145,49 +145,72 @@ def _skew_stack(rng, n, k, scale):
     return W - np.swapaxes(W, -1, -2)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 10, 40])
+def test_cayley_of_zero_is_exactly_the_identity(k):
+    assert np.array_equal(cayley(np.zeros((k, k))), np.eye(k))
+    assert np.array_equal(cayley(np.zeros((3, k, k))), np.broadcast_to(np.eye(k), (3, k, k)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 10, 40])
+def test_cayley_is_a_rotation_on_skew_stacks(k):
+    # the solve's rounding grows with the condition number of I - W/2,
+    # sqrt(1 + |W|_2^2 / 4), so the bound is 1e-14 up to |W|_2 ~ 2 and
+    # relative beyond it
+    rng = np.random.default_rng(k)
+    for scale in (1e-8, 1e-4, 1e-2, 1.0, 10.0, 1e2, 1e3):
+        W = _skew_stack(rng, 12, k, scale)
+        for Wi, Qi in zip(W, cayley(W)):
+            cond = np.sqrt(1.0 + np.linalg.norm(Wi, 2) ** 2 / 4.0)
+            assert np.abs(Qi.T @ Qi - np.eye(k)).max() <= 1e-14 * cond
+            assert np.linalg.det(Qi) > 0.0
+
+
+def test_cayley_stack_members_match_their_lone_transforms():
+    # each member is its own solve, so mixing scales in one stack moves no bit
+    rng = np.random.default_rng(7)
+    for k in (2, 3, 6, 40):
+        W = np.concatenate([_skew_stack(rng, 2, k, s) for s in (1e-8, 1.0, 1e3)])
+        W = W[rng.permutation(len(W))]
+        for Wi, Qi in zip(W, cayley(W)):
+            assert np.array_equal(Qi, cayley(Wi))
+
+
+def test_cayley_turns_the_plane_by_twice_the_half_angle_arctangent():
+    # at k = 2 the skew of theta maps to the rotation by 2 atan(theta / 2)
+    for theta in (1e-8, 1e-3, 0.5, 1.0, 3.0, -0.7, 10.0, -50.0, 1e3):
+        Q = cayley(np.array([[0.0, -theta], [theta, 0.0]]))
+        phi = 2.0 * math.atan(theta / 2.0)
+        turn = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        assert np.abs(Q - turn).max() <= 1e-15
+        assert abs(math.atan2(Q[1, 0], Q[0, 0]) - phi) <= 1e-15
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 10, 40])
 def test_expm_matches_scipy_on_skew_stacks(k):
+    # the Cayley transform is an exponential: cay(W) = expm(2 artanh(W / 2)),
+    # and a skew W = U diag(i theta) U^H has 2 artanh(W / 2) =
+    # U diag(2 i atan(theta / 2)) U^H, a skew generator that scipy's expm
+    # must map to cay(W) at every scale
     rng = np.random.default_rng(k)
-    for scale in (0.0, 1e-8, 1e-3, 0.5, 2.0, 10.0):
+    for scale in (1e-8, 1e-3, 0.5, 2.0, 10.0, 1e3):
         W = _skew_stack(rng, 12, k, scale)
-        Q = expm(W)
-        for Wi, Qi in zip(W, Q):
-            assert np.abs(Qi - scipy.linalg.expm(Wi)).max() <= 1e-12
-            assert np.abs(Qi.T @ Qi - np.eye(k)).max() <= 1e-13
-            assert np.linalg.det(Qi) > 0.0
-            # a stack member is bitwise the matrix exponentiated alone
-            assert np.array_equal(Qi, expm(Wi))
-    assert np.array_equal(expm(np.zeros((k, k))), np.eye(k))
-    assert np.array_equal(expm(np.zeros((3, k, k))), np.broadcast_to(np.eye(k), (3, k, k)))
+        for Wi, Qi in zip(W, cayley(W)):
+            mu, U = np.linalg.eigh(1j * Wi)  # Wi = U diag(-i mu) U^H
+            L = ((U * (-2j * np.arctan(mu / 2.0))) @ U.conj().T).real
+            cond = np.sqrt(1.0 + np.linalg.norm(Wi, 2) ** 2 / 4.0)
+            assert np.abs(Qi - scipy.linalg.expm(L)).max() <= 1e-14 * cond
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 10, 40])
-def test_expm_squaring_matches_scipy_relative_to_the_norm(k):
-    # at these scales the members are scaled down by 2^s and squared back
-    # s times: the error and the loss of orthogonality grow with |W|_1
-    rng = np.random.default_rng(100 + k)
-    for scale in (50.0, 200.0):
-        W = _skew_stack(rng, 6, k, scale)
-        for Wi, Qi in zip(W, expm(W)):
-            norm = max(1.0, np.abs(Wi).sum(axis=0).max())
-            assert np.abs(Qi - scipy.linalg.expm(Wi)).max() <= 1e-12 * norm
-            assert np.abs(Qi.T @ Qi - np.eye(k)).max() <= 1e-13 * norm
-
-
-def test_expm_members_with_different_squarings_match_their_lone_exponentials():
-    # members needing s = 0, 3 and 6 squarings share one stack; each is
-    # squared only its own s times, so it is bitwise its lone exponential
-    rng = np.random.default_rng(7)
-    k = 6
-    W = _skew_stack(rng, 3, k, 1.0)
-    W /= np.abs(W).sum(axis=1).max(axis=1)[:, None, None]
-    W *= np.array([0.5, 6.0, 50.0])[:, None, None] * _THETA13
-    s = [max(0, math.ceil(math.log2(np.abs(Wi).sum(axis=0).max() / _THETA13))) for Wi in W]
-    assert s == [0, 3, 6]
-    Q = expm(W[[2, 0, 1]])[[1, 2, 0]]
-    for Wi, Qi in zip(W, Q):
-        assert np.array_equal(Qi, expm(Wi))
-        assert np.abs(Qi - scipy.linalg.expm(Wi)).max() <= 1e-12 * np.abs(Wi).sum(axis=0).max()
+@pytest.mark.parametrize("k", [2, 3, 4, 10, 40])
+def test_cayley_agrees_with_the_exponential_to_second_order(k):
+    # cay(tW) - expm(tW) = t^3 W^3 / 12 + O(t^4): a second-order retraction
+    rng = np.random.default_rng(200 + k)
+    W = _skew_stack(rng, 1, k, 1.0)[0]
+    W /= np.linalg.norm(W)
+    lead = np.linalg.norm(W @ W @ W) / 12.0
+    for t in (1e-2, 1e-3):
+        err = np.linalg.norm(cayley(t * W) - scipy.linalg.expm(t * W))
+        assert abs(err / t**3 - lead) <= 0.01 * lead
 
 
 # sylvester_spd --------------------------------------------------------------

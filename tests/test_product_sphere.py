@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from corrgeo import (
     AntipodalLogarithm,
@@ -18,7 +19,7 @@ from corrgeo import (
 )
 from corrgeo import frechet
 from corrgeo.config import DEFAULT_CONFIG
-from corrgeo.kernels import expm, procrustes, random_orthogonal
+from corrgeo.kernels import procrustes, random_orthogonal
 from corrgeo.product_sphere import (
     _HessianOp,
     _row_mean_model,
@@ -362,7 +363,7 @@ def test_retirement_never_crosses_pairs():
     X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
     P = procrustes(X, Y)
     v = Y[0]
-    turn = expm(np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]))
+    turn = scipy.linalg.expm(np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]))
     (alone,) = _align_batch(X[None], Y[None], cfg, [[P @ turn]])
     assert alone.retired == 0 and alone.iterations > 30
     X2, Y2 = random_point(rng, 6, 3), random_point(rng, 6, 3)
@@ -388,9 +389,9 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
 
     sizes = []
 
-    def counted(model, retract, x, cfg, pairs=None):
+    def counted(model, retract, x, cfg, pairs=None, rows=None):
         sizes.append(len(x))
-        return _trust_region(model, retract, x, cfg, pairs)
+        return _trust_region(model, retract, x, cfg, pairs, rows)
 
     monkeypatch.setattr(quotient_space, "_trust_region", counted)
     monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * _member_floats(m, k))
@@ -460,7 +461,7 @@ def test_row_mean_hessian_products_match_dense_oracle():
 
 def test_zero_gradient_member_takes_no_step():
     # a member started where its gradient is exactly zero gets an exactly
-    # zero step (no 0/0 in the CG recurrences, which would reach expm as
+    # zero step (no 0/0 in the CG recurrences, which would reach cayley as
     # NaN) and stays put, while the rest of its stack iterates as alone.
     # Row means: row 0's samples and start are all e_0.
     rng = np.random.default_rng(49)

@@ -129,8 +129,8 @@ def _recording_trust_region(monkeypatch, edit=None):
     """
     outputs = []
 
-    def recorded(model, retract, x, cfg, pairs=None):
-        out = _trust_region(model, retract, x, cfg, pairs)
+    def recorded(model, retract, x, cfg, pairs=None, rows=None):
+        out = _trust_region(model, retract, x, cfg, pairs, rows)
         if edit is not None:
             edit(out)
         outputs.append(out)
@@ -144,8 +144,8 @@ def test_cut_locus_procrustes_start_is_retired(monkeypatch):
     # two rank-1 factors: the Procrustes start carries one row direction onto
     # the other, so the rows of opposite sign agreement are antipodal
     # (clamped). Iterated, that start takes more than 30 lockstep iterations
-    # while the random starts reach the same loss in 2-3; retired, the stack
-    # stops with them
+    # while the random starts reach the same loss in at most 5; retired
+    # before its first iteration, it adds none and the stack stops with them
     rng = np.random.default_rng(0)
     X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
     loss, _, iterations = align_every_start(X, Y)
@@ -153,9 +153,36 @@ def test_cut_locus_procrustes_start_is_retired(monkeypatch):
     outputs = _recording_trust_region(monkeypatch)
     r = align(X, Y)
     (out,) = outputs
-    assert out[3].max() <= 4
+    assert out[3].max() == out[3][~out[7]].max() <= 5
     assert out[7][0] and r.retired >= 1
     assert abs(np.sqrt(r.loss) - np.sqrt(loss)) <= 1e-12
+
+
+def test_rank_deficient_pair_retires_on_aligned_rows(monkeypatch):
+    # a first factor of rank 2 at k = 4 leaves the rotation free on the
+    # plane its rows do not span: the loss depends on O only through X O,
+    # so the minimizers form a continuum of rotations with one set of
+    # aligned rows. A later start that converges onto that set at a
+    # rotation far from a converged sibling's is retired, because their
+    # aligned rows agree
+    rng = np.random.default_rng(10)
+    X, Y = random_rank_point(rng, 7, 4, 3), random_rank_point(rng, 7, 4, 2)
+    rows = Y if Y.tobytes() < X.tobytes() else X
+    assert numerical_rank(rows) == 2
+    loss, _, _ = align_every_start(X, Y)
+    outputs = _recording_trust_region(monkeypatch)
+    r = align(X, Y)
+    (out,) = outputs
+    O, it, conv, gone = (out[j] for j in (0, 3, 4, 7))
+    far_apart_same_rows = [
+        np.linalg.norm(O[a] - O[j]) >= 0.1
+        and np.linalg.norm(rows @ (O[a] - O[j])) <= RETIRE_RADIUS
+        for j in np.flatnonzero(gone & (it > 0))
+        for a in np.flatnonzero(conv & ~gone)
+        if a < j
+    ]
+    assert any(far_apart_same_rows) and r.retired >= 1
+    assert abs(r.loss - loss) <= 1e-12 * max(1.0, loss)
 
 
 def test_retired_starts_match_every_start_oracle(monkeypatch):
@@ -182,14 +209,15 @@ def test_retired_starts_match_every_start_oracle(monkeypatch):
                 assert r.retired == gone.sum()
                 retired += r.retired
                 # each retirement has its reason in its own pair: a clamped
-                # start beside a clean one, or a converged sibling within
-                # RETIRE_RADIUS at no higher loss
+                # start beside a clean one, or a converged sibling whose
+                # aligned rows lie within RETIRE_RADIUS at no higher loss
+                rows = Y if Y.tobytes() < X.tobytes() else X
                 anchors = np.flatnonzero(conv & ~gone)
                 for j in np.flatnonzero(gone):
                     if it[j] == 0:
                         assert clamped[j] and not clamped.all()
                     else:
-                        gap = np.linalg.norm(O[anchors] - O[j], axis=(1, 2))
+                        gap = np.linalg.norm(rows @ (O[anchors] - O[j]), axis=(1, 2))
                         assert np.any((gap <= RETIRE_RADIUS) & (losses[anchors] <= losses[j]))
                 assert np.array_equal(align(Y, X).rotation, r.rotation.T)
     assert retired > 0
