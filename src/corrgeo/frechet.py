@@ -19,27 +19,18 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
 from .errors import InvalidInput
-from .kernels import cayley
+from .kernels import cayley, skew_part
 from .product_sphere import (
     _HessianOp,
     _angle_factors,
     _row_angles,
-    _sphere_retract,
-    _tangent_basis,
+    _tangent_part,
     _trust_region,
     angle_grad_coef,
     ps_frechet_fixed,
+    unit_rows,
 )
-from .quotient_space import (
-    OrbitPoint,
-    _align_batch,
-    _align_pairs,
-    _alignment_rows,
-    _dist,
-    _skew,
-    _so_coords,
-    as_orbit,
-)
+from .quotient_space import OrbitPoint, _align_batch, _align_pairs, _dist, as_orbit
 
 # relative loss drop of the final alignment stack below the joint solve's
 # loss beyond which a sample changed basin and the joint solve runs again
@@ -151,45 +142,53 @@ def _joint_model(reps, w, pin):
 
     reps holds the n samples (n, m, k), w their weights. A point is one
     (m + n k) x k matrix, the rows of M above the n rotations, in a stack of
-    one member; the rotation of sample pin is held fixed. Coordinates are
-    orthonormal: each row of M in its tangent basis B_r (as the row means),
-    then the so(k) coordinates b_i of every other rotation (as the rotation
-    search), m (k-1) + (n-1) K in all; steps retract rows by normalization
-    and rotations by O_i cay(W_i) (kernels.cayley), W_i the skew of b_i.
+    one member; the rotation of sample pin is held fixed. A tangent vector
+    has the same layout, flattened: a row a_r orthogonal to M_r per row of
+    the mean (as the row means), then a k x k skew W_i per rotation (as the
+    rotation search), with W_pin = 0; the space has m (k-1) + (n-1) K
+    dimensions. Steps retract rows by normalize(M_r + a_r) and rotations by
+    O_i cay(W_i) (kernels.cayley).
 
-    With u_ir the rows of X_i O_i, phi(c) = arccos(c)^2, P_ir = B_r^T u_ir
-    and A_i the alignment matrix of (X_i O_i, M), a direction (a, b) moves
-    c_ir = u_ir . M_r at first order by t_ir = P_ir . a_r + (A_i b_i)_r.
-    The gradient is sum_i w_i phi' P_ir on row r and w_i A_i^T phi' on
-    O_i, and H (a, b) is
-      row r:  sum_i w_i (phi'' t_ir P_ir + phi' B_r^T W_i^T u_ir) - (M_r . e_r) a_r,
-      O_i:    w_i (A_i^T (phi'' t_i) + coords(sum_r phi' u_ir (B_r a_r)^T - W_i S_i)),
-    with e_r = sum_i w_i phi' u_ir and S_i the symmetric part of sum_r phi'
-    M_r u_ir^T: the row-mean and alignment Hessians plus their cross terms,
-    O(n m k^2) per product.
+    With U_i = X_i O_i, u_ir its rows, phi(c) = arccos(c)^2 and v_ir = u_ir
+    - c_ir M_r the tangent part of u_ir at M_r, a direction (a, W) moves
+    c_ir = u_ir . M_r at first order by t_ir = v_ir . a_r + (U_i W_i)_r .
+    M_r. With e_r = sum_i w_i phi' u_ir, the gradient is e_r - (M_r . e_r)
+    M_r on row r and skew(G_i), G_i = w_i U_i^T diag(phi') M, on O_i, and
+    H (a, W) is
+      row r:  proj_r(sum_i w_i (phi'' t_ir v_ir + phi' (U_i W_i)_r)) - (M_r . e_r) a_r,
+      O_i:    skew(w_i U_i^T diag(phi'' t_i) M + w_i U_i^T diag(phi') a - W_i S_i),
+    with proj_r the projection orthogonal to M_r and S_i = sym(G_i): the
+    row-mean and alignment Hessians plus their cross terms, O(n m k^2) per
+    product from O(n m k + n k^2) floats.
     """
     n, m, k = reps.shape
-    K = k * (k - 1) // 2
+    size, dim = (m + n * k) * k, m * (k - 1) + (n - 1) * (k * (k - 1) // 2)
     free = np.flatnonzero(np.arange(n) != pin)
-    split = m * (k - 1)
 
     def unpack(x):
         return x[:m], x[m:].reshape(n, k, k)
 
-    def product(A, P, B, wU, wcurv, xeg, wS, d):
+    def project(U, M, c, wcoef, wcurv, xeg, wS, d):
+        # the stack's one member, its axis dropped and restored as in product
+        a, W = unpack(d.reshape(-1, k))
+        W = skew_part(W)
+        W[pin] = 0.0
+        return np.concatenate([_tangent_part(M[0], a).ravel(), W.ravel()])[None]
+
+    def product(U, M, c, wcoef, wcurv, xeg, wS, d):
         # one member: drop the stack axis (d may come without it), restore it
-        A, P, B, wU, wcurv, xeg, wS = (v[0] for v in (A, P, B, wU, wcurv, xeg, wS))
-        d = d.reshape(-1)
-        a = d[:split].reshape(m, k - 1)
-        b = np.zeros((n, K))
-        b[free] = d[split:].reshape(-1, K)
-        W = _skew(b, k)
-        v = (B @ a[..., None])[..., 0]
-        ct = wcurv * (np.einsum("irl,rl->ir", P, a) + (A @ b[..., None])[..., 0])
-        uW = (wU @ W).sum(axis=0)
-        hM = np.einsum("ir,irl->rl", ct, P) + (uW[:, None, :] @ B)[:, 0, :] - xeg[:, None] * a
-        hO = (ct[:, None, :] @ A)[:, 0, :] + _so_coords(np.swapaxes(wU, -1, -2) @ v - W @ wS)
-        return np.concatenate([hM.ravel(), hO[free].ravel()])[None]
+        U, M, c, wcoef, wcurv, xeg, wS = (v[0] for v in (U, M, c, wcoef, wcurv, xeg, wS))
+        a, W = unpack(d.reshape(-1, k))
+        V = U - c[..., None] * M
+        UW = U @ W
+        ct = wcurv * (np.einsum("irk,rk->ir", V, a) + np.einsum("irk,rk->ir", UW, M))
+        hM = np.einsum("ir,irk->rk", ct, V) + np.einsum("ir,irk->rk", wcoef, UW)
+        hM = _tangent_part(M, hM) - xeg[:, None] * a
+        G = np.swapaxes(U * ct[..., None], -1, -2) @ M
+        G += np.swapaxes(U * wcoef[..., None], -1, -2) @ a
+        hO = skew_part(G - W @ wS)
+        hO[pin] = 0.0
+        return np.concatenate([hM.ravel(), hO.ravel()])[None]
 
     def model(x, members):  # members: the stack's one member
         M, O = unpack(x[0])
@@ -197,28 +196,25 @@ def _joint_model(reps, w, pin):
         c, th = _row_angles(U, M)
         coef, curv, clamped = _angle_factors(c, th)
         wcoef = w[:, None] * coef
-        B = _tangent_basis(M)
-        P = (U[..., None, :] @ B)[..., 0, :]
-        A = _alignment_rows(U, M)
         wU = U * wcoef[..., None]
-        xeg = np.einsum("rk,rk->r", wU.sum(axis=0), M)
-        wS = np.swapaxes(M * wcoef[..., None], -1, -2) @ U
-        wS = 0.5 * (wS + np.swapaxes(wS, -1, -2))
-        wcurv = w[:, None] * curv
-        state = (v[None] for v in (A, P, B, wU, wcurv, xeg, wS))
-        H = _HessianOp(product, split + free.size * K, *state)
-        gM = np.einsum("ir,irl->rl", wcoef, P)
-        gO = (wcoef[:, None, :] @ A)[free, 0, :]
-        g = np.concatenate([gM.ravel(), gO.ravel()])
+        e = wU.sum(axis=0)
+        xeg = np.einsum("rk,rk->r", e, M)
+        G = np.swapaxes(wU, -1, -2) @ M
+        wS = 0.5 * (G + np.swapaxes(G, -1, -2))
+        gO = skew_part(G)
+        gO[pin] = 0.0
+        state = (v[None] for v in (U, M, c, wcoef, w[:, None] * curv, xeg, wS))
+        H = _HessianOp(product, project, size, dim, *state)
+        g = np.concatenate([_tangent_part(M, e).ravel(), gO.ravel()])
         loss = w @ np.einsum("ir,ir->i", th, th)
         return np.array([loss]), g[None], H, clamped.reshape(1, -1)
 
     def retract(x, s):
         M, O = unpack(x[0])
+        a, W = unpack(s[0].reshape(-1, k))
         O = O.copy()
-        O[free] = O[free] @ cayley(_skew(s[0, split:].reshape(-1, K), k))
-        M = _sphere_retract(M, s[0, :split].reshape(m, k - 1))
-        return np.concatenate([M, O.reshape(n * k, k)])[None]
+        O[free] = O[free] @ cayley(W[free])
+        return np.concatenate([unit_rows(M + a), O.reshape(n * k, k)])[None]
 
     return model, retract
 

@@ -157,9 +157,13 @@ def numerical_rank(A):
 
 
 def skew_part(M) -> np.ndarray:
-    """Skew-symmetric part (M - M^T)/2."""
+    """Skew-symmetric part (M - M^T)/2 of a matrix or of a stack (..., k, k).
+
+    Exactly skew: entry (b, a) is the negation of entry (a, b), and the
+    diagonal is zero.
+    """
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M - M.T)
+    return 0.5 * (M - np.swapaxes(M, -1, -2))
 
 
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:

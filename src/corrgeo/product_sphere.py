@@ -7,16 +7,17 @@ single sphere is the case m = 1: a 1 x k matrix.
 
 Iterative solves in the package (row means here, the rotation search in
 quotient_space, the joint Frechet mean in frechet) share one Riemannian
-trust-region Newton method, fed a closed-form model: loss, gradient in
-orthonormal tangent coordinates and Hessian-vector products, plus a
+trust-region Newton method, fed a closed-form model: loss, gradient and
+Hessian-vector products on ambient tangent vectors (a k-vector orthogonal
+to its row, a flattened k x k skew matrix per rotation), plus a
 retraction. It solves a stack of independent problems in lockstep (all
 rows of a row mean, all starts of all pairs of a stack of alignments): per
 iteration one truncated-CG solve of the trust-region subproblems, one
 retraction and one model evaluation for the whole stack; a member that
 finishes drops out of the stack, and a start of a rotation search also
 leaves early when a sibling start of its pair makes it redundant. No
-Hessian matrix is formed: a member holds its model's data, never K x K
-floats for K tangent coordinates.
+Hessian matrix is formed: a member holds its model's data, never a matrix
+as large as its tangent space squared.
 """
 
 from dataclasses import dataclass
@@ -137,8 +138,20 @@ def ps_project(X, W) -> ProductTangent:
     W = np.asarray(W, dtype=float)
     if W.shape != X.shape:
         raise InvalidInput(f"shape mismatch {W.shape} vs {X.shape}")
-    V = W - np.einsum("ij,ij->i", X, W)[:, None] * X
-    return ProductTangent(X, V)
+    return ProductTangent(X, _tangent_part(X, W))
+
+
+def _tangent_part(x, v):
+    """v minus its components along the unit vectors x (last axis): the rowwise tangent projection.
+
+    Projected twice: one pass leaves a component along x of order eps |v|,
+    large against the result when v is nearly parallel to x (a gradient
+    near a mean, a product's sum of samples); the second pass takes it to
+    order eps times the result.
+    """
+    for _ in range(2):
+        v = v - np.einsum("...k,...k->...", x, v)[..., None] * x
+    return v
 
 
 def ps_metric(U: ProductTangent, V: ProductTangent) -> float:
@@ -245,27 +258,37 @@ class _HessianOp:
     """The model Hessians of a stack of members, applied as products.
 
     state holds per-member arrays along the first axis (no member axis for
-    a single evaluation); product(*state, d) applies each member's Hessian
-    to its coordinate vector d[..., :]. Indexing selects members and
-    assignment overwrites them, as for an array of Hessians. np.asarray
-    densifies the operator with one product per coordinate (size of them).
+    a single evaluation). Vectors are ambient, of length size, and the
+    tangent space has dim dimensions: project(*state, d) projects each
+    member's vector d[..., :] onto its tangent space, and product(*state,
+    d) applies each member's Hessian to its tangent vector d and returns a
+    tangent vector. Indexing selects members and assignment overwrites them,
+    as for an array of Hessians. np.asarray densifies the product after the
+    projection, one per ambient coordinate: a symmetric size x size matrix,
+    the Hessian on the tangent space and zero across it.
     """
 
-    def __init__(self, product, size, *state):
-        self.product, self.size, self.state = product, size, state
+    def __init__(self, product, project, size, dim, *state):
+        self.product, self.project, self.size, self.dim = product, project, size, dim
+        self.state = state
 
     def __matmul__(self, d):
         return self.product(*self.state, d)
 
+    def tangent(self, d):
+        return self.project(*self.state, d)
+
     def __getitem__(self, members):
-        return _HessianOp(self.product, self.size, *(a[members] for a in self.state))
+        state = (a[members] for a in self.state)
+        return _HessianOp(self.product, self.project, self.size, self.dim, *state)
 
     def __setitem__(self, members, other):
         for a, b in zip(self.state, other.state):
             a[members] = b
 
     def __array__(self, dtype=None, copy=None):
-        return np.stack([self @ e for e in np.eye(self.size)], axis=-1).astype(dtype)
+        dense = [self @ self.tangent(e) for e in np.eye(self.size)]
+        return np.stack(dense, axis=-1).astype(dtype)
 
 
 def _truncated_cg(H, g, gn, radius):
@@ -275,16 +298,23 @@ def _truncated_cg(H, g, gn, radius):
     radius[r], starting from s = 0: conjugate gradients until the residual
     is at most |g| min(|g|, 0.1), a direction of nonpositive curvature is
     met, or the step reaches the boundary (then the step ends on it), and at
-    most as many iterations as coordinates. The iterates stay in the Krylov
-    space of g, so flat directions without a gradient component (the
-    stabilizer of a rank-deficient cloud) stay untouched and a zero gradient
-    gives s = 0. Members iterate in lockstep; a member that stops takes zero
+    most H.dim iterations, the dimension of the tangent space (not the
+    length of the ambient vectors, which exact CG would never need). g and
+    the products are tangent, but rounding leaves the search directions a
+    component across the tangent space of order eps |g|, which is large
+    against a direction once the residual has fallen far below g (a
+    boundary step can follow such a direction), so the steps are projected
+    once more (H.tangent) on return. The iterates stay in the Krylov space
+    of g, so flat directions without a gradient component (the stabilizer
+    of a rank-deficient cloud) stay untouched and a zero gradient gives
+    s = 0. Members iterate in lockstep; a member that stops takes zero
     steps from then on, and once half the working set has stopped the set
     shrinks to the members still iterating, so the products skip finished
-    members without indexing on every iteration. Returns the steps and their
-    predicted decreases.
+    members without indexing on every iteration. Returns the steps and
+    their predicted decreases.
     """
     step, Hstep = np.zeros_like(g), np.zeros_like(g)
+    project = H.tangent  # of the whole stack; H shrinks with the working set
     sel = np.arange(len(g))  # the working set's members
     s, Hs, r, p = step.copy(), Hstep.copy(), g.copy(), -g
     # s.s, s.p and p.p follow the CG recurrences, three row sums fewer per
@@ -296,7 +326,7 @@ def _truncated_cg(H, g, gn, radius):
     live = rr > tol2
     r2 = radius * radius
     tiny = np.finfo(float).tiny
-    for _ in range(g.shape[1]):
+    for _ in range(H.dim):
         n_live = np.count_nonzero(live)
         if not n_live:
             break
@@ -330,6 +360,7 @@ def _truncated_cg(H, g, gn, radius):
         pp = rr_new + beta * beta * pp
         rr = rr_new
     step[sel], Hstep[sel] = s, Hs
+    step = project(step)
     return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
 
 
@@ -339,15 +370,16 @@ def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None, rows=None):
     Solves a stack of independent problems in lockstep: x holds one
     starting point per member along its first axis. model(x, members)
     returns (loss, g, H, clamped) for the points x of the listed members
-    (indices into the stack): per member the loss, its gradient in
-    orthonormal coordinates of the tangent space, its Hessian as a
-    _HessianOp (Hessian-vector products only), and which rows had their
-    gradient factor clamped; retract(x, s) maps coordinate steps to the
-    next points. Each iteration takes the steps of the active members from
-    one lockstep Steihaug-Toint truncated CG (_truncated_cg) and their
-    retractions and model evaluations as one stack; radius and stopping
-    state are each member's own, and a member that stops leaves the active
-    set, so every member follows the iterates it would follow alone.
+    (indices into the stack): per member the loss, its Riemannian gradient
+    as a flattened ambient tangent vector, its Hessian as a _HessianOp
+    (Hessian-vector products only), and which rows had their gradient
+    factor clamped; retract(x, s) maps ambient tangent steps to the next
+    points. The metric is the Frobenius product of the ambient vectors.
+    Each iteration takes the steps of the active members from one lockstep
+    Steihaug-Toint truncated CG (_truncated_cg) and their retractions and
+    model evaluations as one stack; radius and stopping state are each
+    member's own, and a member that stops leaves the active set, so every
+    member follows the iterates it would follow alone.
 
     pairs and rows, when given, hold per member the id (a nonnegative
     integer) of the pair whose rotation search it starts and the pair's
@@ -461,51 +493,40 @@ def _siblings(pairs, live, anchors):
     return np.stack([np.repeat(i, count), j])
 
 
-def _tangent_basis(x):
-    """Orthonormal k x (k-1) bases of the tangent spaces at unit vectors x.
-
-    x is a k-vector or a stack (..., k). The columns of the Householder
-    reflection carrying e_0 to -sign(x_0) x, after its first.
-    """
-    v = np.array(x, dtype=float)
-    v[..., 0] += np.copysign(1.0, v[..., 0])
-    vv = np.einsum("...i,...i->...", v, v)
-    outer = v[..., :, None] * v[..., None, 1:]
-    return np.eye(v.shape[-1])[:, 1:] - (2.0 / vv)[..., None, None] * outer
-
-
 def _row_mean_model(P, w):
     """Closed-form trust-region model of weighted spherical means.
 
     P is one n x k cloud or an (m, n, k) stack of clouds, w the weights.
     model(x, members) evaluates the clouds of the listed members (all of P
-    when members is None) at the points x. In coordinates of the tangent
-    basis B at x, g = B^T egrad and H d = (P B)^T (w phi'' * (P B d)) -
-    (x . egrad) d, the Riemannian Hessian of sum_i w_i arccos(p_i . x)^2
-    applied to d; steps retract by normalization.
+    when members is None) at the points x. Tangent vectors at x are
+    k-vectors orthogonal to x. With c_i = p_i . x, v_i = p_i - c_i x the
+    tangent parts of the samples and e = P^T (w phi') the Euclidean gradient
+    of sum_i w_i arccos(c_i)^2, g = e - (x . e) x and, for d projected onto
+    the tangent space, H d = proj_x(V^T (w phi'' * V d)) - (x . e) d, the
+    Riemannian Hessian applied to d. Through V the product is symmetric as
+    written, and it does not cancel the large normal part of a sample near
+    the antipode of x. Steps retract by normalize(x + s).
     """
 
-    def product(PB, wcurv, xeg, d):
-        PBd = (PB @ d[..., None])[..., 0]
-        return ((wcurv * PBd)[..., None, :] @ PB)[..., 0, :] - xeg[..., None] * d
+    def project(V, wcurv, x, xeg, d):
+        return _tangent_part(x, d)
+
+    def product(V, wcurv, x, xeg, d):
+        Vd = wcurv * (V @ d[..., None])[..., 0]
+        return _tangent_part(x, (Vd[..., None, :] @ V)[..., 0, :]) - xeg[..., None] * d
 
     def model(x, members=None):
         Q = P if members is None else P[members]
         c, th = _row_angles(Q, x[..., None, :])
         coef, curv, clamped = _angle_factors(c, th)
-        wc = w * coef
-        PB = Q @ _tangent_basis(x)
-        xeg = np.einsum("...k,...k->...", (wc[..., None, :] @ Q)[..., 0, :], x)
-        H = _HessianOp(product, x.shape[-1] - 1, PB, w * curv, xeg)
-        return (th * th) @ w, (wc[..., None, :] @ PB)[..., 0, :], H, clamped
+        e = ((w * coef)[..., None, :] @ Q)[..., 0, :]
+        xeg = np.einsum("...k,...k->...", e, x)
+        V = Q - c[..., None] * x[..., None, :]
+        k = x.shape[-1]
+        H = _HessianOp(product, project, k, k - 1, V, w * curv, x, xeg)
+        return (th * th) @ w, _tangent_part(x, e), H, clamped
 
-    return model, _sphere_retract
-
-
-def _sphere_retract(x, s):
-    """Unit vectors x (last axis) moved by tangent coordinates s, then normalized."""
-    y = x + (_tangent_basis(x) @ s[..., None])[..., 0]
-    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+    return model, lambda x, s: unit_rows(x + s)
 
 
 def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG):

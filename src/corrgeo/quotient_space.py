@@ -5,16 +5,16 @@ orthogonal k x k matrix; orbits correspond one-to-one with correlation
 matrices of rank at most k. The quotient distance is the product-sphere
 distance after the best aligning rotation, found by Riemannian
 trust-region Newton iterations on O(k) (closed-form gradient and
-Hessian-vector products, truncated-CG steps, no Hessian matrix, steps
-retracted by the Cayley transform) from a Procrustes start plus random
-restarts. align, orbit_dist and orbit_log share one search of the
-unordered pair (the random starts and their transposes), so they agree bit
-for bit and cost the same. One solve takes all starts of all pairs of a
-batch (a cohort, a mean's samples) as one lockstep stack, a large batch in
-chunks of whole pairs under a fixed memory budget; align is the batch of
-one pair. A start that cannot change its pair's answer is retired early:
-one whose start has antipodal (clamped) rows while a sibling start has
-none, and one whose aligned rows X O come within
+Hessian-vector products on k x k skew matrices, truncated-CG steps, no
+Hessian matrix, steps retracted by the Cayley transform) from a Procrustes
+start plus random restarts. align, orbit_dist and orbit_log share one
+search of the unordered pair (the random starts and their transposes), so
+they agree bit for bit and cost the same. One solve takes all starts of
+all pairs of a batch (a cohort, a mean's samples) as one lockstep stack, a
+large batch in chunks of whole pairs under a fixed memory budget; align is
+the batch of one pair. A start that cannot change its pair's answer is
+retired early: one whose start has antipodal (clamped) rows while a
+sibling start has none, and one whose aligned rows X O come within
 product_sphere.RETIRE_RADIUS of those of a sibling's converged rotation at
 no lower loss. A retired start never wins, and pairs never interact, so
 batching moves no number. Only the Frechet mean's final alignment stack
@@ -46,6 +46,7 @@ from .kernels import (
     numerical_rank,
     random_orthogonal,
     rank_threshold,
+    skew_part,
 )
 from .product_sphere import (
     ProductTangent,
@@ -114,85 +115,47 @@ def _alignment_model(X, Y):
 
     X and Y are one pair of m x k representatives, or stacks (R, m, k)
     holding the pair of each member of a trust-region stack; model(O,
-    members) then evaluates the pairs of the listed members.
-    Coordinates w of the skew W = sum_p w_p E_p, with E_p = (e_a e_b^T -
-    e_b e_a^T)/sqrt(2) orthonormal for a < b, so coords(M)_p = <E_p, M> =
-    (M_ab - M_ba)/sqrt(2); the retraction is O cay(W), the Cayley transform
-    (kernels.cayley), second order like O expm(W). With u_i the rows
-    of X O and phi(c) = arccos(c)^2: A_ip = u_i^T E_p y_i (so (A d)_i =
-    u_i^T W y_i for W the skew of d), g = A^T phi' and H d = A^T (phi'' *
-    A d) - coords(W S), S the symmetric part of sum_i phi'(c_i) y_i u_i^T:
-    the Riemannian Hessian applied in O(m k^2 + k^3), from m K + k^2 floats
-    per member. |g| is the Riemannian gradient norm |O skew(O^T G)|_F.
+    members) then evaluates the pairs of the listed members. A step is a
+    k x k skew matrix W, flattened, and the retraction is O cay(W), the
+    Cayley transform (kernels.cayley), second order like O expm(W). With
+    u_i the rows of U = X O, phi(c) = arccos(c)^2 and G = U^T diag(phi') Y,
+    the gradient is skew(G) and, for a skew step W,
+      H W = skew(U^T diag(phi'' * rowsum((U W) o Y)) Y - W S),  S = sym(G),
+    the Riemannian Hessian applied in O(m k^2 + k^3) from U, Y, phi'' and
+    S: 2 m k + m + k^2 floats per member. O skew(G) is the Riemannian
+    gradient, so |g|_F is its norm. The gradient, and every step truncated
+    CG builds from it and the products, is skew bit for bit.
     """
     k = X.shape[-1]
-    K = _so_index(k)[0].size
 
-    def product(A, curv, S, d):
-        Ad = curv * (A @ d[..., None])[..., 0]
-        return (Ad[..., None, :] @ A)[..., 0, :] - _so_coords(_skew(d, k) @ S)
+    def project(U, Y, curv, S, d):
+        return skew_part(d.reshape(*d.shape[:-1], k, k)).reshape(d.shape)
+
+    def product(U, Y, curv, S, d):
+        W = d.reshape(*d.shape[:-1], k, k)
+        v = curv * np.einsum("...ij,...ij->...i", U @ W, Y)
+        return skew_part(np.swapaxes(U * v[..., None], -1, -2) @ Y - W @ S).reshape(d.shape)
 
     def model(O, members=None):
-        # O is one rotation or a stack; members share one pair or index theirs
-        Xm, Ym = (X[members], Y[members]) if X.ndim == 3 else (X, Y)
-        U = Xm @ O
+        # O is one rotation or a stack; members share one pair or index
+        # theirs, and each member's Hessian holds its own copy of its pair
+        if X.ndim == 3:
+            U, Ym = X[members] @ O, Y[members]
+        else:
+            U = X @ O
+            Ym = np.broadcast_to(Y, U.shape).copy()
         c, th = _row_angles(U, Ym)
         coef, curv, clamped = _angle_factors(c, th)
-        A = _alignment_rows(U, Ym)
-        S = np.swapaxes(Ym * coef[..., None], -1, -2) @ U
-        S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        H = _HessianOp(product, K, A, curv, S)
-        g = (coef[..., None, :] @ A)[..., 0, :]
+        G = np.swapaxes(U * coef[..., None], -1, -2) @ Ym
+        S = 0.5 * (G + np.swapaxes(G, -1, -2))
+        H = _HessianOp(product, project, k * k, k * (k - 1) // 2, U, Ym, curv, S)
+        g = skew_part(G).reshape(*G.shape[:-2], k * k)
         return np.einsum("...i,...i->...", th, th), g, H, clamped
 
-    def retract(O, w):
-        return O @ cayley(_skew(w, k))
+    def retract(O, s):
+        return O @ cayley(s.reshape(O.shape))
 
     return model, retract
-
-
-@functools.lru_cache(maxsize=None)
-def _so_index(k):
-    """Index arrays of the orthonormal basis E_p of so(k), built once (read-only).
-
-    Returns (ia, ib, upper, entry, sign): the pairs a < b of E_p, the flat
-    index of E_p's entry +1/sqrt(2), and the gather W.flat = w[entry] *
-    sign that builds the skew of w (zero diagonal).
-    """
-    ia, ib = np.triu_indices(k, 1)
-    upper = ia * k + ib
-    entry = np.zeros(k * k, dtype=int)
-    sign = np.zeros(k * k)
-    entry[upper] = entry[ib * k + ia] = np.arange(ia.size)
-    sign[upper], sign[ib * k + ia] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
-    for a in (ia, ib, upper, entry, sign):
-        a.flags.writeable = False
-    return ia, ib, upper, entry, sign
-
-
-def _skew(w, k):
-    """The k x k skew matrix sum_p w_p E_p of coordinates w (last axis), by one gather."""
-    _, _, _, entry, sign = _so_index(k)
-    return (w.take(entry, axis=-1) * sign).reshape(*w.shape[:-1], k, k)
-
-
-def _so_coords(M):
-    """Coordinates <E_p, M> = (M_ab - M_ba)/sqrt(2) of k x k matrices (last two axes)."""
-    k = M.shape[-1]
-    upper = _so_index(k)[2]
-    # take keeps rows C-contiguous, so row sums of a member do not depend
-    # on the size of its stack
-    M = (M - np.swapaxes(M, -1, -2)).reshape(*M.shape[:-2], k * k)
-    return M.take(upper, axis=-1) / np.sqrt(2.0)
-
-
-def _alignment_rows(U, Y):
-    """The matrix A_ip = u_i^T E_p y_i of the rows of U and Y: (A w)_i = u_i^T W y_i."""
-    ia, ib = _so_index(U.shape[-1])[:2]
-    A = U.take(ia, axis=-1) * Y.take(ib, axis=-1)
-    A -= U.take(ib, axis=-1) * Y.take(ia, axis=-1)
-    A /= np.sqrt(2.0)
-    return A
 
 
 @functools.lru_cache(maxsize=32)
@@ -205,19 +168,20 @@ def _random_starts(k, restarts, seed):
 
 
 # Floats of model data one stacked solve may hold. A member (one start of
-# one pair) holds O(m k^2) floats: the m x K matrix A of its model (in the
-# current and the trial model, the active copy and the temporaries that
-# build it) plus its rows, k x k blocks and truncated-CG vectors;
-# _align_batch solves a batch in chunks of whole pairs within this budget
-# (peak memory a small multiple of 8 bytes times it), so memory stays flat
-# in the number of pairs. Pairs never interact (a start is retired only
+# one pair) holds O(m k + k^2) floats: the rows U and Y of its model (in
+# the current and the trial model and the active copy), the temporaries of
+# an evaluation and a product, its k x k blocks and truncated-CG vectors;
+# _member_floats is within 5% of a stack's traced peak per member at m = k
+# from 10 to 116. _align_batch solves a batch in chunks of whole pairs
+# within this budget (peak memory about 8 bytes times it), so memory stays
+# flat in the number of pairs. Pairs never interact (a start is retired only
 # because of its own pair's starts), so the chunking moves no number.
 _STACK_FLOATS = 2**20
 
 
 def _member_floats(m, k):
     """The floats _STACK_FLOATS charges one member of an m x k alignment stack."""
-    return 3 * m * k * k + 8 * k * k
+    return 12 * m * k + 18 * k * k
 
 
 def _align_batch(Xs, Ys, cfg: SolverConfig, extra):

@@ -6,8 +6,10 @@ independent oracles: the k = 2 distance as a dense scan of the whole
 orthogonal group, gradients from central finite differences, the tiny
 circle mean as an exhaustive angle grid, and the escape-time scan with the
 gap taken at every time of its dense grid. The trust-region models'
-Hessians are kept as dense matrices, built from the K basis matrices of
-so(k), for the Hessian-vector products to be checked against. The Frechet
+Hessians are kept as dense matrices in orthonormal coordinates (the K
+basis matrices of so(k), Householder bases of the row tangent spaces), for
+the models' ambient Hessian-vector products to be checked against through
+those bases. The Frechet
 mean is also kept in its alternating per-pair form (Gower's generalized
 Procrustes loop: one rotation search per pair and per sample, then the
 rotations-fixed row means), which the package's joint solve must match or
@@ -28,7 +30,6 @@ from corrgeo.product_sphere import (
     _angle_factors,
     _row_angles,
     _row_mean_model,
-    _tangent_basis,
     _trust_region,
     angle_grad_coef,
     check_unit_rows,
@@ -262,6 +263,28 @@ def dense_first_drop(X, V, T: float):
 # dense trust-region Hessians ------------------------------------------------------
 
 
+def so_basis(k):
+    """The orthonormal basis E_p = (e_a e_b^T - e_b e_a^T)/sqrt(2), a < b, of so(k), as K x k x k."""
+    ia, ib = np.triu_indices(k, 1)
+    E = np.zeros((ia.size, k, k))
+    E[np.arange(ia.size), ia, ib] = 1.0 / np.sqrt(2.0)
+    E[np.arange(ia.size), ib, ia] = -1.0 / np.sqrt(2.0)
+    return E
+
+
+def _tangent_basis(x):
+    """Orthonormal k x (k-1) bases of the tangent spaces at unit vectors x.
+
+    x is a k-vector or a stack (..., k). The columns of the Householder
+    reflection carrying e_0 to -sign(x_0) x, after its first.
+    """
+    v = np.array(x, dtype=float)
+    v[..., 0] += np.copysign(1.0, v[..., 0])
+    vv = np.einsum("...i,...i->...", v, v)
+    outer = v[..., :, None] * v[..., None, 1:]
+    return np.eye(v.shape[-1])[:, 1:] - (2.0 / vv)[..., None, None] * outer
+
+
 def dense_alignment_hessian(X, Y, O):
     """Hessian of the alignment loss at O on O(k) as a dense K x K matrix.
 
@@ -270,11 +293,7 @@ def dense_alignment_hessian(X, Y, O):
     arccos(c)^2: H = A^T diag(phi'') A + [tr(E_p E_q S)], A_ip = u_i^T E_p
     y_i and S the symmetric part of sum_i phi'(c_i) y_i u_i^T.
     """
-    k = X.shape[1]
-    ia, ib = np.triu_indices(k, 1)
-    E = np.zeros((ia.size, k, k))
-    E[np.arange(ia.size), ia, ib] = 1.0 / np.sqrt(2.0)
-    E[np.arange(ia.size), ib, ia] = -1.0 / np.sqrt(2.0)
+    E = so_basis(X.shape[1])
     U = X @ O
     c, th = _row_angles(U, Y)
     coef, _ = angle_grad_coef(c, th)
@@ -286,7 +305,7 @@ def dense_alignment_hessian(X, Y, O):
 
 
 def dense_row_mean_hessian(P, w, x):
-    """Hessian of sum_i w_i arccos(p_i . x)^2 at x in the package's tangent basis.
+    """Hessian of sum_i w_i arccos(p_i . x)^2 at x in the tangent basis _tangent_basis(x).
 
     (P B)^T diag(w phi'') (P B) - (x . egrad) I, as a dense (k-1) x (k-1)
     matrix, with B = _tangent_basis(x).

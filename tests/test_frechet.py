@@ -10,6 +10,7 @@ from corrgeo import (
     orbit_dist,
     ps_exp,
     random_orthogonal,
+    skew_part,
     unit_rows,
 )
 from corrgeo.config import DEFAULT_CONFIG
@@ -274,14 +275,21 @@ def test_joint_model_matches_differences_along_the_retraction():
                 Os = np.stack([random_orthogonal(k, rng) for _ in range(n)])
                 if np.all(_row_angles(reps @ Os, M)[0] >= -1.0 + 1e-3):
                     break
-            model, retract = _joint_model(reps, w, pin=int(rng.integers(n)))
+            pin = int(rng.integers(n))
+            model, retract = _joint_model(reps, w, pin=pin)
             x = np.concatenate([M, Os.reshape(n * k, k)])[None]
             f0, g, H, _ = model(x, [0])
-            assert g.shape == (1, m * (k - 1) + (n - 1) * k * (k - 1) // 2)
+            assert g.shape == (1, (m + n * k) * k)
+            assert H.dim == m * (k - 1) + (n - 1) * k * (k - 1) // 2
             Hd = np.asarray(H)[0]
             scale = np.linalg.norm(Hd, 2)
             assert np.abs(Hd - Hd.T).max() <= 1e-14 * scale
-            d = rng.standard_normal(g.shape[1])
+            # an ambient tangent: rows orthogonal to M, skew blocks, the pinned one zero
+            a = rng.standard_normal((m, k))
+            a -= np.einsum("rk,rk->r", a, M)[:, None] * M
+            W = skew_part(rng.standard_normal((n, k, k)))
+            W[pin] = 0.0
+            d = np.concatenate([a.ravel(), W.ravel()])
             d /= np.linalg.norm(d)
             fp = model(retract(x, h * d[None]), [0])[0][0]
             fm = model(retract(x, -h * d[None]), [0])[0][0]

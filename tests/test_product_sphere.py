@@ -31,8 +31,10 @@ from corrgeo.quotient_space import _align_batch, _align_pairs, _alignment_model,
 
 from conftest import random_point, random_rank_point, random_tangent
 from reference import (
+    _tangent_basis,
     dense_alignment_hessian,
     dense_row_mean_hessian,
+    so_basis,
     sphere_dist,
     sphere_exp,
 )
@@ -416,31 +418,37 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
 # Hessian-vector products --------------------------------------------------------
 
 
-def _product_error(H, D, rng):
-    """Largest relative error of H @ d against the dense D @ d, over random d."""
+def _product_error(H, D, rng, B):
+    """Largest relative error of H @ d against the dense D @ d, over random d.
+
+    D is in the coordinates of the orthonormal basis B (columns) of the
+    tangent space, H acts on ambient vectors: H's coordinate product is
+    B^T H B d.
+    """
     d = rng.standard_normal((4, D.shape[0]))
     scale = np.linalg.norm(D, 2) * np.linalg.norm(d, axis=1)
-    return float(np.max(np.linalg.norm(H @ d - d @ D.T, axis=1) / scale))
+    return float(np.max(np.linalg.norm((H @ (d @ B.T)) @ B - d @ D.T, axis=1) / scale))
 
 
 def test_alignment_hessian_products_match_dense_oracle():
     # H d of the alignment model, one pair and a stack of members, and the
-    # operator densified, against the dense K x K Hessian
+    # operator densified, against the dense K x K Hessian in the basis E_p
     rng = np.random.default_rng(47)
     for k in (2, 3, 5, 8, 12):
         m = k + 3
+        B = so_basis(k).reshape(-1, k * k).T
         for r in sorted({1, max(1, k // 2), k}):
             X = random_rank_point(rng, m, k, r)
             Y = random_point(rng, m, k)
             Os = np.stack([random_orthogonal(k, rng) for _ in range(3)])
             dense = [dense_alignment_hessian(X, Y, O) for O in Os]
             H = _alignment_model(X, Y)[0](Os[0])[2]
-            assert _product_error(H, dense[0], rng) <= 1e-12
-            assert np.abs(np.asarray(H) - dense[0]).max() <= 1e-12 * np.abs(dense[0]).max()
+            assert _product_error(H, dense[0], rng, B) <= 1e-12
+            assert np.abs(B.T @ np.asarray(H) @ B - dense[0]).max() <= 1e-12 * np.abs(dense[0]).max()
             model = _alignment_model(np.stack([X] * 3), np.stack([Y] * 3))[0]
             Hs = model(Os, np.arange(3))[2]
             for j in range(3):
-                assert _product_error(Hs[[j]], dense[j], rng) <= 1e-12
+                assert _product_error(Hs[[j]], dense[j], rng, B) <= 1e-12
 
 
 def test_row_mean_hessian_products_match_dense_oracle():
@@ -454,9 +462,10 @@ def test_row_mean_hessian_products_match_dense_oracle():
         H = model(x, np.arange(m))[2]
         for j in range(m):
             D = dense_row_mean_hessian(clouds[j], w, x[j])
-            assert _product_error(H[[j]], D, rng) <= 1e-12
+            B = _tangent_basis(x[j])
+            assert _product_error(H[[j]], D, rng, B) <= 1e-12
             single = _row_mean_model(clouds[j], w)[0](x[j])[2]
-            assert np.abs(np.asarray(single) - D).max() <= 1e-12 * np.abs(D).max()
+            assert np.abs(B.T @ np.asarray(single) @ B - D).max() <= 1e-12 * np.abs(D).max()
 
 
 def test_zero_gradient_member_takes_no_step():
@@ -499,14 +508,80 @@ def test_zero_gradient_member_takes_no_step():
     _check_members_solve_alone(lambda sel: model, retract, starts, 0.0)
 
 
+def _recorded(model, retract):
+    """model and retract that also record every gradient and every (point, step)."""
+    grads, steps = [], []
+
+    def recorded_model(x, members=None):
+        out = model(x, members)
+        grads.append(out[1])
+        return out
+
+    def recorded_retract(x, s):
+        steps.append((x.copy(), s.copy()))
+        return retract(x, s)
+
+    return recorded_model, recorded_retract, grads, steps
+
+
+def _row_offsets(x, s):
+    """Largest |s_r . x_r| over the rows, relative to the norm of the step."""
+    return np.abs(np.einsum("...k,...k->...", x, s)).max() / np.linalg.norm(s)
+
+
+def test_ambient_iterates_stay_tangent():
+    # the trust-region iterates are ambient tangent vectors: every step and
+    # every gradient of the alignment model is skew bit for bit, row steps
+    # are orthogonal to their rows to 1e-14 relative, and the pinned block of
+    # every joint step is exactly zero; the stacks mix ranks 1, k - 1 and k
+    rng = np.random.default_rng(54)
+    for m, k in ((6, 3), (8, 4), (10, 5)):
+        ranks = sorted({1, k - 1, k})
+        Xs = np.stack([random_rank_point(rng, m, k, r) for r in ranks for _ in range(3)])
+        Ys = np.stack([random_rank_point(rng, m, k, r) for _ in range(3) for r in ranks])
+        starts = np.stack([procrustes(X, Y) for X, Y in zip(Xs, Ys)])
+        model, retract, grads, steps = _recorded(*_alignment_model(Xs, Ys))
+        it = _trust_region(model, retract, starts, DEFAULT_CONFIG)[3]
+        assert it.max() > 3 and len(steps) == it.max()
+        for W in grads + [s for _, s in steps]:
+            W = W.reshape(-1, k, k)
+            assert np.array_equal(W, -np.swapaxes(W, -1, -2))
+
+        # row means of clouds of each rank
+        clouds = np.stack([random_rank_point(rng, 6, k, r) for r in ranks for _ in range(m)])
+        w = rng.uniform(0.5, 2.0, 6)
+        model, retract, grads, steps = _recorded(*_row_mean_model(clouds, w))
+        _trust_region(model, retract, random_point(rng, len(clouds), k), DEFAULT_CONFIG)
+        assert len(steps) > 3
+        for x, s in steps:
+            assert _row_offsets(x, s) <= 1e-14
+
+        # the joint Frechet model, one sample of each rank, sample 0 pinned
+        reps = np.stack([random_rank_point(rng, m, k, r) for r in ranks])
+        n = len(reps)
+        rotations = np.stack([random_orthogonal(k, rng) for _ in range(n)])
+        x0 = np.concatenate([random_point(rng, m, k), rotations.reshape(n * k, k)])[None]
+        model, retract, grads, steps = _recorded(*frechet._joint_model(reps, np.full(n, 1.0 / n), 0))
+        _trust_region(model, retract, x0, DEFAULT_CONFIG)
+        assert len(steps) > 3
+        for x, s in steps:
+            a, W = s[0, : m * k].reshape(m, k), s[0, m * k :].reshape(n, k, k)
+            assert _row_offsets(x[0, :m], a) <= 1e-14
+            assert not W[0].any() and W[1:].any()
+            assert np.array_equal(W, -np.swapaxes(W, -1, -2))
+        for g in grads:
+            W = g[0, m * k :].reshape(n, k, k)
+            assert not W[0].any() and np.array_equal(W, -np.swapaxes(W, -1, -2))
+
+
 def test_model_and_product_memory_at_width_60():
     # the models hold no K x K matrix: at m = k = 60 (K = 1770) a dense
-    # Hessian alone is 25 MB, one evaluation plus one product stays below 5 MB
+    # Hessian alone is 25 MB, one evaluation plus one product stays below 1 MB
     rng = np.random.default_rng(50)
     m = k = 60
     X, Y = random_point(rng, m, k), random_point(rng, m, k)
     O = random_orthogonal(k, rng)
-    d = rng.standard_normal(k * (k - 1) // 2)
+    d = rng.standard_normal(k * k)
     tracemalloc.start()
     try:
         model = _alignment_model(X, Y)[0]
@@ -516,4 +591,25 @@ def test_model_and_product_memory_at_width_60():
     finally:
         tracemalloc.stop()
     assert Hd.shape == g.shape == d.shape
-    assert peak < 5 * 2**20
+    assert peak < 2**20
+
+
+def test_model_and_product_memory_at_the_papers_width():
+    # at the 116 regions of the paper's atlas (K = 6670) an m x K matrix
+    # alone would be 6 MB; the model holds O(m k + k^2) floats, and one
+    # evaluation plus one product stays below 2 MB
+    rng = np.random.default_rng(52)
+    m = k = 116
+    X, Y = random_point(rng, m, k), random_point(rng, m, k)
+    O = random_orthogonal(k, rng)
+    d = rng.standard_normal(k * k)
+    tracemalloc.start()
+    try:
+        model = _alignment_model(X, Y)[0]
+        _, g, H, _ = model(O)
+        Hd = H @ d
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Hd.shape == g.shape == d.shape
+    assert peak < 2 * 2**20
