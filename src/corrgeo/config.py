@@ -74,8 +74,10 @@ class SolverReport:
     iterations is the count actually used (max over rows for row-wise
     solvers), grad_norm the final Riemannian gradient norm (max over rows),
     loss the final objective value.  stagnated marks a collapsed trust
-    region with the gradient still above tolerance.  clamped_rows lists rows where the
-    near-antipodal gradient factor had to be clamped.
+    region with the gradient still above tolerance.  clamped_rows lists, as
+    ints, the rows whose near-antipodal gradient factor is clamped at the
+    returned point (rows of the mean, for the row means and the joint
+    Frechet mean alike).
     """
 
     converged: bool

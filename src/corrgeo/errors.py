@@ -9,10 +9,6 @@ class InvalidInput(CorrGeoError):
     """Argument violates a documented precondition (shape, finiteness, range)."""
 
 
-class RetractionFailure(InvalidInput):
-    """Retraction target is singular or zero and cannot be renormalized."""
-
-
 class SingularSylvester(InvalidInput):
     """Coefficient matrix of the Sylvester system is numerically singular."""
 

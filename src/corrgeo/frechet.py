@@ -26,7 +26,6 @@ from .product_sphere import (
     _row_angles,
     _tangent_part,
     _trust_region,
-    angle_grad_coef,
     ps_frechet_fixed,
     unit_rows,
 )
@@ -159,7 +158,8 @@ def _joint_model(reps, w, pin):
       O_i:    skew(w_i U_i^T diag(phi'' t_i) M + w_i U_i^T diag(phi') a - W_i S_i),
     with proj_r the projection orthogonal to M_r and S_i = sym(G_i): the
     row-mean and alignment Hessians plus their cross terms, O(n m k^2) per
-    product from O(n m k + n k^2) floats.
+    product from O(n m k + n k^2) floats. A row of the mean counts as
+    clamped when any sample's gradient factor is clamped on it.
     """
     n, m, k = reps.shape
     size, dim = (m + n * k) * k, m * (k - 1) + (n - 1) * (k * (k - 1) // 2)
@@ -207,7 +207,7 @@ def _joint_model(reps, w, pin):
         H = _HessianOp(product, project, size, dim, *state)
         g = np.concatenate([_tangent_part(M, e).ravel(), gO.ravel()])
         loss = w @ np.einsum("ir,ir->i", th, th)
-        return np.array([loss]), g[None], H, clamped.reshape(1, -1)
+        return np.array([loss]), g[None], H, clamped.any(axis=0)[None]
 
     def retract(x, s):
         M, O = unpack(x[0])
@@ -229,18 +229,13 @@ def _joint_solve(reps, w, pin, mean, rotations, cfg):
     x0 = np.concatenate([mean, rotations.reshape(n * k, k)])[None]
     x, loss, gn, it, conv, stag, clamped, _ = _trust_region(model, retract, x0, cfg)
     mean, rotations = x[0, :m], x[0, m:].reshape(n, k, k)
-    clamped_rows = ()
-    if clamped[0]:
-        c, th = _row_angles(reps @ rotations, mean)
-        rows = angle_grad_coef(c, th)[1].any(axis=0)
-        clamped_rows = tuple(int(r) for r in np.flatnonzero(rows))
     report = SolverReport(
         converged=bool(conv[0]),
         iterations=int(it[0]),
         grad_norm=float(gn[0]),
         loss=float(loss[0]),
         stagnated=bool(stag[0]),
-        clamped_rows=clamped_rows,
+        clamped_rows=tuple(int(r) for r in np.flatnonzero(clamped[0])),
     )
     return mean, rotations, report
 

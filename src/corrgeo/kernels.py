@@ -2,16 +2,16 @@
 
 Thin, deterministic wrappers around LAPACK via numpy: symmetric
 eigendecomposition with a fixed ordering and sign convention, the
-sign-corrected thin QR factor, the Procrustes rotation (the polar factor
-of X^T Y, also taken for a whole stack of pairs at once), the Cayley
-transform of a stack of skew matrices (the rotation search's retraction, one
-batched solve), a spectral solver for the symmetric Sylvester system
-E A + A E = W, and tolerance-based numerical rank.
+orthogonal polar factor of a stack of matrices (the rotation search's
+Procrustes starts, one batched SVD), the Cayley transform of a stack of
+skew matrices (the rotation search's retraction, one batched solve), a
+spectral solver for the symmetric Sylvester system E A + A E = W,
+tolerance-based numerical rank and Haar-random orthogonal matrices.
 """
 
 import numpy as np
 
-from .errors import InvalidInput, RetractionFailure, SingularSylvester
+from .errors import InvalidInput, SingularSylvester
 from dataclasses import dataclass
 
 RANK_RELATIVE = 1e-8
@@ -59,43 +59,6 @@ def sym_eig(E) -> SymEig:
     signs[signs == 0] = 1.0
     V = V * signs
     return SymEig(values=w, vectors=V)
-
-
-def qf(A) -> np.ndarray:
-    """Q factor of the QR decomposition with positive diagonal of R.
-
-    The sign correction makes the factor unique, so qf is idempotent on
-    orthogonal inputs. Raises RetractionFailure when A is numerically
-    singular (a diagonal entry of R below the rank threshold).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidInput(f"qf expects a matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput("qf input has non-finite entries")
-    Q, R = np.linalg.qr(A)
-    diag = R.diagonal()
-    d = np.abs(diag)
-    if d.size == 0 or d.min() <= rank_threshold(d.max()):
-        raise RetractionFailure("qf target is numerically singular")
-    s = np.where(diag < 0.0, -1.0, 1.0)
-    return Q * s
-
-
-def procrustes(X, Y) -> np.ndarray:
-    """Orthogonal O minimizing ||X O - Y||_F over the full orthogonal group.
-
-    Computed as U V^T from the SVD of X^T Y. Reflections are allowed, so the
-    result may have determinant -1.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
-        raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
-    M = X.T @ Y
-    if not np.all(np.isfinite(M)):
-        raise InvalidInput("procrustes input has non-finite entries")
-    return _polar(M)
 
 
 def _polar(M) -> np.ndarray:
@@ -167,5 +130,10 @@ def skew_part(M) -> np.ndarray:
 
 
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Random orthogonal matrix: sign-corrected QR of a Gaussian draw."""
-    return qf(rng.standard_normal((k, k)))
+    """Random orthogonal matrix: sign-corrected QR of a Gaussian draw.
+
+    The Q factor with each column's sign flipped where R's diagonal is
+    negative, so the draw is Haar distributed.
+    """
+    Q, R = np.linalg.qr(rng.standard_normal((k, k)))
+    return Q * np.where(R.diagonal() < 0.0, -1.0, 1.0)

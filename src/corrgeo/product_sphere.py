@@ -20,11 +20,13 @@ Hessian matrix is formed: a member holds its model's data, never a matrix
 as large as its tangent space squared.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
+from .config import DEFAULT_CONFIG, SolverConfig, SolverReport, is_number
 from .errors import AntipodalLogarithm, InvalidInput
 
 # angles below this use the small-angle branches
@@ -179,9 +181,11 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     """Rowwise exponential map: each row follows its great circle for time t.
 
     Accepts a ProductTangent (base must be X) or a raw m x k matrix of
-    rowwise-tangent velocities.
+    rowwise-tangent velocities; t must be a finite real number.
     """
     X = check_unit_rows(X, "X")
+    if not (is_number(t, -math.inf) and abs(t) <= sys.float_info.max):
+        raise InvalidInput(f"t must be a finite real number, got {t!r}")
     return unit_rows(_great_circles(X, _tangent_vec(X, V), t))
 
 
@@ -364,7 +368,7 @@ def _truncated_cg(H, g, gn, radius):
     return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
 
 
-def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None, rows=None):
+def _trust_region(model, retract, x, cfg: SolverConfig, block=None, rows=None):
     """Riemannian trust-region Newton method with truncated-CG steps.
 
     Solves a stack of independent problems in lockstep: x holds one
@@ -381,23 +385,23 @@ def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None, rows=None):
     member's own, and a member that stops leaves the active set, so every
     member follows the iterates it would follow alone.
 
-    pairs and rows, when given, hold per member the id (a nonnegative
-    integer) of the pair whose rotation search it starts and the pair's
-    first factor X, whose rows X O the member aligns; members of one pair
-    minimize one loss, and the pair's answer is its lowest loss over the
-    members that were not retired. A member is retired (leaves the active
-    set early) only because of a sibling of its own pair: before its first
-    iteration when its start has clamped rows and a sibling's has none (at
-    antipodal rows the capped factor leaves a gradient of order 1e-8 and
-    curvatures of order -1e8, and the radius shrinks and regrows for about
-    30 iterations), and after any iteration once its aligned rows lie
-    within Frobenius distance RETIRE_RADIUS of those of a sibling that has
-    stopped with grad_norm <= cfg.grad_tol, at a loss not below that
-    sibling's. The distance is |X (O_i - O_j)|_F, not |O_i - O_j|_F: the
-    loss depends on O only through X O, so for a rank-deficient X the
-    minimizers form a continuum of rotations with one set of aligned rows.
-    Pairs never interact, so a pair follows the iterates it would follow in
-    a stack of its own.
+    block and rows, when given, make the stack rotation searches: block is
+    the number of consecutive members that start the search of one pair,
+    and rows holds per member the pair's first factor X, whose rows X O the
+    member aligns. Members of one block minimize one loss, and the pair's
+    answer is its lowest loss over the members that were not retired. A
+    member is retired (leaves the active set early) only because of a
+    sibling of its own block: before its first iteration when its start
+    has clamped rows and a sibling's has none (at antipodal rows the capped
+    factor leaves a gradient of order 1e-8 and curvatures of order -1e8,
+    and the radius shrinks and regrows for about 30 iterations), and after
+    any iteration once its aligned rows lie within Frobenius distance
+    RETIRE_RADIUS of those of a sibling that has stopped with grad_norm <=
+    cfg.grad_tol, at a loss not below that sibling's. The distance is
+    |X (O_i - O_j)|_F, not |O_i - O_j|_F: the loss depends on O only
+    through X O, so for a rank-deficient X the minimizers form a continuum
+    of rotations with one set of aligned rows. Blocks never interact, so a
+    pair follows the iterates it would follow in a stack of its own.
 
     Steps are accepted on the ratio of actual to predicted decrease. Once
     the predicted decrease is below the rounding level of the loss, loss
@@ -408,23 +412,21 @@ def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None, rows=None):
     rounding level on the way. No member runs more than MAX_ITERS iterations.
 
     Returns per-member arrays (x, loss, grad_norm, iterations, converged,
-    stagnated, clamped_any, retired): converged means grad_norm <=
+    stagnated, clamped, retired): converged means grad_norm <=
     cfg.grad_tol, stagnated that the trust region collapsed with the
-    gradient still above it; a retired member's arrays hold the point where
-    it left.
+    gradient still above it, clamped the model's clamped rows at the
+    returned point; a retired member's arrays hold the point where it left.
     """
     x = np.array(x, dtype=float)
     size = x.shape[0]
     loss, g, H, clamped = model(x, np.arange(size))
     gn = np.sqrt((g * g).sum(axis=1))
-    clamped_any = np.any(clamped, axis=1)
     radius = np.ones(size)
     stagnated = np.zeros(size, dtype=bool)
     retired = np.zeros(size, dtype=bool)
-    if pairs is not None:
-        pairs = np.asarray(pairs)
-        clean = np.bincount(pairs[~clamped_any], minlength=pairs.max() + 1)
-        retired = clamped_any & (clean[pairs] > 0)
+    if block is not None:
+        dirty = clamped.any(axis=1).reshape(-1, block)
+        retired = (dirty & ~dirty.all(axis=1, keepdims=True)).ravel()
     # (live member, sibling that stopped converged), checked every iteration
     couples = np.zeros((2, 0), dtype=int)
     done = retired.copy()
@@ -453,22 +455,22 @@ def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None, rows=None):
         take = ~stop & (floored | (rho > 0.1))
         acc = act[take]
         if acc.size == size:
-            x, loss, gn, g, H = x_new, loss_new, gn_new, g_new, H_new
-            clamped_any |= np.any(clamped_new, axis=1)
+            x, loss, gn, g, H, clamped = x_new, loss_new, gn_new, g_new, H_new, clamped_new
         elif acc.size:
             x[acc], loss[acc], gn[acc] = x_new[take], loss_new[take], gn_new[take]
-            g[acc], H[acc] = g_new[take], H_new[take]
-            clamped_any[acc] |= np.any(clamped_new[take], axis=1)
+            g[acc], H[acc], clamped[acc] = g_new[take], H_new[take], clamped_new[take]
         conv = gn[act] <= cfg.grad_tol
         stopped = stop | (floored & conv) | (it[act] >= MAX_ITERS)
         done[act] = stopped
-        # couple the members that stopped converged with their pairs' live
-        # members, and retire those whose aligned rows come within
+        # couple the members that stopped converged with the live members of
+        # their blocks, and retire those whose aligned rows come within
         # RETIRE_RADIUS at no lower loss
-        if pairs is not None and stopped.any():
+        if block is not None and stopped.any():
             couples = couples[:, ~done[couples[0]]]
-            if (stopped & conv).any():
-                couples = np.hstack([couples, _siblings(pairs, ~done, act[stopped & conv])])
+            anchors = act[stopped & conv]
+            i = ((anchors - anchors % block)[:, None] + np.arange(block)).ravel()
+            j = np.repeat(anchors, block)
+            couples = np.hstack([couples, np.stack([i, j])[:, ~done[i]]])
         if couples.size:
             i, j = couples
             d = (rows[i] @ (x[i] - x[j])).reshape(i.size, -1)
@@ -476,21 +478,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig, pairs=None, rows=None):
             if near.size:
                 retired[near] = done[near] = True
                 couples = couples[:, ~done[couples[0]]]
-    return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped_any, retired
-
-
-def _siblings(pairs, live, anchors):
-    """The couples (i, j) of a live member i and one of the anchors j of its pair, as a 2 x n array.
-
-    Matched by sorting the anchors' pair ids, so the work is the number of
-    members plus the number of couples.
-    """
-    i = np.flatnonzero(live)
-    a = anchors[np.argsort(pairs[anchors], kind="stable")]
-    lo = np.searchsorted(pairs[a], pairs[i], "left")
-    count = np.searchsorted(pairs[a], pairs[i], "right") - lo
-    j = a[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
-    return np.stack([np.repeat(i, count), j])
+    return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped, retired
 
 
 def _row_mean_model(P, w):
@@ -564,6 +552,6 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG):
         grad_norm=float(gn.max()),
         loss=float(loss.sum()),
         stagnated=bool(stag.any()),
-        clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped)),
+        clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped.any(axis=1))),
     )
     return mean, report

@@ -57,7 +57,6 @@ from .product_sphere import (
     _row_angles,
     _tangent_vec,
     _trust_region,
-    angle_grad_coef,
     check_unit_rows,
     ps_exp,
     ps_log,
@@ -96,6 +95,8 @@ class AlignmentResult:
     representative Y O^T, so the product-sphere distance from X to aligned
     is sqrt(loss). restarts_used counts the search's starts, retired those
     of them that left early because a sibling start made them redundant.
+    clamped_rows lists, as ints, the rows whose near-antipodal gradient
+    factor is clamped at the returned rotation.
     """
 
     rotation: np.ndarray
@@ -189,17 +190,19 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
 
     Per pair the starts are the Procrustes rotation (one batched polar
     factor), the cfg.restarts - 1 seeded random rotations, then the pair's
-    extra starts extra[p]. The batch is cut into chunks of whole pairs
-    within _STACK_FLOATS, and each chunk is one lockstep trust-region
-    solve with the starts' pair ids. A start is retired early only because
-    of a sibling start of its pair (_trust_region): a start with clamped
-    (antipodal) rows beside a sibling without any, before it iterates, and
-    a start whose aligned rows come within product_sphere.RETIRE_RADIUS of
-    those of a sibling's converged rotation at no lower loss. Pairs never
-    interact, so each pair follows the iterates it would follow alone. Per
-    pair the first lowest loss over the starts not retired wins,
-    restarts_used counts every start and retired those that left early.
-    Returns one AlignmentResult per pair.
+    extra starts extra[p], R starts per pair. The batch is cut into chunks
+    of whole pairs within _STACK_FLOATS, and each chunk is one lockstep
+    trust-region solve in blocks of R consecutive starts, one block per
+    pair. A start is retired early only because of a sibling start of its
+    block (_trust_region): a start with clamped (antipodal) rows beside a
+    sibling without any, before it iterates, and a start whose aligned rows
+    come within product_sphere.RETIRE_RADIUS of those of a sibling's
+    converged rotation at no lower loss. Pairs never interact, so each pair
+    follows the iterates it would follow alone. Per pair the first lowest
+    loss over the starts not retired wins, restarts_used counts every start
+    and retired those that left early, and clamped_rows are the solver's
+    clamped rows at the winner's returned rotation. Returns one
+    AlignmentResult per pair.
     """
     P, m, k = Xs.shape
     rand = _random_starts(k, cfg.restarts, cfg.seed)
@@ -220,16 +223,12 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
         rows = np.repeat(Xc, R, axis=0)
         model, retract = _alignment_model(rows, np.repeat(Yc, R, axis=0))
         O, loss, gn, it, conv, stag, clamped, retired = _trust_region(
-            model, retract, starts.reshape(n * R, k, k), cfg, np.repeat(np.arange(n), R), rows
+            model, retract, starts.reshape(n * R, k, k), cfg, R, rows
         )
         # a retired start never wins, ties included
         best = np.argmin(np.where(retired, np.inf, loss).reshape(n, R), axis=1)
         left = retired.reshape(n, R).sum(axis=1)
         for p, b in enumerate(R * np.arange(n) + best):
-            clamped_rows = ()
-            if clamped[b]:
-                c, th = _row_angles(Xc[p] @ O[b], Yc[p])
-                clamped_rows = tuple(np.flatnonzero(angle_grad_coef(c, th)[1]))
             results.append(
                 AlignmentResult(
                     rotation=O[b].copy(),
@@ -241,7 +240,7 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
                     restarts_used=R,
                     retired=int(left[p]),
                     stagnated=bool(stag[b]),
-                    clamped_rows=clamped_rows,
+                    clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped[b])),
                 )
             )
     return results
@@ -509,10 +508,10 @@ def max_full_rank_interval(X, V, t_max_search: float = 10.0):
 
 
 def k_embedding(X, k2: int) -> OrbitPoint:
-    """Embed into a wider quotient by zero-padding columns to width k2."""
+    """Embed into a wider quotient by zero-padding columns to width k2, an integer >= k."""
     Xp = _rep(X)
     k = Xp.shape[1]
-    if k2 < k:
-        raise InvalidInput(f"target width {k2} is below current width {k}")
+    if not is_number(k2, k, Integral):
+        raise InvalidInput(f"target width must be an integer >= current width {k}, got {k2!r}")
     pad = np.zeros((Xp.shape[0], k2 - k))
     return OrbitPoint(np.hstack([Xp, pad]))

@@ -1,7 +1,8 @@
 """Reference computations the tests compare the package against.
 
 Single-vector sphere maps (the m = 1 case of the product_sphere maps,
-written without sharing their code), the QR retraction on O(k), and slow
+written without sharing their code), the sign-corrected QR factor and the
+QR retraction on O(k), the Procrustes rotation, and slow
 independent oracles: the k = 2 distance as a dense scan of the whole
 orthogonal group, gradients from central finite differences, the tiny
 circle mean as an exhaustive angle grid, and the escape-time scan with the
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from corrgeo.config import DEFAULT_CONFIG
-from corrgeo.errors import AntipodalLogarithm, InvalidInput, RetractionFailure
-from corrgeo.kernels import RANK_RELATIVE, procrustes, qf
+from corrgeo.errors import AntipodalLogarithm, InvalidInput
+from corrgeo.kernels import RANK_RELATIVE, rank_threshold
 from corrgeo.product_sphere import (
     ANTIPODAL_GUARD,
     SMALL_ANGLE,
@@ -128,11 +129,48 @@ def sphere_retract(x, v) -> np.ndarray:
     y = x + v
     n = np.linalg.norm(y)
     if n < 1e-12:
-        raise RetractionFailure("retraction target is the origin")
+        raise InvalidInput("retraction target is the origin")
     return y / n
 
 
 # orthogonal group O(k) ----------------------------------------------------------
+
+
+def qf(A) -> np.ndarray:
+    """Q factor of the QR decomposition with positive diagonal of R.
+
+    The sign correction makes the factor unique, so qf is idempotent on
+    orthogonal inputs. Raises InvalidInput when A is numerically singular
+    (a diagonal entry of R below the rank threshold).
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise InvalidInput(f"qf expects a matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput("qf input has non-finite entries")
+    Q, R = np.linalg.qr(A)
+    diag = R.diagonal()
+    d = np.abs(diag)
+    if d.size == 0 or d.min() <= rank_threshold(d.max()):
+        raise InvalidInput("qf target is numerically singular")
+    return Q * np.where(diag < 0.0, -1.0, 1.0)
+
+
+def procrustes(X, Y) -> np.ndarray:
+    """Orthogonal O minimizing ||X O - Y||_F over the full orthogonal group.
+
+    Computed as U V^T from the SVD of X^T Y. Reflections are allowed, so the
+    result may have determinant -1.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape != Y.shape:
+        raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
+    M = X.T @ Y
+    if not np.all(np.isfinite(M)):
+        raise InvalidInput("procrustes input has non-finite entries")
+    U, _, Vt = np.linalg.svd(M)
+    return U @ Vt
 
 
 def og_retract(O, xi) -> np.ndarray:
@@ -327,7 +365,7 @@ def align_every_start(X, Y, cfg=DEFAULT_CONFIG):
     The starts of quotient_space.align in its order (the pair searched in
     the order of the representatives' bytes: the Procrustes rotation, the
     seeded random rotations, then their transposes), solved as one
-    trust-region stack without pair ids, so every start iterates to its own
+    trust-region stack without pair blocks, so every start iterates to its own
     stop; the first lowest loss wins. Returns (loss, rotation carrying X
     onto Y's orbit, lockstep iterations of the stack).
     """

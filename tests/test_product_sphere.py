@@ -19,7 +19,7 @@ from corrgeo import (
 )
 from corrgeo import frechet
 from corrgeo.config import DEFAULT_CONFIG
-from corrgeo.kernels import procrustes, random_orthogonal
+from corrgeo.kernels import random_orthogonal
 from corrgeo.product_sphere import (
     _HessianOp,
     _row_mean_model,
@@ -34,6 +34,7 @@ from reference import (
     _tangent_basis,
     dense_alignment_hessian,
     dense_row_mean_hessian,
+    procrustes,
     so_basis,
     sphere_dist,
     sphere_exp,
@@ -222,6 +223,27 @@ def test_ps_frechet_rejects_bad_weights():
         ps_frechet_fixed([X], [0.0])
 
 
+def test_clamped_rows_are_reported_as_ints():
+    # row 0 of the two samples is antipodal and the other row agrees: the
+    # row mean starts on the first sample's row (the weighted mean is
+    # zero), the joint solve from the first sample with identity rotations,
+    # and a one-start search of two rank-1 factors whose Procrustes start
+    # carries row 1 onto its antipode. Each point has a zero gradient and
+    # the antipodal row clamped, and each report names that row
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    Y = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    _, fixed = ps_frechet_fixed([X, Y], [0.5, 0.5])
+    _, _, joint = frechet._joint_solve(
+        np.stack([X, Y]), np.array([0.5, 0.5]), 0, X, np.stack([np.eye(2)] * 2), DEFAULT_CONFIG
+    )
+    A, B = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])
+    (search,) = _align_pairs([A], [B], DEFAULT_CONFIG.with_(restarts=1))
+    assert fixed.clamped_rows == joint.clamped_rows == (0,)
+    assert search.clamped_rows == (1,)
+    for report in (fixed, joint, search):
+        assert all(type(j) is int for j in report.clamped_rows)
+
+
 # lockstep trust-region stacks ---------------------------------------------------
 
 
@@ -238,7 +260,7 @@ def _check_members_solve_alone(model_of, retract, starts, tol):
         assert np.abs(stack[0][j] - alone[0][0]).max() <= tol
         assert abs(stack[1][j] - alone[1][0]) <= tol
         # iterations, converged, stagnated, clamped
-        assert [a[j] for a in stack[3:]] == [a[0] for a in alone[3:]]
+        assert [a[j].tolist() for a in stack[3:]] == [a[0].tolist() for a in alone[3:]]
     return stack[3].tolist()
 
 

@@ -202,7 +202,8 @@ def test_retired_starts_match_every_start_oracle(monkeypatch):
                 loss, _, _ = align_every_start(X, Y)
                 assert abs(r.loss - loss) <= 1e-12 * max(1.0, loss)
                 (out,) = outputs
-                O, losses, it, conv, clamped, gone = (out[j] for j in (0, 1, 3, 4, 6, 7))
+                O, losses, it, conv, gone = (out[j] for j in (0, 1, 3, 4, 7))
+                clamped = out[6].any(axis=1)
                 searched = r.rotation.T if Y.tobytes() < X.tobytes() else r.rotation
                 b = [j for j in range(len(O)) if np.array_equal(O[j], searched)]
                 assert b and not gone[b[0]] and losses[b[0]] == r.loss
@@ -386,6 +387,20 @@ def test_orbit_exp_and_segment_at_negative_time():
     ang = -0.5 * norms
     expect = np.cos(ang) * X + np.sin(ang) * V.vec / norms
     assert np.abs(seg.point(-0.5) - expect).max() <= 1e-15
+
+
+def test_exponentials_reject_a_non_finite_or_non_real_time():
+    # a non-finite time used to give an all-NaN point (and orbit_exp then
+    # blamed its rep); an integer beyond the float range, a complex or a
+    # string time is no time at all
+    rng = np.random.default_rng(21)
+    X, Y = _nearby_pair(rng, 5, 3, scale=0.8)
+    V = orbit_log(X, Y)
+    seg = GeodesicSegment(start=X, velocity=V, duration=1.0)
+    for t in (np.inf, -np.inf, np.nan, -(10**400), 1j, "1", None):
+        for call in (lambda: ps_exp(X, V, t), lambda: orbit_exp(X, V, t), lambda: seg.point(t)):
+            with pytest.raises(InvalidInput, match="t must be a finite real number"):
+                call()
 
 
 def test_orbit_exp_horizontality_gate():
@@ -588,6 +603,14 @@ def test_k_embedding_basics():
     assert np.array_equal(wide.rep[:, :2], X)
     with pytest.raises(InvalidInput):
         k_embedding(X, 1)
+
+
+def test_k_embedding_rejects_a_non_integer_width():
+    X = random_point(np.random.default_rng(20), 4, 2)
+    for k2 in (3.5, 4.0, "4", np.nan, None, True):
+        with pytest.raises(InvalidInput, match="target width must be an integer"):
+            k_embedding(X, k2)
+    assert k_embedding(X, np.int64(3)).rep.shape == (4, 3)
 
 
 def test_k_embedding_preserves_gram():

@@ -19,7 +19,7 @@ def test_all_names_are_unique_and_resolve():
 
 
 def test_surface_size():
-    assert len(corrgeo.__all__) <= 78
+    assert len(corrgeo.__all__) <= 75
 
 
 def test_solver_config_fields_are_the_settings_callers_set():
