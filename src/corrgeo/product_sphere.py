@@ -14,8 +14,8 @@ retraction. It solves a stack of independent problems in lockstep (all
 rows of a row mean, all starts of all pairs of a stack of alignments): per
 iteration one truncated-CG solve of the trust-region subproblems, one
 retraction and one model evaluation for the whole stack; a member that
-finishes drops out of the stack, and a start of a rotation search also
-leaves early when a sibling start of its pair makes it redundant. No
+finishes drops out of the stack, and the live starts of a rotation search
+leave early when a sibling start certifies the pair's global minimum. No
 Hessian matrix is formed: a member holds its model's data, never a matrix
 as large as its tangent space squared.
 """
@@ -37,9 +37,6 @@ GRAD_FACTOR_CAP = 1e8
 ANTIPODAL_GUARD = 1e-6
 # iteration cap of every trust-region solve
 MAX_ITERS = 500
-# Frobenius distance from a sibling start's converged aligned rows within
-# which a rotation-search start at no lower loss is retired (see _trust_region)
-RETIRE_RADIUS = 1e-3
 
 
 def check_unit_rows(X, name="X") -> np.ndarray:
@@ -248,16 +245,6 @@ def _angle_factors(c, theta):
     return -2.0 * ratio, curv, clamped
 
 
-def angle_grad_coef(c, theta):
-    """Derivative factor of the squared row angle with respect to the cosine.
-
-    Returns (coef, clamped), the gradient factor of _angle_factors and
-    which rows had it capped.
-    """
-    coef, _, clamped = _angle_factors(c, theta)
-    return coef, clamped
-
-
 class _HessianOp:
     """The model Hessians of a stack of members, applied as products.
 
@@ -368,7 +355,7 @@ def _truncated_cg(H, g, gn, radius):
     return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
 
 
-def _trust_region(model, retract, x, cfg: SolverConfig, block=None, rows=None):
+def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None):
     """Riemannian trust-region Newton method with truncated-CG steps.
 
     Solves a stack of independent problems in lockstep: x holds one
@@ -385,23 +372,13 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, rows=None):
     member's own, and a member that stops leaves the active set, so every
     member follows the iterates it would follow alone.
 
-    block and rows, when given, make the stack rotation searches: block is
-    the number of consecutive members that start the search of one pair,
-    and rows holds per member the pair's first factor X, whose rows X O the
-    member aligns. Members of one block minimize one loss, and the pair's
-    answer is its lowest loss over the members that were not retired. A
-    member is retired (leaves the active set early) only because of a
-    sibling of its own block: before its first iteration when its start
-    has clamped rows and a sibling's has none (at antipodal rows the capped
-    factor leaves a gradient of order 1e-8 and curvatures of order -1e8,
-    and the radius shrinks and regrows for about 30 iterations), and after
-    any iteration once its aligned rows lie within Frobenius distance
-    RETIRE_RADIUS of those of a sibling that has stopped with grad_norm <=
-    cfg.grad_tol, at a loss not below that sibling's. The distance is
-    |X (O_i - O_j)|_F, not |O_i - O_j|_F: the loss depends on O only
-    through X O, so for a rank-deficient X the minimizers form a continuum
-    of rotations with one set of aligned rows. Blocks never interact, so a
-    pair follows the iterates it would follow in a stack of its own.
+    block and certify, when given, make the stack rotation searches: each
+    block of consecutive members starts the search of one pair, and
+    certify(loss, g, H) tells which of the listed members provably sit at
+    their loss's global minimum. When a member stops converged and certify
+    accepts it, every live member of its block is retired (leaves the
+    active set), since none can end lower. Blocks never interact, so a pair
+    follows the iterates it would follow in a stack of its own.
 
     Steps are accepted on the ratio of actual to predicted decrease. Once
     the predicted decrease is below the rounding level of the loss, loss
@@ -413,7 +390,8 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, rows=None):
 
     Returns per-member arrays (x, loss, grad_norm, iterations, converged,
     stagnated, clamped, retired): converged means grad_norm <=
-    cfg.grad_tol, stagnated that the trust region collapsed with the
+    cfg.grad_tol with no clamped row (a zero gradient on the cut locus is
+    not a minimum), stagnated that the trust region collapsed with the
     gradient still above it, clamped the model's clamped rows at the
     returned point; a retired member's arrays hold the point where it left.
     """
@@ -424,12 +402,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, rows=None):
     radius = np.ones(size)
     stagnated = np.zeros(size, dtype=bool)
     retired = np.zeros(size, dtype=bool)
-    if block is not None:
-        dirty = clamped.any(axis=1).reshape(-1, block)
-        retired = (dirty & ~dirty.all(axis=1, keepdims=True)).ravel()
-    # (live member, sibling that stopped converged), checked every iteration
-    couples = np.zeros((2, 0), dtype=int)
-    done = retired.copy()
+    done = np.zeros(size, dtype=bool)
     it = np.zeros(size, dtype=int)
     floor = 100.0 * np.finfo(float).eps
     while not done.all():
@@ -462,23 +435,15 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, rows=None):
         conv = gn[act] <= cfg.grad_tol
         stopped = stop | (floored & conv) | (it[act] >= MAX_ITERS)
         done[act] = stopped
-        # couple the members that stopped converged with the live members of
-        # their blocks, and retire those whose aligned rows come within
-        # RETIRE_RADIUS at no lower loss
-        if block is not None and stopped.any():
-            couples = couples[:, ~done[couples[0]]]
-            anchors = act[stopped & conv]
-            i = ((anchors - anchors % block)[:, None] + np.arange(block)).ravel()
-            j = np.repeat(anchors, block)
-            couples = np.hstack([couples, np.stack([i, j])[:, ~done[i]]])
-        if couples.size:
-            i, j = couples
-            d = (rows[i] @ (x[i] - x[j])).reshape(i.size, -1)
-            near = i[(np.einsum("ij,ij->i", d, d) <= RETIRE_RADIUS**2) & (loss[i] >= loss[j])]
-            if near.size:
-                retired[near] = done[near] = True
-                couples = couples[:, ~done[couples[0]]]
-    return x, loss, gn, it, gn <= cfg.grad_tol, stagnated, clamped, retired
+        # converged members in blocks with live members may certify their pair
+        if certify is not None and stopped.any():
+            c = act[stopped & conv]
+            c = c[~clamped[c].any(axis=1) & ~done.reshape(-1, block)[c // block].all(axis=1)]
+            if c.size:
+                b = c[certify(loss[c], g[c], H[c])] // block
+                retired.reshape(-1, block)[b] |= ~done.reshape(-1, block)[b]
+                done |= retired
+    return x, loss, gn, it, (gn <= cfg.grad_tol) & ~clamped.any(axis=1), stagnated, clamped, retired
 
 
 def _row_mean_model(P, w):

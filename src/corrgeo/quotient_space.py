@@ -12,14 +12,13 @@ search of the unordered pair (the random starts and their transposes), so
 they agree bit for bit and cost the same. One solve takes all starts of
 all pairs of a batch (a cohort, a mean's samples) as one lockstep stack, a
 large batch in chunks of whole pairs under a fixed memory budget; align is
-the batch of one pair. A start that cannot change its pair's answer is
-retired early: one whose start has antipodal (clamped) rows while a
-sibling start has none, and one whose aligned rows X O come within
-product_sphere.RETIRE_RADIUS of those of a sibling's converged rotation at
-no lower loss. A retired start never wins, and pairs never interact, so
-batching moves no number. Only the Frechet mean's final alignment stack
-runs the ordered search, warm-started from each sample's rotation in the
-joint mean solve.
+the batch of one pair. The loss is convex on the convex hull of O(k), so
+a converged start without clamped rows can certify from its own model
+that it found the pair's global minimum (_certify); its live siblings
+then retire, since none can end lower. A retired start never wins, and
+pairs never interact, so batching moves no number. Only the Frechet
+mean's final alignment stack runs the ordered search, warm-started from
+each sample's rotation in the joint mean solve.
 
 Logs and exponentials act row by row on representatives; horizontality is
 measured with fixed_rank's formulas. Rank along a geodesic is read from
@@ -94,7 +93,8 @@ class AlignmentResult:
     rotation is the minimizing O, aligned the equivalent second
     representative Y O^T, so the product-sphere distance from X to aligned
     is sqrt(loss). restarts_used counts the search's starts, retired those
-    of them that left early because a sibling start made them redundant.
+    of them that left early because a sibling start certified the pair's
+    global minimum.
     clamped_rows lists, as ints, the rows whose near-antipodal gradient
     factor is clamped at the returned rotation.
     """
@@ -159,6 +159,33 @@ def _alignment_model(X, Y):
     return model, retract
 
 
+# Gap, relative to max(1, loss), up to which _certify accepts a rotation.
+# The computed gap carries rounding of about eps (|tr G| + |G|_*) <= 2 eps
+# sum_i 2 theta_i / sin theta_i, and a stop at gradient norm g (rounding
+# level at a converged stop) adds up to sqrt(k) g: far below 1e-9 at
+# moderate angles, and a certified loss is within 1e-9 relative of the
+# global minimum. Of 300 mixed-rank winners 276 certify at 1e-9 and 271 at
+# 1e-12, which costs the geodesic_rank pool 9% more Hessian products.
+CERTIFY_TOL = 1e-9
+
+
+def _certify(loss, g, H):
+    """Whether each member's rotation provably minimizes its pair's loss.
+
+    phi(c) = arccos(c)^2 is convex, so the loss is convex on the spectral
+    ball, the convex hull of O(k), and lies above its linearization at O:
+    min f >= f(O) - tr G - |G|_*, G = U^T diag(phi') Y (Boyd & Vandenberghe,
+    2004, sec. 5). G is S + skew(G), S = sym(G) from the Hessian's state
+    and g = skew(G); one batched k x k singular-value call gives the gap.
+    Valid only without clamped rows (the solver checks). Returns gap <=
+    CERTIFY_TOL max(1, loss) per member.
+    """
+    S = H.state[3]
+    G = S + g.reshape(S.shape)
+    gap = np.trace(G, axis1=-2, axis2=-1) + np.linalg.svd(G, compute_uv=False).sum(axis=-1)
+    return gap <= CERTIFY_TOL * np.maximum(1.0, loss)
+
+
 @functools.lru_cache(maxsize=32)
 def _random_starts(k, restarts, seed):
     """The restarts - 1 seeded random rotations of every search, built once (read-only)."""
@@ -193,16 +220,12 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
     extra starts extra[p], R starts per pair. The batch is cut into chunks
     of whole pairs within _STACK_FLOATS, and each chunk is one lockstep
     trust-region solve in blocks of R consecutive starts, one block per
-    pair. A start is retired early only because of a sibling start of its
-    block (_trust_region): a start with clamped (antipodal) rows beside a
-    sibling without any, before it iterates, and a start whose aligned rows
-    come within product_sphere.RETIRE_RADIUS of those of a sibling's
-    converged rotation at no lower loss. Pairs never interact, so each pair
-    follows the iterates it would follow alone. Per pair the first lowest
-    loss over the starts not retired wins, restarts_used counts every start
-    and retired those that left early, and clamped_rows are the solver's
-    clamped rows at the winner's returned rotation. Returns one
-    AlignmentResult per pair.
+    pair. A start that stops converged, without clamped rows, at a rotation
+    _certify accepts retires the live starts of its block (_trust_region),
+    so each pair follows the iterates it would follow alone. Per pair the first lowest loss over the starts not retired wins,
+    restarts_used counts every start and retired those that left early,
+    and clamped_rows are the solver's clamped rows at the winner's returned
+    rotation. Returns one AlignmentResult per pair.
     """
     P, m, k = Xs.shape
     rand = _random_starts(k, cfg.restarts, cfg.seed)
@@ -220,10 +243,9 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
             ],
             axis=1,
         )
-        rows = np.repeat(Xc, R, axis=0)
-        model, retract = _alignment_model(rows, np.repeat(Yc, R, axis=0))
+        model, retract = _alignment_model(np.repeat(Xc, R, axis=0), np.repeat(Yc, R, axis=0))
         O, loss, gn, it, conv, stag, clamped, retired = _trust_region(
-            model, retract, starts.reshape(n * R, k, k), cfg, R, rows
+            model, retract, starts.reshape(n * R, k, k), cfg, R, _certify
         )
         # a retired start never wins, ties included
         best = np.argmin(np.where(retired, np.inf, loss).reshape(n, R), axis=1)

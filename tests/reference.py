@@ -32,11 +32,11 @@ from corrgeo.product_sphere import (
     _row_angles,
     _row_mean_model,
     _trust_region,
-    angle_grad_coef,
     check_unit_rows,
     ps_frechet_fixed,
 )
 from corrgeo.quotient_space import (
+    CERTIFY_TOL,
     _align_batch,
     _align_pairs,
     _alignment_model,
@@ -334,11 +334,11 @@ def dense_alignment_hessian(X, Y, O):
     E = so_basis(X.shape[1])
     U = X @ O
     c, th = _row_angles(U, Y)
-    coef, _ = angle_grad_coef(c, th)
+    coef, curv, _ = _angle_factors(c, th)
     A = np.einsum("ia,pab,ib->ip", U, E, Y)
     S = (Y * coef[:, None]).T @ U
     S = 0.5 * (S + S.T)
-    H = A.T @ (_angle_factors(c, th)[1][:, None] * A)
+    H = A.T @ (curv[:, None] * A)
     return H + np.einsum("pab,qbc,ca->pq", E, E, S)
 
 
@@ -349,10 +349,10 @@ def dense_row_mean_hessian(P, w, x):
     matrix, with B = _tangent_basis(x).
     """
     c, th = _row_angles(P, x)
-    coef, _ = angle_grad_coef(c, th)
+    coef, curv, _ = _angle_factors(c, th)
     PB = P @ _tangent_basis(x)
     egrad = P.T @ (w * coef)
-    H = PB.T @ ((w * _angle_factors(c, th)[1])[:, None] * PB)
+    H = PB.T @ ((w * curv)[:, None] * PB)
     return H - (x @ egrad) * np.eye(x.size - 1)
 
 
@@ -377,6 +377,48 @@ def align_every_start(X, Y, cfg=DEFAULT_CONFIG):
     O, loss, _, it, *_ = _trust_region(model, retract, starts, cfg)
     b = int(np.argmin(loss))
     return float(loss[b]), O[b].T if swap else O[b], int(it.max())
+
+
+def align_random_starts(X, Y, starts, cfg=DEFAULT_CONFIG):
+    """The lowest alignment loss of X onto Y from the given rotations, each iterated to its own stop.
+
+    One trust-region stack without pair blocks, so no start is retired.
+    """
+    n = len(starts)
+    model, retract = _alignment_model(np.stack([X] * n), np.stack([Y] * n))
+    return float(_trust_region(model, retract, np.asarray(starts), cfg)[1].min())
+
+
+# alignment certificate, from the factors and the rotation alone -----------------
+
+
+def alignment_gap(X, Y, O):
+    """Alignment loss at the rotation O and the duality gap of its convex relaxation.
+
+    phi(c) = arccos(c)^2 is convex on [-1, 1], so f(P) = sum_i phi(x_i P
+    y_i^T) is convex on the spectral ball |P|_2 <= 1 (the convex hull of
+    O(k)) and lies above its linearization at O there: min over O(k) of f
+    is at least f(O) - gap, gap = tr G + |G|_*, G = (X O)^T diag(phi') Y.
+    Computed from X, Y and O alone, with phi'(c) = -2 arccos(c) / sqrt(1 -
+    c^2) (-2 at c = 1) and no solver state. Returns (loss, gap); the gap is
+    inf when a row is antipodal, where phi' is unbounded.
+    """
+    U = X @ O
+    c = np.clip(np.einsum("ij,ij->i", U, Y), -1.0, 1.0)
+    th = np.arccos(c)
+    sin = np.sqrt(1.0 - c * c)
+    loss = float(th @ th)
+    if np.any((sin == 0.0) & (c < 0.0)):
+        return loss, np.inf
+    dphi = -2.0 * np.divide(th, sin, out=np.ones_like(th), where=sin > 0.0)
+    G = (U * dphi[:, None]).T @ Y
+    return loss, float(np.trace(G) + np.linalg.svd(G, compute_uv=False).sum())
+
+
+def alignment_certified(X, Y, O) -> bool:
+    """Whether alignment_gap certifies O as the global minimum, within CERTIFY_TOL relative."""
+    loss, gap = alignment_gap(X, Y, O)
+    return gap <= CERTIFY_TOL * max(1.0, loss)
 
 
 # Frechet mean, one rotation search at a time ------------------------------------

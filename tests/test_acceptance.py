@@ -36,9 +36,9 @@ from corrgeo import (
 )
 from corrgeo.cli import main as cli_main
 from corrgeo.product_sphere import (
+    _angle_factors,
     _row_angles,
     _row_mean_model,
-    angle_grad_coef,
 )
 from corrgeo.quotient_space import _alignment_model
 
@@ -196,7 +196,7 @@ def test_criterion_04_gradient_fidelity():
             return float(th @ th)
 
         c, th = _row_angles(X @ O, Y)
-        coef, _ = angle_grad_coef(c, th)
+        coef, _, _ = _angle_factors(c, th)
         G = (X * coef[:, None]).T @ Y
         grad = O @ skew_part(O.T @ G)
         basis = skew_basis(O)
@@ -216,7 +216,7 @@ def test_criterion_04_gradient_fidelity():
 
         c = np.clip(P @ x, -1.0, 1.0)
         th = np.arccos(c)
-        coef, _ = angle_grad_coef(c, th)
+        coef, _, _ = _angle_factors(c, th)
         eg = P.T @ (w * coef)
         grad = eg - (x @ eg) * x
         Q = np.linalg.qr(np.hstack([x[:, None], rng.standard_normal((5, 4))]))[0]

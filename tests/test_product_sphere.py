@@ -8,6 +8,7 @@ from corrgeo import (
     AntipodalLogarithm,
     InvalidInput,
     ProductTangent,
+    align,
     check_unit_rows,
     ps_dist,
     ps_exp,
@@ -22,10 +23,10 @@ from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import random_orthogonal
 from corrgeo.product_sphere import (
     _HessianOp,
+    _angle_factors,
     _row_mean_model,
     _truncated_cg,
     _trust_region,
-    angle_grad_coef,
 )
 from corrgeo.quotient_space import _align_batch, _align_pairs, _alignment_model, _member_floats
 
@@ -165,13 +166,13 @@ def test_ps_log_reports_antipodal_rows():
 # gradient factor ----------------------------------------------------------------
 
 
-def test_angle_grad_coef_limit_and_cap():
-    coef, clamped = angle_grad_coef(np.array([1.0]), np.array([0.0]))
+def test_angle_factors_gradient_limit_and_cap():
+    coef, _, clamped = _angle_factors(np.array([1.0]), np.array([0.0]))
     assert coef[0] == -2.0 and not clamped[0]
     # at theta = pi/2 the factor is -2 * (pi/2) / 1 = -pi
-    coef, clamped = angle_grad_coef(np.array([0.0]), np.array([np.pi / 2.0]))
+    coef, _, clamped = _angle_factors(np.array([0.0]), np.array([np.pi / 2.0]))
     assert abs(coef[0] + np.pi) < 1e-14 and not clamped[0]
-    coef, clamped = angle_grad_coef(np.array([-1.0]), np.array([np.pi]))
+    coef, _, clamped = _angle_factors(np.array([-1.0]), np.array([np.pi]))
     assert clamped[0] and np.isfinite(coef[0])
 
 
@@ -229,7 +230,9 @@ def test_clamped_rows_are_reported_as_ints():
     # zero), the joint solve from the first sample with identity rotations,
     # and a one-start search of two rank-1 factors whose Procrustes start
     # carries row 1 onto its antipode. Each point has a zero gradient and
-    # the antipodal row clamped, and each report names that row
+    # the antipodal row clamped, and each report names that row. None is a
+    # minimum (the row means reach pi^2/4 at any point at angle pi/2 from
+    # both rows, the search pi^2/2), so none is reported converged
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     Y = np.array([[-1.0, 0.0], [0.0, 1.0]])
     _, fixed = ps_frechet_fixed([X, Y], [0.5, 0.5])
@@ -237,11 +240,14 @@ def test_clamped_rows_are_reported_as_ints():
         np.stack([X, Y]), np.array([0.5, 0.5]), 0, X, np.stack([np.eye(2)] * 2), DEFAULT_CONFIG
     )
     A, B = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])
-    (search,) = _align_pairs([A], [B], DEFAULT_CONFIG.with_(restarts=1))
+    search = align(A, B, DEFAULT_CONFIG.with_(restarts=1))
     assert fixed.clamped_rows == joint.clamped_rows == (0,)
     assert search.clamped_rows == (1,)
     for report in (fixed, joint, search):
         assert all(type(j) is int for j in report.clamped_rows)
+        assert report.grad_norm <= DEFAULT_CONFIG.grad_tol and not report.converged
+    assert abs(fixed.loss - np.pi**2 / 2) < 1e-12 and abs(joint.loss - np.pi**2 / 2) < 1e-12
+    assert abs(search.loss - np.pi**2) < 1e-12
 
 
 # lockstep trust-region stacks ---------------------------------------------------
@@ -379,9 +385,12 @@ def test_align_stack_pair_matches_pair_solved_alone():
 
 def test_retirement_never_crosses_pairs():
     # a rank-1 pair whose two starts both sit on the cut locus (the Procrustes
-    # rotation, and that rotation turned about the target direction) retires
-    # neither and iterates both to the minimum, alone and beside a pair whose
-    # starts are clean: a start is retired only for a sibling of its own pair
+    # rotation, and that rotation turned about the target direction) runs
+    # more than 30 iterations, and beside a pair of one orbit, whose
+    # Procrustes start certifies its minimum and retires its other start
+    # after one iteration, it gives the same rotation, loss, iterations and
+    # retirements bit for bit: a start is retired only for a sibling of its
+    # own pair
     rng = np.random.default_rng(53)
     cfg = DEFAULT_CONFIG.with_(restarts=1)
     X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
@@ -389,12 +398,14 @@ def test_retirement_never_crosses_pairs():
     v = Y[0]
     turn = scipy.linalg.expm(np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]))
     (alone,) = _align_batch(X[None], Y[None], cfg, [[P @ turn]])
-    assert alone.retired == 0 and alone.iterations > 30
-    X2, Y2 = random_point(rng, 6, 3), random_point(rng, 6, 3)
+    assert alone.iterations > 30
+    X2 = random_point(rng, 6, 3)
+    Y2 = X2 @ random_orthogonal(3, rng)
     extra = [[P @ turn], [random_orthogonal(3, rng)]]
-    r, _ = _align_batch(np.stack([X, X2]), np.stack([Y, Y2]), cfg, extra)
+    r, same = _align_batch(np.stack([X, X2]), np.stack([Y, Y2]), cfg, extra)
+    assert (same.retired, same.iterations) == (1, 1)
     assert np.array_equal(r.rotation, alone.rotation) and r.loss == alone.loss
-    assert r.retired == 0
+    assert (r.iterations, r.retired) == (alone.iterations, alone.retired)
 
 
 def test_align_batch_chunks_match_one_solve(monkeypatch):
@@ -413,9 +424,9 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
 
     sizes = []
 
-    def counted(model, retract, x, cfg, pairs=None, rows=None):
+    def counted(model, retract, x, cfg, block=None, certify=None):
         sizes.append(len(x))
-        return _trust_region(model, retract, x, cfg, pairs, rows)
+        return _trust_region(model, retract, x, cfg, block, certify)
 
     monkeypatch.setattr(quotient_space, "_trust_region", counted)
     monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * _member_floats(m, k))

@@ -28,11 +28,17 @@ from corrgeo import (
 
 from corrgeo import quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
-from corrgeo.product_sphere import RETIRE_RADIUS, _trust_region
+from corrgeo.product_sphere import _trust_region
 from corrgeo.quotient_space import _align_pairs, _random_starts
 
 from conftest import counterexample_pair, random_point, random_rank_point, random_tangent
-from reference import align_every_start, dense_first_drop, o2_grid_distance
+from reference import (
+    align_every_start,
+    align_random_starts,
+    alignment_certified,
+    dense_first_drop,
+    o2_grid_distance,
+)
 
 HALF_SQRT2_PI = np.pi / np.sqrt(2.0)
 
@@ -129,8 +135,8 @@ def _recording_trust_region(monkeypatch, edit=None):
     """
     outputs = []
 
-    def recorded(model, retract, x, cfg, pairs=None, rows=None):
-        out = _trust_region(model, retract, x, cfg, pairs, rows)
+    def recorded(model, retract, x, cfg, block=None, certify=None):
+        out = _trust_region(model, retract, x, cfg, block, certify)
         if edit is not None:
             edit(out)
         outputs.append(out)
@@ -144,8 +150,8 @@ def test_cut_locus_procrustes_start_is_retired(monkeypatch):
     # two rank-1 factors: the Procrustes start carries one row direction onto
     # the other, so the rows of opposite sign agreement are antipodal
     # (clamped). Iterated, that start takes more than 30 lockstep iterations
-    # while the random starts reach the same loss in at most 5; retired
-    # before its first iteration, it adds none and the stack stops with them
+    # while the random starts reach the same loss in at most 5; retired as
+    # soon as one of them stops certified, it runs no longer than they do
     rng = np.random.default_rng(0)
     X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
     loss, _, iterations = align_every_start(X, Y)
@@ -162,9 +168,9 @@ def test_rank_deficient_pair_retires_on_aligned_rows(monkeypatch):
     # a first factor of rank 2 at k = 4 leaves the rotation free on the
     # plane its rows do not span: the loss depends on O only through X O,
     # so the minimizers form a continuum of rotations with one set of
-    # aligned rows. A later start that converges onto that set at a
-    # rotation far from a converged sibling's is retired, because their
-    # aligned rows agree
+    # aligned rows. The certificate depends on O only through X O as well,
+    # so a start converging onto that set at a rotation far from a
+    # certified sibling's, its aligned rows already within 1e-3, is retired
     rng = np.random.default_rng(10)
     X, Y = random_rank_point(rng, 7, 4, 3), random_rank_point(rng, 7, 4, 2)
     rows = Y if Y.tobytes() < X.tobytes() else X
@@ -175,8 +181,7 @@ def test_rank_deficient_pair_retires_on_aligned_rows(monkeypatch):
     (out,) = outputs
     O, it, conv, gone = (out[j] for j in (0, 3, 4, 7))
     far_apart_same_rows = [
-        np.linalg.norm(O[a] - O[j]) >= 0.1
-        and np.linalg.norm(rows @ (O[a] - O[j])) <= RETIRE_RADIUS
+        np.linalg.norm(O[a] - O[j]) >= 0.1 and np.linalg.norm(rows @ (O[a] - O[j])) <= 1e-3
         for j in np.flatnonzero(gone & (it > 0))
         for a in np.flatnonzero(conv & ~gone)
         if a < j
@@ -209,17 +214,18 @@ def test_retired_starts_match_every_start_oracle(monkeypatch):
                 assert b and not gone[b[0]] and losses[b[0]] == r.loss
                 assert r.retired == gone.sum()
                 retired += r.retired
-                # each retirement has its reason in its own pair: a clamped
-                # start beside a clean one, or a converged sibling whose
-                # aligned rows lie within RETIRE_RADIUS at no higher loss
-                rows = Y if Y.tobytes() < X.tobytes() else X
-                anchors = np.flatnonzero(conv & ~gone)
+                # each retirement has its reason in its own pair: a sibling
+                # that stopped in the same iteration, converged without
+                # clamped rows, at a rotation that the factors alone certify
+                # as the global minimum
+                A, B = (Y, X) if Y.tobytes() < X.tobytes() else (X, Y)
+                anchors = [
+                    a
+                    for a in np.flatnonzero(conv & ~clamped & ~gone)
+                    if alignment_certified(A, B, O[a])
+                ]
                 for j in np.flatnonzero(gone):
-                    if it[j] == 0:
-                        assert clamped[j] and not clamped.all()
-                    else:
-                        gap = np.linalg.norm(rows @ (O[anchors] - O[j]), axis=(1, 2))
-                        assert np.any((gap <= RETIRE_RADIUS) & (losses[anchors] <= losses[j]))
+                    assert any(it[a] == it[j] for a in anchors)
                 assert np.array_equal(align(Y, X).rotation, r.rotation.T)
     assert retired > 0
 
@@ -652,3 +658,67 @@ def test_seeded_starts_are_built_once():
     rng = np.random.default_rng(3)
     assert np.array_equal(starts, [random_orthogonal(4, rng) for _ in range(4)])
     assert _random_starts(4, 1, 3).shape == (0, 4, 4)
+
+
+# certified global minima ------------------------------------------------------------
+
+
+def test_certified_planar_distances_are_global():
+    # at k = 2 o2_grid_distance scans all of O(2) and bounds the distance
+    # from above: a distance whose rotation the factors alone certify is
+    # never above it, and the search misses the scan (is above it by more
+    # than 1e-6) on no more pairs than before the certificate retired starts
+    certified = 0
+    for m, most in ((4, 2), (5, 0), (8, 2), (15, 7)):
+        rng = np.random.default_rng(5)
+        misses = 0
+        for _ in range(150):
+            X, Y = random_point(rng, m, 2), random_point(rng, m, 2)
+            r = align(X, Y)
+            d, grid = np.sqrt(r.loss), o2_grid_distance(X, Y)
+            if alignment_certified(X, Y, r.rotation):
+                certified += 1
+                assert d <= grid + 1e-9
+            misses += d > grid + 1e-6
+        assert misses <= most
+    assert certified >= 200
+
+
+def test_certified_losses_beat_many_random_starts():
+    # at k = 3, 4, 6 a certified loss is never above the best of 100 random
+    # starts, each iterated to its own stop
+    certified = 0
+    for m, k in ((6, 3), (8, 4), (12, 6)):
+        rng = np.random.default_rng(54)
+        for _ in range(8):
+            X, Y = random_point(rng, m, k), random_point(rng, m, k)
+            starts = [random_orthogonal(k, rng) for _ in range(100)]
+            r = align(X, Y)
+            if alignment_certified(X, Y, r.rotation):
+                certified += 1
+                best = align_random_starts(X, Y, starts)
+                assert r.loss <= best + 1e-12 * max(1.0, r.loss)
+    assert certified >= 15
+
+
+def test_certified_geodesics_keep_constant_interior_rank():
+    # a certified orbit_log is minimizing, so by the paper's theorem the rank
+    # along its geodesic is constant on the interior and not below either
+    # endpoint's; mixed-rank pairs, endpoint ranks from 1 to k
+    rng = np.random.default_rng(11)
+    certified = 0
+    for _ in range(400):
+        m = int(rng.integers(4, 13))
+        k = int(rng.integers(2, min(6, m) + 1))
+        rx, ry = (int(r) for r in rng.integers(1, k + 1, 2))
+        X, Y = random_rank_point(rng, m, k, rx), random_rank_point(rng, m, k, ry)
+        r = align(X, Y)
+        if not alignment_certified(X, Y, r.rotation):
+            continue
+        certified += 1
+        V = orbit_log(X, Y)
+        profile = geodesic_rank_profile(GeodesicSegment(X, V, 1.0), samples=9)
+        interior = {rank for _, rank in profile[1:-1]}
+        assert len(interior) == 1
+        assert interior.pop() >= max(profile[0][1], profile[-1][1])
+    assert certified >= 350
