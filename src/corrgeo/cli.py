@@ -113,15 +113,7 @@ def cmd_mean(args) -> int:
             "grad_norm": gm.report.inner.grad_norm if gm.report.inner else 0.0,
             "grad_tol": cfg.grad_tol,
             "alignments": [
-                {
-                    "subject_id": sid,
-                    "grad_norm": r.grad_norm,
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                    "restarts_used": r.restarts_used,
-                    "retired": r.retired,
-                    "stagnated": r.stagnated,
-                }
+                {"subject_id": sid, **r.summary()}
                 for sid, r in zip(gm.subject_ids, gm.report.alignments)
             ],
             "config": asdict(cfg),

@@ -36,8 +36,9 @@ class SolverConfig:
     require_horizontal makes orbit_exp check that its tangent is horizontal
     within fixed_rank.HORIZ_TOL.
     stagnation_tol separates harmless stops at the rounding floor from
-    genuine failures: a stagnated solve with gradient norm above it is an
-    error for consumers that need a converged alignment.
+    genuine failures: a stagnated solve with gradient norm above it
+    (SolverReport.stalled) is an error for consumers that need a converged
+    alignment.
     Construction raises InvalidInput unless grad_tol is finite and > 0,
     restarts an integer >= 1, seed an integer >= 0 and stagnation_tol
     finite and >= 0.
@@ -67,7 +68,7 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverReport:
     """Diagnostics of one iterative solve.
 
@@ -86,3 +87,7 @@ class SolverReport:
     loss: float
     stagnated: bool = False
     clamped_rows: tuple = ()
+
+    def stalled(self, tol) -> bool:
+        """Whether the solve stagnated with its gradient norm above tol (stagnation_tol)."""
+        return self.stagnated and self.grad_norm > tol

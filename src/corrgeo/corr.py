@@ -7,9 +7,11 @@ rebuilds them from representatives.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
+from .config import is_number
 from .errors import InvalidCorrelation, InvalidInput, RankExceedsK
 from .kernels import rank_threshold, sym_eig
 from .product_sphere import _rep
@@ -116,13 +118,14 @@ def factorize(Z, k: int) -> np.ndarray:
     Takes the eigenpairs above the rank threshold, scales eigenvectors by
     square-root eigenvalues, zero-pads to k columns, and renormalizes each
     row. The eigendecomposition's deterministic ordering and sign
-    convention make the output reproducible. Raises RankExceedsK when the
-    detected rank is above k, InvalidCorrelation when Z fails validation.
+    convention make the output reproducible. Raises InvalidCorrelation when
+    Z fails validation, InvalidInput unless k is an integer >= 2, and
+    RankExceedsK when the detected rank is above k.
     """
     C = as_correlation(Z)
     Z = C.entries
-    if k < 2:
-        raise InvalidInput(f"need k >= 2, got {k}")
+    if not is_number(k, 2, Integral):
+        raise InvalidInput(f"need k >= 2, got {k!r}")
     eig = sym_eig(Z)
     lam, U = eig.values, eig.vectors
     thresh = rank_threshold(abs(float(lam[0])))
@@ -139,14 +142,18 @@ def factorize(Z, k: int) -> np.ndarray:
     return X / norms[:, None]
 
 
-def gram(X) -> CorrelationMatrix:
-    """Correlation matrix X X^T of a unit-row representative.
+def _finish(Z) -> CorrelationMatrix:
+    """Validated correlation of a computed product: symmetrized, clipped, unit diagonal.
 
-    The product is symmetrized, clipped to [-1, 1], and given an exactly
-    unit diagonal before validation.
+    Z is clipped to [-1, 1] and its diagonal set to exactly 1 before
+    as_correlation checks it.
     """
-    X = _rep(X)
-    Z = X @ X.T
     Z = np.clip(0.5 * (Z + Z.T), -1.0, 1.0)
     np.fill_diagonal(Z, 1.0)
     return as_correlation(Z)
+
+
+def gram(X) -> CorrelationMatrix:
+    """Correlation matrix X X^T of a unit-row representative, finished by _finish."""
+    X = _rep(X)
+    return _finish(X @ X.T)

@@ -23,6 +23,7 @@ from .kernels import cayley, skew_part
 from .product_sphere import (
     _HessianOp,
     _angle_factors,
+    _report_fields,
     _row_angles,
     _tangent_part,
     _trust_region,
@@ -227,17 +228,9 @@ def _joint_solve(reps, w, pin, mean, rotations, cfg):
     n, m, k = reps.shape
     model, retract = _joint_model(reps, w, pin)
     x0 = np.concatenate([mean, rotations.reshape(n * k, k)])[None]
-    x, loss, gn, it, conv, stag, clamped, _ = _trust_region(model, retract, x0, cfg)
-    mean, rotations = x[0, :m], x[0, m:].reshape(n, k, k)
-    report = SolverReport(
-        converged=bool(conv[0]),
-        iterations=int(it[0]),
-        grad_norm=float(gn[0]),
-        loss=float(loss[0]),
-        stagnated=bool(stag[0]),
-        clamped_rows=tuple(int(r) for r in np.flatnonzero(clamped[0])),
-    )
-    return mean, rotations, report
+    x, *solve, _ = _trust_region(model, retract, x0, cfg)
+    report = SolverReport(**_report_fields(*(a[0] for a in solve)))
+    return x[0, :m], x[0, m:].reshape(n, k, k), report
 
 
 def frechet_mean(

@@ -11,18 +11,17 @@ deterministic: fixed ordering and 17-significant-digit decimal formatting.
 
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
-from .corr import CorrelationMatrix, as_correlation, factorize
+from .config import DEFAULT_CONFIG, SolverConfig, is_number
+from .corr import CorrelationMatrix, _finish, factorize, gram
 from .errors import CorrGeoError, DegenerateInput, EmptyFile, InvalidInput, ParseError
 from .frechet import MeanReport, frechet_mean
-from .quotient_space import _align_pairs, _dist
+from .quotient_space import SearchReport, _align_pairs, _dist
 
 FLOAT_FMT = "{:.17g}"
 
@@ -238,10 +237,7 @@ def _pearson(vals) -> CorrelationMatrix:
     centered = vals - vals.mean(axis=0)
     std = np.sqrt((centered * centered).mean(axis=0))
     S = centered / std
-    C = (S.T @ S) / vals.shape[0]
-    C = np.clip(0.5 * (C + C.T), -1.0, 1.0)
-    np.fill_diagonal(C, 1.0)
-    return as_correlation(C)
+    return _finish((S.T @ S) / vals.shape[0])
 
 
 @dataclass
@@ -252,24 +248,13 @@ class SubjectData:
     factor: np.ndarray | None = None
 
 
-@dataclass
-class PairReport:
-    """Convergence diagnostics of one pairwise distance.
-
-    restarts_used counts the rotation search's starts, retired those of
-    them that left early (see quotient_space.AlignmentResult).
-    """
+@dataclass(frozen=True, kw_only=True)
+class PairReport(SearchReport):
+    """One pairwise distance and its rotation search's record (quotient_space.SearchReport)."""
 
     subject_a: str
     subject_b: str
     distance: float
-    loss: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    restarts_used: int
-    retired: int
-    stagnated: bool
 
 
 @dataclass
@@ -284,11 +269,7 @@ class DistanceRun:
 
     @property
     def any_stagnation(self) -> bool:
-        # stops at the rounding floor are benign; see SolverConfig.stagnation_tol
-        return any(
-            r.stagnated and r.grad_norm > self.stagnation_tol
-            for r in self.pair_reports
-        )
+        return any(r.stalled(self.stagnation_tol) for r in self.pair_reports)
 
 
 def load_cohort(manifest: CohortManifest):
@@ -374,13 +355,7 @@ def pairwise_distances(
                 subject_a=subjects[i].spec.subject_id,
                 subject_b=subjects[j].spec.subject_id,
                 distance=d,
-                loss=r.loss,
-                grad_norm=r.grad_norm,
-                iterations=r.iterations,
-                converged=r.converged,
-                restarts_used=r.restarts_used,
-                retired=r.retired,
-                stagnated=r.stagnated,
+                **r.summary(),
             )
         )
     return DistanceRun(
@@ -407,8 +382,6 @@ def group_means(
     manifest: CohortManifest, cfg: SolverConfig = DEFAULT_CONFIG, group=None, k=None
 ):
     """Frechet mean correlation matrix of each group (or one named group)."""
-    from .corr import gram
-
     subjects, common, dropped, width = _factorized_cohort(manifest, k)
     groups = {}
     for s in subjects:
@@ -454,7 +427,7 @@ def difference_report(A, B, threshold: float, columns=None) -> DiffReport:
     B = B.entries if isinstance(B, CorrelationMatrix) else np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInput(f"incompatible shapes {A.shape} vs {B.shape}")
-    if threshold < 0.0 or not math.isfinite(threshold):
+    if not is_number(threshold, 0):
         raise InvalidInput(f"threshold must be a nonnegative number, got {threshold}")
     m = A.shape[0]
     cols = tuple(columns) if columns is not None else tuple(f"c{i}" for i in range(m))

@@ -296,13 +296,15 @@ def _truncated_cg(H, g, gn, radius):
     against a direction once the residual has fallen far below g (a
     boundary step can follow such a direction), so the steps are projected
     once more (H.tangent) on return. The iterates stay in the Krylov space
-    of g, so flat directions without a gradient component (the stabilizer
-    of a rank-deficient cloud) stay untouched and a zero gradient gives
-    s = 0. Members iterate in lockstep; a member that stops takes zero
-    steps from then on, and once half the working set has stopped the set
-    shrinks to the members still iterating, so the products skip finished
-    members without indexing on every iteration. Returns the steps and
-    their predicted decreases.
+    of g, so a zero gradient gives s = 0, but flat directions (the
+    stabilizer of a rank-deficient factor) are not left untouched: rounding
+    gives g a component of order eps |G| along them, and once |g| is below
+    about 1.5e-8 CG can follow it to the boundary where its computed
+    curvature is nonpositive. Members iterate in lockstep; a member that
+    stops takes zero steps from then on, and once half the working set has
+    stopped the set shrinks to the members still iterating, so the products
+    skip finished members without indexing on every iteration. Returns the
+    steps and their predicted decreases.
     """
     step, Hstep = np.zeros_like(g), np.zeros_like(g)
     project = H.tangent  # of the whole stack; H shrinks with the working set
@@ -389,7 +391,8 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
     rounding level on the way. No member runs more than MAX_ITERS iterations.
 
     Returns per-member arrays (x, loss, grad_norm, iterations, converged,
-    stagnated, clamped, retired): converged means grad_norm <=
+    stagnated, clamped, retired), the six between x and retired in the
+    order _report_fields reads them: converged means grad_norm <=
     cfg.grad_tol with no clamped row (a zero gradient on the cut locus is
     not a minimum), stagnated that the trust region collapsed with the
     gradient still above it, clamped the model's clamped rows at the
@@ -444,6 +447,25 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
                 retired.reshape(-1, block)[b] |= ~done.reshape(-1, block)[b]
                 done |= retired
     return x, loss, gn, it, (gn <= cfg.grad_tol) & ~clamped.any(axis=1), stagnated, clamped, retired
+
+
+def _report_fields(loss, gn, it, conv, stag, clamped_rows):
+    """The SolverReport fields of members of one _trust_region solve, as keywords.
+
+    loss, gn, it, conv and stag are the members' entries of the solver's
+    per-member arrays: one member's scalars, or every row of a row mean
+    (converged when all rows are, the largest iterations and gradient norm,
+    the summed loss); clamped_rows is a boolean mask over the rows of the
+    result.
+    """
+    return dict(
+        converged=bool(conv.all()),
+        iterations=int(it.max()),
+        grad_norm=float(gn.max()),
+        loss=float(loss.sum()),
+        stagnated=bool(stag.any()),
+        clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped_rows)),
+    )
 
 
 def _row_mean_model(P, w):
@@ -511,12 +533,4 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG):
     x0 = np.where(n0 < 1e-8, clouds[:, 0], x0 / np.maximum(n0, 1e-8))
     model, retract = _row_mean_model(clouds, w)
     mean, loss, gn, it, conv, stag, clamped, _ = _trust_region(model, retract, x0, cfg)
-    report = SolverReport(
-        converged=bool(conv.all()),
-        iterations=int(it.max()),
-        grad_norm=float(gn.max()),
-        loss=float(loss.sum()),
-        stagnated=bool(stag.any()),
-        clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped.any(axis=1))),
-    )
-    return mean, report
+    return mean, SolverReport(**_report_fields(loss, gn, it, conv, stag, clamped.any(axis=1)))

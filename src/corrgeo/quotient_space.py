@@ -30,12 +30,12 @@ brackets.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from numbers import Integral
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig, is_number
+from .config import DEFAULT_CONFIG, SolverConfig, SolverReport, is_number
 from .errors import AlignmentStagnation, InvalidInput
 from .fixed_rank import HORIZ_TOL, _vertical_part, horizontality_defect
 from .kernels import (
@@ -53,6 +53,7 @@ from .product_sphere import (
     _angle_factors,
     _great_circles,
     _rep,
+    _report_fields,
     _row_angles,
     _tangent_vec,
     _trust_region,
@@ -86,29 +87,36 @@ def as_orbit(X, name="rep") -> OrbitPoint:
     return X if isinstance(X, OrbitPoint) else OrbitPoint(check_unit_rows(X, name))
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+@dataclass(frozen=True, kw_only=True)
+class SearchReport(SolverReport):
+    """Diagnostics of one pair's rotation search, without its matrices.
+
+    The SolverReport fields are those of the winning start at its returned
+    rotation. restarts_used counts the search's starts, retired those of
+    them that left early because a sibling start certified the pair's
+    global minimum. Every record of a search (AlignmentResult,
+    pipeline.PairReport) extends this one, and both CLI reports print it.
+    """
+
+    restarts_used: int
+    retired: int
+
+    def summary(self) -> dict:
+        """The search record's fields alone, as keywords (no matrices, no labels)."""
+        return {f.name: getattr(self, f.name) for f in fields(SearchReport)}
+
+
+@dataclass(frozen=True, kw_only=True)
+class AlignmentResult(SearchReport):
     """Outcome of the rotation search between two orbit representatives.
 
     rotation is the minimizing O, aligned the equivalent second
     representative Y O^T, so the product-sphere distance from X to aligned
-    is sqrt(loss). restarts_used counts the search's starts, retired those
-    of them that left early because a sibling start certified the pair's
-    global minimum.
-    clamped_rows lists, as ints, the rows whose near-antipodal gradient
-    factor is clamped at the returned rotation.
+    is sqrt(loss).
     """
 
     rotation: np.ndarray
     aligned: np.ndarray
-    loss: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    restarts_used: int
-    retired: int
-    stagnated: bool = False
-    clamped_rows: tuple = ()
 
 
 def _alignment_model(X, Y):
@@ -201,9 +209,11 @@ def _random_starts(k, restarts, seed):
 # an evaluation and a product, its k x k blocks and truncated-CG vectors;
 # _member_floats is within 5% of a stack's traced peak per member at m = k
 # from 10 to 116. _align_batch solves a batch in chunks of whole pairs
-# within this budget (peak memory about 8 bytes times it), so memory stays
-# flat in the number of pairs. Pairs never interact (a start is retired only
-# because of its own pair's starts), so the chunking moves no number.
+# within this budget (peak memory about 8 bytes times it), so the solver's
+# working set stays flat in the number of pairs; the batch's stacked pairs
+# and its results (a rotation and an aligned representative per pair) do
+# not. Pairs never interact (a start is retired only because of its own
+# pair's starts), so the chunking moves no number.
 _STACK_FLOATS = 2**20
 
 
@@ -244,25 +254,20 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
             axis=1,
         )
         model, retract = _alignment_model(np.repeat(Xc, R, axis=0), np.repeat(Yc, R, axis=0))
-        O, loss, gn, it, conv, stag, clamped, retired = _trust_region(
+        O, *solve, retired = _trust_region(
             model, retract, starts.reshape(n * R, k, k), cfg, R, _certify
         )
-        # a retired start never wins, ties included
-        best = np.argmin(np.where(retired, np.inf, loss).reshape(n, R), axis=1)
+        # a retired start never wins, ties included (solve[0] is the loss)
+        best = np.argmin(np.where(retired, np.inf, solve[0]).reshape(n, R), axis=1)
         left = retired.reshape(n, R).sum(axis=1)
         for p, b in enumerate(R * np.arange(n) + best):
             results.append(
                 AlignmentResult(
                     rotation=O[b].copy(),
                     aligned=Yc[p] @ O[b].T,
-                    loss=float(loss[b]),
-                    grad_norm=float(gn[b]),
-                    iterations=int(it[b]),
-                    converged=bool(conv[b]),
                     restarts_used=R,
                     retired=int(left[p]),
-                    stagnated=bool(stag[b]),
-                    clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped[b])),
+                    **_report_fields(*(a[b] for a in solve)),
                 )
             )
     return results
@@ -347,7 +352,7 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     """
     X = _rep(X, "X")
     r = _align_pairs([X], [Y], cfg)[0]
-    if r.stagnated and r.grad_norm > cfg.stagnation_tol:
+    if r.stalled(cfg.stagnation_tol):
         raise AlignmentStagnation(
             f"rotation search stagnated at gradient norm {r.grad_norm:.3e}"
         )

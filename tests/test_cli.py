@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from corrgeo import (
 )
 from corrgeo import cli, product_sphere
 from corrgeo.cli import main
+from corrgeo.quotient_space import SearchReport
 
 from conftest import random_correlation, random_point
 
@@ -205,10 +207,26 @@ def test_mean_report_lists_per_subject_alignments(tmp_path):
             "restarts_used",
             "retired",
             "stagnated",
+            "loss",
+            "clamped_rows",
         }
         assert 0 <= a["retired"] < a["restarts_used"]
         assert a["converged"] is True and a["stagnated"] is False
         assert a["grad_norm"] <= DEFAULT_CONFIG.grad_tol
+
+
+def test_both_reports_print_the_search_record(tmp_path):
+    search = {f.name for f in dataclasses.fields(SearchReport)}
+    man = _cohort(tmp_path, np.random.default_rng(6), 3, groups=("g1",))
+    assert main(["dist", str(man), "--out", str(tmp_path / "dist")]) == 0
+    assert main(["mean", str(man), "--out", str(tmp_path / "mean")]) == 0
+    dist = json.loads((tmp_path / "dist" / "distances_report.json").read_text())
+    mean = json.loads((tmp_path / "mean" / "mean_g1_report.json").read_text())
+    assert len(dist["pairs"]) == len(mean["alignments"]) == 3
+    for p in dist["pairs"]:
+        assert set(p) == search | {"subject_a", "subject_b", "distance"}
+    for a in mean["alignments"]:
+        assert set(a) == search | {"subject_id"}
 
 
 def test_mean_single_group_flag(tmp_path):

@@ -114,6 +114,20 @@ def test_factorize_rank_exceeds_width():
         factorize(np.eye(4), k=1)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, float("nan"), "3", None, True, 1])
+def test_factorize_rejects_a_width_that_is_not_an_integer_at_least_2(k):
+    with pytest.raises(InvalidInput, match="need k >= 2"):
+        factorize(np.eye(3), k)
+    bad = np.eye(3)
+    bad[0, 0] = 2.0
+    with pytest.raises(InvalidCorrelation):
+        factorize(bad, k)
+
+
+def test_factorize_accepts_a_numpy_integer_width():
+    assert np.array_equal(factorize(np.eye(3), np.int64(3)), factorize(np.eye(3), 3))
+
+
 def test_factorize_deterministic():
     rng = np.random.default_rng(1)
     Z = random_correlation(rng, 5, 3)

@@ -553,6 +553,16 @@ def test_difference_report_thresholding():
         difference_report(A, B, threshold=-0.1)
 
 
+@pytest.mark.parametrize("threshold", ["0.1", None, True, -0.1, float("nan"), float("inf")])
+def test_difference_report_rejects_a_threshold_that_is_not_a_finite_number_at_least_0(
+    threshold,
+):
+    with pytest.raises(InvalidInput, match="threshold must be a nonnegative number"):
+        difference_report(np.eye(2), np.eye(2), threshold)
+    for ok in (0, np.float64(0.1)):
+        assert difference_report(np.eye(2), np.eye(2), ok).threshold == ok
+
+
 def test_difference_report_zero_threshold_keeps_everything():
     rng = np.random.default_rng(13)
     A = rng.standard_normal((3, 3))

@@ -14,6 +14,8 @@ from corrgeo import (
     random_orthogonal,
 )
 
+from reference import alignment_certified
+
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
 
@@ -60,6 +62,19 @@ def test_orbit_dist_invariant_under_row_permutation(pair, random):
 @given(unit_row_pairs(), st.integers(0, 2**32 - 1))
 def test_orbit_dist_invariant_under_rotation_of_either_representative(pair, seed):
     X, Y = pair
+    Q = random_orthogonal(X.shape[1], np.random.default_rng(seed))
+    d = orbit_dist(X, Y)
+    assert abs(orbit_dist(X @ Q, Y) - d) <= 1e-9
+    assert abs(orbit_dist(X, Y @ Q) - d) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(unit_row_pairs(), st.integers(0, 2**32 - 1))
+def test_certified_distance_is_invariant_under_rotation_of_either_representative(pair, seed):
+    # a certified rotation is the pair's global minimum, so no representative
+    # can move the distance, whatever the seeded random starts find
+    X, Y = pair
+    assume(alignment_certified(X, Y, align(X, Y).rotation))
     Q = random_orthogonal(X.shape[1], np.random.default_rng(seed))
     d = orbit_dist(X, Y)
     assert abs(orbit_dist(X @ Q, Y) - d) <= 1e-9
