@@ -2,18 +2,19 @@
 
 Subcommands: validate, corr, dist, mean, diff, geodesic. Exit codes:
 0 success, 2 validation failure (invalid matrices, rank or domain errors),
-3 stagnation or a mean whose joint solve stopped at product_sphere.MAX_ITERS
-iterations without converging, 4 unreadable or unparseable input.
+3 a failed solve (SolverReport.failed at the config's stagnation_tol),
+4 unreadable or unparseable input.
 """
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 from . import pipeline
-from .config import SolverConfig
+from .config import DEFAULT_CONFIG, SolverConfig
 from .corr import CorrelationMatrix, validate
 from .errors import AlignmentStagnation, CorrGeoError, InvalidInput, ParseError
 from .quotient_space import GeodesicSegment, geodesic_rank_profile, orbit_log
@@ -24,20 +25,14 @@ EXIT_STAGNATION = 3
 EXIT_IO = 4
 
 
-def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    overrides = {}
-    if getattr(args, "restarts", None) is not None:
-        overrides["restarts"] = args.restarts
-    if getattr(args, "tol", None) is not None:
-        overrides["grad_tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return cfg.with_(**overrides) if overrides else cfg
+def _solver_config(**flags) -> SolverConfig:
+    """The default config with the SolverConfig fields whose flags were given."""
+    overrides = {name: v for name, v in flags.items() if v is not None}
+    return DEFAULT_CONFIG.with_(**overrides) if overrides else DEFAULT_CONFIG
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or ".")
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -69,7 +64,7 @@ def cmd_corr(args) -> int:
 def cmd_dist(args) -> int:
     t0 = time.perf_counter()
     manifest = pipeline.load_manifest(args.manifest)
-    cfg = _solver_config(args)
+    cfg = _solver_config(restarts=args.restarts, grad_tol=args.tol, seed=args.seed)
     run = pipeline.pairwise_distances(manifest, cfg, k=args.k)
     out = _out_dir(args)
     dest = out / "distances.csv"
@@ -86,7 +81,7 @@ def cmd_dist(args) -> int:
     pipeline.write_run_report(out / "distances_report.json", report)
     print(f"{len(run.subject_ids)} subjects, k={run.k} -> {dest}")
     if run.any_stagnation:
-        print("warning: at least one pair stagnated before reaching tolerance")
+        print("warning: at least one pair's rotation search failed (see its record)")
         return EXIT_STAGNATION
     return EXIT_OK
 
@@ -94,10 +89,9 @@ def cmd_dist(args) -> int:
 def cmd_mean(args) -> int:
     t0 = time.perf_counter()
     manifest = pipeline.load_manifest(args.manifest)
-    cfg = _solver_config(args)
+    cfg = _solver_config(restarts=args.restarts, grad_tol=args.tol, seed=args.seed)
     means, dropped = pipeline.group_means(manifest, cfg, group=args.group, k=args.k)
     out = _out_dir(args)
-    stagnated = False
     for gm in means:
         label = gm.group or "all"
         dest = out / f"mean_{label}.csv"
@@ -107,10 +101,7 @@ def cmd_mean(args) -> int:
             "group": label,
             "subjects": list(gm.subject_ids),
             "dropped_subjects": [list(d) for d in dropped],
-            "loss_history": gm.report.loss_history,
-            "outer_iterations": gm.report.outer_iterations,
-            "converged": gm.report.converged,
-            "grad_norm": gm.report.inner.grad_norm if gm.report.inner else 0.0,
+            **gm.report.summary(),
             "grad_tol": cfg.grad_tol,
             "alignments": [
                 {"subject_id": sid, **r.summary()}
@@ -124,8 +115,8 @@ def cmd_mean(args) -> int:
             f"group {label}: {len(gm.subject_ids)} subjects, "
             f"{gm.report.outer_iterations} trust-region iterations -> {dest}"
         )
-        stagnated = stagnated or not gm.report.converged
-    return EXIT_STAGNATION if stagnated else EXIT_OK
+    failed = any(gm.report.failed(cfg.stagnation_tol) for gm in means)
+    return EXIT_STAGNATION if failed else EXIT_OK
 
 
 def cmd_diff(args) -> int:
@@ -149,7 +140,7 @@ def cmd_diff(args) -> int:
 def cmd_geodesic(args) -> int:
     X = pipeline.read_factor_csv(args.x)
     Y = pipeline.read_factor_csv(args.y)
-    cfg = _solver_config(args)
+    cfg = _solver_config(seed=args.seed)
     V = orbit_log(X, Y, cfg)
     seg = GeodesicSegment(start=V.base, velocity=V, duration=1.0)
     profile = geodesic_rank_profile(seg, samples=args.samples)
@@ -166,40 +157,37 @@ def cmd_geodesic(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; main runs a subcommand's cmd_<name>, looked up per call."""
     p = argparse.ArgumentParser(
         prog="corrgeo",
         description="Quotient geometry of bounded-rank correlation matrices.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--k", type=int, default=None, help="factor width (default: column count)")
+    solver.add_argument("--restarts", type=int, default=None, help="rotation-search starts")
+    solver.add_argument("--tol", type=float, default=None, help="gradient tolerance")
+    solver.add_argument("--seed", type=int, default=None, help="restart seed")
+    solver.add_argument("--out", help="output directory (default .)")
+
     q = sub.add_parser("validate", help="check a correlation matrix CSV")
     q.add_argument("file")
-    q.set_defaults(func=cmd_validate)
 
     q = sub.add_parser("corr", help="per-subject correlation matrices from a manifest")
     q.add_argument("manifest")
     q.add_argument("--out", help="output directory (default .)")
-    q.set_defaults(func=cmd_corr)
 
-    q = sub.add_parser("dist", help="pairwise quotient distances for a cohort")
+    q = sub.add_parser("dist", parents=[solver], help="pairwise quotient distances for a cohort")
     q.add_argument("manifest")
-    q.add_argument("--k", type=int, default=None, help="factor width (default: column count)")
-    q.add_argument("--restarts", type=int, default=None, help="rotation-search starts")
-    q.add_argument("--tol", type=float, default=None, help="gradient tolerance")
-    q.add_argument("--seed", type=int, default=None, help="restart seed")
-    q.add_argument("--out", help="output directory (default .)")
-    q.set_defaults(func=cmd_dist)
 
-    q = sub.add_parser("mean", help="per-group Frechet mean correlation matrices")
+    q = sub.add_parser(
+        "mean", parents=[solver], help="per-group Frechet mean correlation matrices"
+    )
     q.add_argument("manifest")
     q.add_argument("--group", default=None, help="restrict to one group")
-    q.add_argument("--k", type=int, default=None)
-    q.add_argument("--restarts", type=int, default=None)
-    q.add_argument("--tol", type=float, default=None)
-    q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--out", help="output directory (default .)")
-    q.set_defaults(func=cmd_mean)
 
     q = sub.add_parser("diff", help="thresholded difference of two mean matrices")
     q.add_argument("mean_a")
@@ -207,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--threshold", type=float, required=True)
     q.add_argument("--top", type=int, default=10, help="entries to print")
     q.add_argument("--out", help="output directory (default .)")
-    q.set_defaults(func=cmd_diff)
 
     q = sub.add_parser("geodesic", help="rank profile along the geodesic between two factors")
     q.add_argument("x", help="CSV of the starting unit-row factor")
@@ -215,14 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", type=int, default=17, help="interior sample count")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--out", help="output CSV (default stdout)")
-    q.set_defaults(func=cmd_geodesic)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

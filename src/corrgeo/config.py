@@ -6,7 +6,7 @@ reproducible given the config alone.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 from .errors import InvalidInput
@@ -36,9 +36,8 @@ class SolverConfig:
     require_horizontal makes orbit_exp check that its tangent is horizontal
     within fixed_rank.HORIZ_TOL.
     stagnation_tol separates harmless stops at the rounding floor from
-    genuine failures: a stagnated solve with gradient norm above it
-    (SolverReport.stalled) is an error for consumers that need a converged
-    alignment.
+    failures: SolverReport.failed(stagnation_tol) is the verdict orbit_log
+    raises on and the CLI's exit code 3 reads.
     Construction raises InvalidInput unless grad_tol is finite and > 0,
     restarts an integer >= 1, seed an integer >= 0 and stagnation_tol
     finite and >= 0.
@@ -68,6 +67,10 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
+# metadata of the results and labels a report adds beside its solve record
+RESULT = {"result": True}
+
+
 @dataclass(frozen=True)
 class SolverReport:
     """Diagnostics of one iterative solve.
@@ -88,6 +91,11 @@ class SolverReport:
     stagnated: bool = False
     clamped_rows: tuple = ()
 
-    def stalled(self, tol) -> bool:
-        """Whether the solve stagnated with its gradient norm above tol (stagnation_tol)."""
-        return self.stagnated and self.grad_norm > tol
+    def failed(self, tol) -> bool:
+        """Failed unless converged, or stagnated at grad_norm <= tol with no row clamped."""
+        floor = self.stagnated and self.grad_norm <= tol and not self.clamped_rows
+        return not (self.converged or floor)
+
+    def summary(self) -> dict:
+        """The record as keywords, without the fields declared with metadata RESULT."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata != RESULT}

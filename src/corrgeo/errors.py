@@ -22,7 +22,11 @@ class AntipodalLogarithm(CorrGeoError):
 
 
 class AlignmentStagnation(CorrGeoError):
-    """Rotation search stagnated with a gradient norm above tolerance."""
+    """Rotation search failed (SolverReport.failed); report is its record."""
+
+    def __init__(self, msg, report=None):
+        super().__init__(msg)
+        self.report = report
 
 
 class RankExceedsK(CorrGeoError):

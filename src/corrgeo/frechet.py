@@ -13,11 +13,11 @@ stack of ordered alignments of every sample to the mean;
 frechet_variance's distances are one stack as well.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig, SolverReport
+from .config import DEFAULT_CONFIG, RESULT, SolverConfig, SolverReport
 from .errors import InvalidInput
 from .kernels import cayley, skew_part
 from .product_sphere import (
@@ -77,27 +77,25 @@ def _as_sample_set(samples, weights=None) -> WeightedSampleSet:
     return WeightedSampleSet(points=tuple(pts), weights=weights)
 
 
-@dataclass
-class MeanReport:
-    """Result of the joint mean solve.
+@dataclass(frozen=True, kw_only=True)
+class MeanReport(SolverReport):
+    """Result of the joint mean solve, and its record.
 
-    loss_history[0] is the weighted variance of the best sample used as the
-    initializer; each later entry is the loss after one joint solve (a
-    second one only when the final alignments found a lower basin), so the
-    sequence is non-increasing up to floating-point noise.
-    outer_iterations counts the trust-region iterations of the joint
-    solves, inner is the last joint solve's SolverReport and converged its
-    verdict: gradient norm at most cfg.grad_tol. alignments holds every
-    sample's AlignmentResult to the mean from the final alignment stack
-    (empty for a single sample, which is its own mean).
+    The SolverReport fields are the last joint solve's (converged: gradient
+    norm at most cfg.grad_tol). loss_history[0] is the weighted variance of
+    the best sample used as the initializer; each later entry is the loss
+    after one joint solve (a second one only when the final alignments
+    found a lower basin), so the sequence is non-increasing up to
+    floating-point noise. outer_iterations counts the trust-region
+    iterations of the joint solves. alignments holds every sample's
+    AlignmentResult to the mean from the final alignment stack (empty for a
+    single sample, which is its own mean).
     """
 
-    mean: OrbitPoint
+    mean: OrbitPoint = field(metadata=RESULT)
     loss_history: list
     outer_iterations: int
-    converged: bool
-    inner: SolverReport | None = None
-    alignments: tuple = ()
+    alignments: tuple = field(default=(), metadata=RESULT)
 
 
 def frechet_variance(
@@ -263,8 +261,9 @@ def frechet_mean(
     w = ss.weights
 
     if n == 1:
+        # its own mean: converged, 0 iterations, gradient norm 0 and loss 0
         return MeanReport(
-            mean=ss.points[0], loss_history=[0.0], outer_iterations=0, converged=True
+            True, 0, 0.0, 0.0, mean=ss.points[0], loss_history=[0.0], outer_iterations=0
         )
 
     # pick the sample with the smallest weighted variance as the initializer;
@@ -309,7 +308,6 @@ def frechet_mean(
         mean=OrbitPoint(mean.copy()),
         loss_history=loss_history,
         outer_iterations=iterations,
-        converged=inner.converged,
-        inner=inner,
         alignments=tuple(results),
+        **inner.summary(),
     )

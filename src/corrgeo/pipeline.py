@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig, is_number
+from .config import DEFAULT_CONFIG, RESULT, SolverConfig, is_number
 from .corr import CorrelationMatrix, _finish, factorize, gram
 from .errors import CorrGeoError, DegenerateInput, EmptyFile, InvalidInput, ParseError
 from .frechet import MeanReport, frechet_mean
@@ -53,18 +53,21 @@ def _read_csv(path, lines):
 
 def _parse_floats(path, columns, rows, finite=False) -> np.ndarray:
     """The cells of rows as a float matrix; ParseError names a bad cell's line and column."""
-    data = []
-    for lineno, row in rows:
-        parsed = []
-        for col, cell in zip(columns, row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {col}: cannot parse {cell!r}"
-                ) from None
-        data.append(parsed)
-    M = np.array(data)
+    try:
+        M = np.array([row for _, row in rows], dtype=float)
+    except ValueError:  # float() per cell, to name the bad one or return its own matrix
+        data = []
+        for lineno, row in rows:
+            parsed = []
+            for col, cell in zip(columns, row):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {col}: cannot parse {cell!r}"
+                    ) from None
+            data.append(parsed)
+        M = np.array(data)
     if finite and not np.all(np.isfinite(M)):
         i, j = np.argwhere(~np.isfinite(M))[0]
         raise ParseError(
@@ -252,9 +255,9 @@ class SubjectData:
 class PairReport(SearchReport):
     """One pairwise distance and its rotation search's record (quotient_space.SearchReport)."""
 
-    subject_a: str
-    subject_b: str
-    distance: float
+    subject_a: str = field(metadata=RESULT)
+    subject_b: str = field(metadata=RESULT)
+    distance: float = field(metadata=RESULT)
 
 
 @dataclass
@@ -269,7 +272,7 @@ class DistanceRun:
 
     @property
     def any_stagnation(self) -> bool:
-        return any(r.stalled(self.stagnation_tol) for r in self.pair_reports)
+        return any(r.failed(self.stagnation_tol) for r in self.pair_reports)
 
 
 def load_cohort(manifest: CohortManifest):

@@ -30,12 +30,12 @@ brackets.
 """
 
 import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig, SolverReport, is_number
+from .config import DEFAULT_CONFIG, RESULT, SolverConfig, SolverReport, is_number
 from .errors import AlignmentStagnation, InvalidInput
 from .fixed_rank import HORIZ_TOL, _vertical_part, horizontality_defect
 from .kernels import (
@@ -101,10 +101,6 @@ class SearchReport(SolverReport):
     restarts_used: int
     retired: int
 
-    def summary(self) -> dict:
-        """The search record's fields alone, as keywords (no matrices, no labels)."""
-        return {f.name: getattr(self, f.name) for f in fields(SearchReport)}
-
 
 @dataclass(frozen=True, kw_only=True)
 class AlignmentResult(SearchReport):
@@ -115,8 +111,8 @@ class AlignmentResult(SearchReport):
     is sqrt(loss).
     """
 
-    rotation: np.ndarray
-    aligned: np.ndarray
+    rotation: np.ndarray = field(metadata=RESULT)
+    aligned: np.ndarray = field(metadata=RESULT)
 
 
 def _alignment_model(X, Y):
@@ -349,12 +345,13 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
     X has full rank the vertical component of the log is measured and the
     tangent carries the certificate (horizontal_certified, vertical_norm:
     at most HORIZ_TOL); rank-deficient base points skip the certificate.
+    A failed search (SolverReport.failed) raises AlignmentStagnation.
     """
     X = _rep(X, "X")
     r = _align_pairs([X], [Y], cfg)[0]
-    if r.stalled(cfg.stagnation_tol):
+    if r.failed(cfg.stagnation_tol):
         raise AlignmentStagnation(
-            f"rotation search stagnated at gradient norm {r.grad_norm:.3e}"
+            f"rotation search failed: {r.summary()}", report=r
         )
     V = ps_log(X, r.aligned)
     certified = None

@@ -19,7 +19,7 @@ from corrgeo import (
     write_factor_csv,
     write_matrix_csv,
 )
-from corrgeo import cli, product_sphere
+from corrgeo import SolverReport, cli, product_sphere
 from corrgeo.cli import main
 from corrgeo.quotient_space import SearchReport
 
@@ -44,6 +44,21 @@ def _cohort(tmp_path, rng, n, columns=("a", "b", "c"), groups=None, T=150):
     man = tmp_path / "cohort.json"
     man.write_text(json.dumps({"subjects": subjects}))
     return man
+
+
+def _series_cohort(tmp_path, series):
+    """A one-group cohort of the given T x m series, columns a, b, ..."""
+    subjects = []
+    for i, values in enumerate(series):
+        _write_csv(tmp_path / f"s{i}.csv", tuple("abcdefgh"[: values.shape[1]]), values)
+        subjects.append({"subject_id": f"s{i}", "path": f"s{i}.csv"})
+    man = tmp_path / "cohort.json"
+    man.write_text(json.dumps({"subjects": subjects}))
+    return man
+
+
+def _report(path):
+    return json.loads(path.read_text())
 
 
 # validate --------------------------------------------------------------------
@@ -172,6 +187,21 @@ def test_dist_width_above_column_count_is_validation_error(tmp_path, capsys, sou
     assert "exceeds the 3 columns" in capsys.readouterr().err
 
 
+def test_dist_cut_locus_stop_exits_3(tmp_path):
+    # series (x, x) and (x, -x): the Procrustes start alone stops with one row
+    # antipodal and a zero gradient, which is no minimum
+    x = np.random.default_rng(1).standard_normal((40, 1))
+    man = _series_cohort(tmp_path, [np.hstack([x, x]), np.hstack([x, -x])])
+    out = tmp_path / "one"
+    assert main(["dist", str(man), "--restarts", "1", "--out", str(out)]) == 3
+    (pair,) = _report(out / "distances_report.json")["pairs"]
+    assert pair["converged"] is False and pair["clamped_rows"] == [1]
+    out = tmp_path / "full"
+    assert main(["dist", str(man), "--out", str(out)]) == 0
+    (pair,) = _report(out / "distances_report.json")["pairs"]
+    assert abs(pair["distance"] - np.pi / np.sqrt(2.0)) < 1e-12
+
+
 # mean ------------------------------------------------------------------------
 
 
@@ -251,6 +281,46 @@ def test_mean_stopped_at_max_outer_exits_3(tmp_path, monkeypatch):
     doc = json.loads((out / "mean_all_report.json").read_text())
     assert doc["converged"] is False and doc["outer_iterations"] == 1
     assert doc["grad_norm"] > doc["grad_tol"]
+
+
+def test_floor_stall_within_stagnation_tol_exits_0(tmp_path):
+    # grad_tol 1e-17 is below the rounding floor: every solve stops there,
+    # stagnated at a gradient far below stagnation_tol, and passes
+    rng = np.random.default_rng(0)
+    series = [rng.standard_normal((60, 5)) @ rng.standard_normal((5, 5)) for _ in range(4)]
+    man = _series_cohort(tmp_path, series)
+    tol = DEFAULT_CONFIG.stagnation_tol
+    assert main(["dist", str(man), "--tol", "1e-17", "--out", str(tmp_path / "d")]) == 0
+    pairs = _report(tmp_path / "d" / "distances_report.json")["pairs"]
+    assert len(pairs) == 6
+    assert all(p["stagnated"] and p["grad_norm"] <= tol for p in pairs)
+    assert main(["mean", str(man), "--tol", "1e-17", "--out", str(tmp_path / "m")]) == 0
+    doc = _report(tmp_path / "m" / "mean_all_report.json")
+    assert doc["converged"] is False and doc["stagnated"] is True
+    assert doc["grad_norm"] <= tol and doc["clamped_rows"] == []
+
+
+def test_mean_report_carries_the_solve_record(tmp_path):
+    # groups g1 (s0, s2) and g2 (s1 alone, its own mean: a converged record
+    # with 0 iterations)
+    record = {f.name for f in dataclasses.fields(SolverReport)}
+    man = _cohort(tmp_path, np.random.default_rng(6), 3, groups=("g1", "g2"))
+    out = tmp_path / "out"
+    assert main(["mean", str(man), "--out", str(out)]) == 0
+    pair = _report(out / "mean_g1_report.json")
+    one = _report(out / "mean_g2_report.json")
+    assert record <= set(pair) and record <= set(one)
+    assert pair["converged"] is True and pair["iterations"] >= 1
+    assert pair["loss"] == pair["loss_history"][-1]
+    assert {k: one[k] for k in record} == {
+        "converged": True,
+        "iterations": 0,
+        "grad_norm": 0.0,
+        "loss": 0.0,
+        "stagnated": False,
+        "clamped_rows": [],
+    }
+    assert one["outer_iterations"] == 0 and one["alignments"] == []
 
 
 def test_mean_unknown_group_is_validation_error(tmp_path, capsys):

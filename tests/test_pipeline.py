@@ -85,6 +85,24 @@ def test_ingest_unparseable_cell(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+# cells float() accepts (whitespace, underscores, any Unicode digit, out of
+# range) and cells it refuses; the one NumPy conversion must agree with it
+ACCEPTED_CELLS = (" 1 ", "nan", "-Infinity", "1_000", "1e400", "\u0663", "+.5e-3", "0.1")
+REFUSED_CELLS = ("0x10", "", "_1", "1__0", "1e", "\u0661\u066b\u0665")
+
+
+def test_numeric_cells_are_those_float_accepts(tmp_path):
+    p = tmp_path / "cells.csv"
+    cols = [f"x{j}" for j in range(len(ACCEPTED_CELLS))]
+    p.write_text(",".join(cols) + "\n" + ",".join(ACCEPTED_CELLS) + "\n")
+    got = read_factor_csv(p)
+    assert got.tobytes() == np.array([[float(c) for c in ACCEPTED_CELLS]]).tobytes()
+    for cell in REFUSED_CELLS:
+        p.write_text(f"x0,x1\n1,2\n3,{cell}\n")
+        with pytest.raises(ParseError, match=f"line 3, column x1: cannot parse {cell!r}"):
+            read_factor_csv(p)
+
+
 def test_ingest_header_only_is_empty(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("a,b,c\n")

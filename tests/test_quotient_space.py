@@ -3,10 +3,12 @@ import pytest
 
 from corrgeo import (
     DEFAULT_CONFIG,
+    AlignmentStagnation,
     GeodesicSegment,
     InvalidInput,
     OrbitPoint,
     ProductTangent,
+    SolverReport,
     align,
     factorize,
     geodesic_rank_profile,
@@ -28,7 +30,7 @@ from corrgeo import (
 
 from corrgeo import quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
-from corrgeo.product_sphere import _trust_region
+from corrgeo.product_sphere import MAX_ITERS, _trust_region
 from corrgeo.quotient_space import _align_pairs, _random_starts
 
 from conftest import counterexample_pair, random_point, random_rank_point, random_tangent
@@ -352,6 +354,35 @@ def test_orbit_log_skips_certificate_at_low_rank():
     Y3 = np.hstack([random_point(rng, 4, 2), pad])
     V = orbit_log(X3, Y3)
     assert V.horizontal_certified is None
+
+
+@pytest.mark.parametrize(
+    "record, failed",
+    [
+        (dict(converged=True, grad_norm=1e-9), False),
+        (dict(stagnated=True, grad_norm=1e-6), False),  # floor stall at stagnation_tol
+        (dict(stagnated=True, grad_norm=2e-6), True),  # floor stall above it
+        (dict(iterations=MAX_ITERS, grad_norm=1e-3), True),  # capped
+        (dict(grad_norm=0.0, clamped_rows=(1,)), True),  # zero gradient on the cut locus
+        (dict(stagnated=True, grad_norm=1e-9, clamped_rows=(0,)), True),
+    ],
+)
+def test_failed_is_the_one_verdict_on_a_solve(record, failed):
+    r = SolverReport(**{"converged": False, "iterations": 4, "loss": 1.0, **record})
+    assert r.failed(DEFAULT_CONFIG.stagnation_tol) is failed
+
+
+def test_orbit_log_raises_on_a_cut_locus_stop_with_its_record():
+    # rows (a, a) against (a, -a): the Procrustes start alone stops with row 1
+    # antipodal and a zero gradient, no minimum; the seeded starts find pi/sqrt(2)
+    A = np.array([[1.0, 0.0], [1.0, 0.0]])
+    B = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(AlignmentStagnation) as exc:
+        orbit_log(A, B, DEFAULT_CONFIG.with_(restarts=1))
+    r = exc.value.report
+    assert (r.converged, r.stagnated, r.grad_norm, r.clamped_rows) == (False, False, 0.0, (1,))
+    assert r.failed(DEFAULT_CONFIG.stagnation_tol)
+    assert abs(orbit_log(A, B).norm - np.pi / np.sqrt(2.0)) < 1e-12
 
 
 def test_orbit_log_norm_is_orbit_dist():
