@@ -25,8 +25,11 @@ class SolverConfig:
     means and the joint Frechet mean): it converges when the Riemannian
     gradient norm is at most grad_tol. Once the predicted decrease of a step is below the rounding
     level of the loss, steps are judged by the gradient norm instead, and
-    the solve stops when that no longer falls or has fallen to grad_tol, so
-    converged solves end with the gradient near rounding level.
+    the solve stops when that no longer falls or has fallen to grad_tol.
+    It also stops once the gradient is at most CG_FLOOR * grad_tol
+    (product_sphere's inexact-Newton floor, 1e-2 * grad_tol, to which its
+    Newton steps are solved), so a converged solve ends with the gradient
+    at most grad_tol, and at most CG_FLOOR * grad_tol once the floor stops it.
     restarts / seed: a pair search (align, orbit_dist, orbit_log and the
     cohort distances alike) starts from Procrustes, restarts - 1 random
     rotations drawn from seed and their transposes, all solved as one

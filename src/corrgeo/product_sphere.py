@@ -37,6 +37,13 @@ GRAD_FACTOR_CAP = 1e8
 ANTIPODAL_GUARD = 1e-6
 # iteration cap of every trust-region solve
 MAX_ITERS = 500
+# inexact-Newton floor of every trust-region solve, as a fraction of
+# grad_tol: truncated CG stops once its residual is at most CG_FLOOR *
+# grad_tol, and a member stops once its gradient is. After a step that
+# solves the model to residual r the new gradient is r + O(|s|^2), so a
+# residual of grad_tol / 100 keeps the next gradient well inside grad_tol;
+# anything below it is polish that no caller reads
+CG_FLOOR = 1e-2
 
 
 def check_unit_rows(X, name="X") -> np.ndarray:
@@ -282,29 +289,31 @@ class _HessianOp:
         return np.stack(dense, axis=-1).astype(dtype)
 
 
-def _truncated_cg(H, g, gn, radius):
+def _truncated_cg(H, g, gn, radius, floor=0.0):
     """Steihaug-Toint truncated CG steps on a stack of trust-region models.
 
     Member r approximately minimizes g[r].s + s.(H[r] s)/2 over |s| <=
     radius[r], starting from s = 0: conjugate gradients until the residual
-    is at most |g| min(|g|, 0.1), a direction of nonpositive curvature is
-    met, or the step reaches the boundary (then the step ends on it), and at
-    most H.dim iterations, the dimension of the tangent space (not the
-    length of the ambient vectors, which exact CG would never need). g and
-    the products are tangent, but rounding leaves the search directions a
-    component across the tangent space of order eps |g|, which is large
-    against a direction once the residual has fallen far below g (a
-    boundary step can follow such a direction), so the steps are projected
-    once more (H.tangent) on return. The iterates stay in the Krylov space
-    of g, so a zero gradient gives s = 0, but flat directions (the
-    stabilizer of a rank-deficient factor) are not left untouched: rounding
-    gives g a component of order eps |G| along them, and once |g| is below
-    about 1.5e-8 CG can follow it to the boundary where its computed
-    curvature is nonpositive. Members iterate in lockstep; a member that
-    stops takes zero steps from then on, and once half the working set has
-    stopped the set shrinks to the members still iterating, so the products
-    skip finished members without indexing on every iteration. Returns the
-    steps and their predicted decreases.
+    is at most max(|g| min(|g|, 0.1), floor), a direction of nonpositive
+    curvature is met, or the step reaches the boundary (then the step ends
+    on it), and at most H.dim iterations, the dimension of the tangent
+    space (not the length of the ambient vectors, which exact CG would
+    never need). g and the products are tangent, but rounding leaves the
+    search directions a component across the tangent space of order eps
+    |g|, which is large against a direction once the residual has fallen
+    far below g (a boundary step can follow such a direction), so the steps
+    are projected once more (H.tangent) on return. The iterates stay in the
+    Krylov space of g, so a zero gradient, or one at most the floor, gives
+    s = 0. Flat directions (the stabilizer of a rank-deficient factor) are
+    not left untouched: rounding gives g a component of order eps |G| along
+    them. Without a floor, once |g| is below about 1.5e-8 CG can follow it
+    to the boundary where its computed curvature is nonpositive; the floor
+    _trust_region passes (CG_FLOOR * grad_tol) stops CG far above that
+    rounding. Members iterate in lockstep; a member that stops takes zero
+    steps from then on, and once half the working set has stopped the set
+    shrinks to the members still iterating, so the products skip finished
+    members without indexing on every iteration. Returns the steps and
+    their predicted decreases.
     """
     step, Hstep = np.zeros_like(g), np.zeros_like(g)
     project = H.tangent  # of the whole stack; H shrinks with the working set
@@ -315,7 +324,7 @@ def _truncated_cg(H, g, gn, radius):
     # member's row sums do not depend on its place in the stack
     rr = pp = gn * gn
     ss = sp = np.zeros_like(gn)
-    tol2 = rr * np.minimum(gn, 0.1) ** 2
+    tol2 = np.maximum(rr * np.minimum(gn, 0.1) ** 2, floor * floor)
     live = rr > tol2
     r2 = radius * radius
     tiny = np.finfo(float).tiny
@@ -387,8 +396,12 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
     differences carry no information; from there a step is accepted only if
     it lowers the gradient norm (accurate to eps), and the member stops at
     the first step that does not, or once such a step has left the gradient
-    norm at most cfg.grad_tol. Quadratic convergence takes the gradient to
-    rounding level on the way. No member runs more than MAX_ITERS iterations.
+    norm at most cfg.grad_tol. The truncated CG solves each model to a
+    residual no smaller than the inexact-Newton floor CG_FLOOR *
+    cfg.grad_tol, and a member whose accepted gradient is at most that
+    floor stops in that iteration, converged, and is never stepped again (a
+    start already there takes one zero step). No member runs more than
+    MAX_ITERS iterations.
 
     Returns per-member arrays (x, loss, grad_norm, iterations, converged,
     stagnated, clamped, retired), the six between x and retired in the
@@ -408,6 +421,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
     done = np.zeros(size, dtype=bool)
     it = np.zeros(size, dtype=int)
     floor = 100.0 * np.finfo(float).eps
+    cg_floor = CG_FLOOR * cfg.grad_tol
     while not done.all():
         act = np.flatnonzero(~done)
         it[act] += 1
@@ -416,7 +430,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
             xa, la, ga, gna, ra, Ha = x, loss, g, gn, radius, H
         else:
             xa, la, ga, gna, ra, Ha = x[act], loss[act], g[act], gn[act], radius[act], H[act]
-        s, pred = _truncated_cg(Ha, ga, gna, ra)
+        s, pred = _truncated_cg(Ha, ga, gna, ra, cg_floor)
         x_new = retract(xa, s)
         loss_new, g_new, H_new, clamped_new = model(x_new, act)
         gn_new = np.sqrt((g_new * g_new).sum(axis=1))
@@ -436,7 +450,7 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
             x[acc], loss[acc], gn[acc] = x_new[take], loss_new[take], gn_new[take]
             g[acc], H[acc], clamped[acc] = g_new[take], H_new[take], clamped_new[take]
         conv = gn[act] <= cfg.grad_tol
-        stopped = stop | (floored & conv) | (it[act] >= MAX_ITERS)
+        stopped = stop | (floored & conv) | (gn[act] <= cg_floor) | (it[act] >= MAX_ITERS)
         done[act] = stopped
         # converged members in blocks with live members may certify their pair
         if certify is not None and stopped.any():

@@ -15,19 +15,23 @@ mean is also kept in its alternating per-pair form (Gower's generalized
 Procrustes loop: one rotation search per pair and per sample, then the
 rotations-fixed row means), which the package's joint solve must match or
 beat, and the rotation search in its form without early retirement, every
-start iterated to its own stop.
+start iterated to its own stop. A work counter tallies the trust-region
+iterations and Hessian-vector products of the package's solves.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from corrgeo import frechet, product_sphere, quotient_space
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.errors import AntipodalLogarithm, InvalidInput
 from corrgeo.kernels import RANK_RELATIVE, rank_threshold
 from corrgeo.product_sphere import (
     ANTIPODAL_GUARD,
     SMALL_ANGLE,
+    _HessianOp,
     _angle_factors,
     _row_angles,
     _row_mean_model,
@@ -486,3 +490,53 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
             converged = True
             break
     return mean, loss_history, outer, converged, results
+
+
+# trust-region work --------------------------------------------------------------
+
+
+@dataclass
+class SolverWork:
+    """Work of the trust-region solves run inside one solver_work block.
+
+    iterations sums each solve's lockstep iterations (the most any of its
+    members ran), calls counts the stacked Hessian-vector product calls (one
+    per lockstep CG iteration) and products the member products in them.
+    """
+
+    iterations: int = 0
+    calls: int = 0
+    products: int = 0
+
+
+@contextmanager
+def solver_work():
+    """Count the package's trust-region work inside the block; yields a SolverWork.
+
+    Wraps _trust_region where the package calls it (product_sphere,
+    quotient_space and frechet) and _HessianOp.__matmul__, and restores
+    both on exit. Blocks nest: an inner block's work counts in the outer.
+    """
+    work = SolverWork()
+    solve, matmul = product_sphere._trust_region, _HessianOp.__matmul__
+    callers = (product_sphere, quotient_space, frechet)
+
+    def counted_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        work.iterations += int(out[3].max(initial=0))
+        return out
+
+    def counted_matmul(self, d):
+        work.calls += 1
+        work.products += len(d) if d.ndim > 1 else 1
+        return matmul(self, d)
+
+    for module in callers:
+        module._trust_region = counted_solve
+    _HessianOp.__matmul__ = counted_matmul
+    try:
+        yield work
+    finally:
+        for module in callers:
+            module._trust_region = solve
+        _HessianOp.__matmul__ = matmul

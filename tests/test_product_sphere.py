@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,11 @@ from corrgeo import (
     ps_project,
     unit_rows,
 )
-from corrgeo import frechet
+from corrgeo import factorize, frechet, product_sphere
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import random_orthogonal
 from corrgeo.product_sphere import (
+    CG_FLOOR,
     _HessianOp,
     _angle_factors,
     _row_mean_model,
@@ -37,6 +39,7 @@ from reference import (
     dense_row_mean_hessian,
     procrustes,
     so_basis,
+    solver_work,
     sphere_dist,
     sphere_exp,
 )
@@ -646,3 +649,142 @@ def test_model_and_product_memory_at_the_papers_width():
         tracemalloc.stop()
     assert Hd.shape == g.shape == d.shape
     assert peak < 2 * 2**20
+
+
+# the inexact-Newton floor ---------------------------------------------------------
+
+
+def test_truncated_cg_stops_at_the_floor():
+    # the CG target is max(|g| min(|g|, 0.1), floor): a member at or below
+    # the floor gets an exactly zero step and drives no product, and a
+    # member above it stops within its target. Row means of tight clouds at
+    # k = 12 (positive definite models of 11 dimensions, radius far beyond
+    # the steps), their gradients scaled across the floor
+    rng = np.random.default_rng(53)
+    m, n, k = 8, 6, 12
+    center = random_point(rng, m, k)
+    clouds = np.stack(
+        [unit_rows(center + 0.1 * rng.standard_normal((m, k))) for _ in range(n)], axis=1
+    )
+    model, _ = _row_mean_model(clouds, rng.uniform(0.5, 2.0, n))
+    _, g, H, _ = model(center, np.arange(m))
+    floor = CG_FLOOR * DEFAULT_CONFIG.grad_tol
+    gn = np.array([0.0, 1e-3, 0.5, 1.5, 10.0, 1e2, 1e6, 1e7]) * floor
+    g *= (gn / np.linalg.norm(g, axis=1))[:, None]
+    radius = np.full(m, 1e3)
+    above = gn > floor
+    with solver_work() as work:
+        s, pred = _truncated_cg(H[~above], g[~above], gn[~above], radius[~above], floor)
+    assert not s.any() and not pred.any() and work.calls == 0
+    with solver_work() as needed:
+        _truncated_cg(H[above], g[above], gn[above], radius[above], floor)
+    with solver_work() as work:
+        s, _ = _truncated_cg(H, g, gn, radius, floor)
+    assert not s[~above].any() and np.all(np.linalg.norm(s[above], axis=1) > 0.0)
+    assert work.calls == needed.calls > 0
+    residual = np.linalg.norm(g + H @ s, axis=1)
+    target = np.maximum(gn * np.minimum(gn, 0.1), floor)
+    assert np.all(residual[above] <= target[above])
+    assert np.all(np.linalg.norm(s, axis=1) < radius)
+
+
+def _stepped_gradients(model, retract):
+    """model and retract that record every retraction of every member.
+
+    Returns them with the list of records (member, gradient norm at the
+    point it is stepped from, its step, the member's iteration, from 1),
+    filled as the solve runs.
+    """
+    grad_at, iters, records, pending = {}, {}, [], []
+
+    def recorded_model(x, members):
+        out = model(x, members)
+        gn = np.linalg.norm(out[1], axis=1)
+        for j, member in enumerate(members):
+            if pending:
+                xa, s = pending[0]
+                iters[member] = iters.get(member, 0) + 1
+                records.append((member, grad_at[member, xa[j].tobytes()], s[j], iters[member]))
+            grad_at[member, x[j].tobytes()] = gn[j]
+        pending.clear()
+        return out
+
+    def recorded_retract(x, s):
+        pending.append((x.copy(), s.copy()))
+        return retract(x, s)
+
+    return recorded_model, recorded_retract, records
+
+
+def _stepped_from_floor(records, floor):
+    """Whether some member is stepped from an accepted gradient at or below
+    floor, other than by the zero step of its first iteration."""
+    return any(gn <= floor and (it > 1 or s.any()) for _, gn, s, it in records)
+
+
+def test_no_member_is_stepped_from_the_floor():
+    # a member whose accepted gradient is at or below CG_FLOOR * grad_tol
+    # stops in that iteration: it is never stepped or retracted again. A
+    # start already there keeps its single zero step. Alignment, row-mean
+    # and joint stacks of mixed ranks
+    rng = np.random.default_rng(55)
+    floor = CG_FLOOR * DEFAULT_CONFIG.grad_tol
+    reached = 0
+    for m, k in ((6, 3), (8, 4)):
+        ranks = (1, k - 1, k)
+        pairs = [(random_rank_point(rng, m, k, r), random_point(rng, m, k)) for r in ranks]
+        Xs, Ys = (np.repeat(np.stack(a), 4, axis=0) for a in zip(*pairs))
+        starts = np.stack([random_orthogonal(k, rng) for _ in range(len(Xs))])
+        alignment = _alignment_model(Xs, Ys)
+
+        # row means, row 0 started at its samples' common row (gradient 0)
+        clouds = np.stack([random_rank_point(rng, 6, k, r) for r in ranks for _ in range(m)])
+        clouds[0] = np.eye(k)[0]
+        rows0 = random_point(rng, len(clouds), k)
+        rows0[0] = np.eye(k)[0]
+        row_means = _row_mean_model(clouds, rng.uniform(0.5, 2.0, 6))
+
+        reps = np.stack([random_rank_point(rng, m, k, r) for r in ranks])
+        rotations = np.stack([random_orthogonal(k, rng) for _ in ranks])
+        joint0 = np.concatenate([random_point(rng, m, k), rotations.reshape(-1, k)])[None]
+        joint = frechet._joint_model(reps, np.full(len(ranks), 1.0 / len(ranks)), 0)
+
+        for (model, retract), x0 in ((alignment, starts), (row_means, rows0), (joint, joint0)):
+            model, retract, records = _stepped_gradients(model, retract)
+            _, _, gn, it, *_ = _trust_region(model, retract, x0, DEFAULT_CONFIG)
+            assert records and not _stepped_from_floor(records, floor)
+            reached += np.count_nonzero((gn <= floor) & (it > 1))
+            if x0 is rows0:
+                assert [(gn, it) for member, gn, _, it in records if member == 0] == [(0.0, 1)]
+    assert reached > 10
+
+
+def test_converged_members_drive_no_cg_iteration(monkeypatch):
+    # on one cohort-shaped stack (4 subjects x 8 variables, T = 200: the 6
+    # pairs' rotation searches in one stack) every lockstep CG iteration is
+    # one that a member with its gradient above grad_tol needs: the same CG
+    # solve without the members at or below grad_tol takes as many products
+    rng = np.random.default_rng(56)
+    mixing = rng.standard_normal((8, 8))
+    series = [
+        rng.standard_normal((200, 8)) @ (mixing + rng.standard_normal((8, 8))).T for _ in range(4)
+    ]
+    factors = [factorize(np.corrcoef(Z, rowvar=False), 8) for Z in series]
+    excess = []
+
+    def counted_cg(H, g, gn, radius, *floor):
+        with solver_work() as work:
+            out = _truncated_cg(H, g, gn, radius, *floor)
+        busy = gn > DEFAULT_CONFIG.grad_tol
+        with solver_work() as needed:
+            if busy.any():
+                _truncated_cg(H[busy], g[busy], gn[busy], radius[busy], *floor)
+        excess.append(work.calls - needed.calls)
+        return out
+
+    monkeypatch.setattr(product_sphere, "_truncated_cg", counted_cg)
+    with solver_work() as work:
+        results = _align_pairs(*zip(*itertools.combinations(factors, 2)))
+    assert all(r.converged for r in results)
+    assert len(excess) == work.iterations and work.calls > 50
+    assert not any(excess)
