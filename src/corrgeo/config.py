@@ -36,8 +36,7 @@ class SolverConfig:
     stack; restarts_used is the number of starts, 2 * restarts - 1 (9 at
     the default) plus any extra_inits passed to align or orbit_dist, and
     retired the number of them the search dropped early as redundant.
-    require_horizontal makes orbit_exp check that its tangent is horizontal
-    within fixed_rank.HORIZ_TOL.
+    Horizontality is no setting: orbit_exp always checks it.
     stagnation_tol separates harmless stops at the rounding floor from
     failures: SolverReport.failed(stagnation_tol) is the verdict orbit_log
     raises on and the CLI's exit code 3 reads.
@@ -49,7 +48,6 @@ class SolverConfig:
     grad_tol: float = 1e-8
     restarts: int = 5
     seed: int = 0
-    require_horizontal: bool = False
     stagnation_tol: float = 1e-6
 
     def __post_init__(self):

@@ -1,15 +1,16 @@
-"""Horizontal and vertical structure over full-rank orbit representatives.
+"""Horizontal and vertical structure over orbit representatives.
 
-At a full-rank X the tangent space of the product of spheres splits into
-the vertical space {X W : W skew} tangent to the orbit and its orthogonal
-complement, the horizontal space {V : V^T X = X^T V}. Quotient-level
-tangents are represented by horizontal lifts; gradients of rotation
-invariant functions lift by projecting the ambient gradient.
+At X the tangent space of the product of spheres holds the vertical space
+{X W : W skew} tangent to the orbit, and the horizontal space
+{V : V^T X = X^T V}, its orthogonal complement. Quotient-level tangents
+are represented by horizontal lifts; gradients of rotation invariant
+functions lift by projecting the ambient gradient.
 
-This module is the one home of both formulas: horizontality_defect
-measures |V^T X - X^T V| and _vertical_part solves for the vertical
-component. The quotient log and exp in quotient_space use them, and
-HORIZ_TOL, to certify and to check horizontality.
+This module is the one home of both formulas. horizontality_defect
+measures |V^T X - X^T V| at every rank, and _check_horizontal, the one
+horizontality check (quotient_metric and quotient_space.orbit_exp call
+it), bounds it by HORIZ_TOL. Only the projections, which solve for the
+vertical component (_vertical_part), and the metric need full rank.
 """
 
 from dataclasses import dataclass
@@ -25,9 +26,10 @@ HORIZ_TOL = 1e-8  # horizontality tolerance of checked and certified tangents
 
 @dataclass(frozen=True)
 class HorizontalTangent(ProductTangent):
-    """A tangent certified horizontal at construction time."""
+    """A tangent with its defect |V^T X - X^T V|_F: measured, or orbit_log's
+    search gradient norm, which equals it."""
 
-    defect: float = 0.0
+    defect: float
 
 
 def _full_rank_rep(X) -> np.ndarray:
@@ -42,6 +44,13 @@ def horizontality_defect(X, V) -> float:
     X = _rep(X)
     V = _tangent_vec(X, V)
     return float(np.linalg.norm(V.T @ X - X.T @ V))
+
+
+def _check_horizontal(X, V, name="tangent"):
+    """Raise InvalidInput unless horizontality_defect(X, V) <= HORIZ_TOL max(1, |V|_F)."""
+    defect = horizontality_defect(X, V)
+    if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(V))):
+        raise InvalidInput(f"{name} is not horizontal (defect {defect:.3e})")
 
 
 def _vertical_part(X, V) -> np.ndarray:
@@ -69,22 +78,19 @@ def horizontal_project(X, W) -> HorizontalTangent:
     return HorizontalTangent(base=X, vec=H, defect=horizontality_defect(X, H))
 
 
-def quotient_metric(U, V, X=None) -> float:
+def quotient_metric(U, V) -> float:
     """Inner product of two horizontal tangents at the same full-rank point.
 
-    Both arguments must be horizontal within HORIZ_TOL relative to
-    their norms; the metric is then the Frobenius inner product of the
-    lifts.
+    Both arguments must pass _check_horizontal; the metric is then the
+    Frobenius inner product of the lifts.
     """
     if not isinstance(U, ProductTangent) or not isinstance(V, ProductTangent):
         raise InvalidInput("quotient_metric expects tangent objects")
     if not np.allclose(U.base, V.base, rtol=0.0, atol=1e-10):
         raise InvalidInput("tangents live at different base points")
-    X = _full_rank_rep(U.base if X is None else X)
+    X = _full_rank_rep(U.base)
     for name, T in (("first", U), ("second", V)):
-        defect = horizontality_defect(X, T)
-        if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(T.vec))):
-            raise InvalidInput(f"{name} tangent is not horizontal (defect {defect:.3e})")
+        _check_horizontal(X, T.vec, f"{name} tangent")
     return float(np.sum(U.vec * V.vec))
 
 

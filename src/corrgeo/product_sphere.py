@@ -77,18 +77,27 @@ def unit_rows(A) -> np.ndarray:
     return A / norms[:, None]
 
 
+def _check_tangent(X, V) -> np.ndarray:
+    """V, unless it is non-finite or a row has |<x_i, v_i>| > 1e-8 max(1, |V|_F):
+    the tangency rule of every tangent, built or raw; raises InvalidInput."""
+    if not np.all(np.isfinite(V)):
+        raise InvalidInput("tangent has non-finite entries")
+    resid = np.abs(np.einsum("ij,ij->i", X, V))
+    if np.any(resid > 1e-8 * max(1.0, float(np.linalg.norm(V)))):
+        i = int(np.argmax(resid))
+        raise InvalidInput(f"row {i} is not tangent (inner product {resid[i]:.3e})")
+    return V
+
+
 @dataclass(frozen=True)
 class ProductTangent:
     """Tangent vector at a product-of-spheres point: rowwise orthogonal to base.
 
-    horizontal_certified and vertical_norm are filled in only by the quotient
-    logarithm, which certifies (or flags) near-horizontality of its output.
+    Construction checks the shape and _check_tangent's rule.
     """
 
     base: np.ndarray
     vec: np.ndarray
-    horizontal_certified: bool | None = None
-    vertical_norm: float | None = None
 
     def __post_init__(self):
         base = check_unit_rows(self.base, "base")
@@ -97,23 +106,12 @@ class ProductTangent:
             raise InvalidInput(
                 f"tangent shape {vec.shape} does not match base {base.shape}"
             )
-        if not np.all(np.isfinite(vec)):
-            raise InvalidInput("tangent has non-finite entries")
-        resid = np.abs(np.einsum("ij,ij->i", base, vec))
-        if np.any(resid > 1e-8 * max(1.0, float(np.linalg.norm(vec)))):
-            i = int(np.argmax(resid))
-            raise InvalidInput(
-                f"row {i} is not tangent (inner product {resid[i]:.3e})"
-            )
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "vec", _check_tangent(base, vec))
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
-
-    def scaled(self, t: float) -> "ProductTangent":
-        return ProductTangent(self.base, t * self.vec)
 
 
 def _row_angles(X, Y):
@@ -178,14 +176,15 @@ def _tangent_vec(X, V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.shape != X.shape:
         raise InvalidInput(f"velocity shape {V.shape} does not match {X.shape}")
-    return V
+    return _check_tangent(X, V)
 
 
 def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     """Rowwise exponential map: each row follows its great circle for time t.
 
     Accepts a ProductTangent (base must be X) or a raw m x k matrix of
-    rowwise-tangent velocities; t must be a finite real number.
+    rowwise-tangent velocities (else InvalidInput); t must be a finite real
+    number.
     """
     X = check_unit_rows(X, "X")
     if not (is_number(t, -math.inf) and abs(t) <= sys.float_info.max):

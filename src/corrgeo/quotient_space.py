@@ -20,13 +20,13 @@ pairs never interact, so batching moves no number. Only the Frechet
 mean's final alignment stack runs the ordered search, warm-started from
 each sample's rotation in the joint mean solve.
 
-Logs and exponentials act row by row on representatives; horizontality is
-measured with fixed_rank's formulas. Rank along a geodesic is read from
-stacked SVDs of points on the path. Escape times scan a grid of smallest
-singular values in two passes: every 32nd time first, then the dense times
-only in the coarse intervals where the gap's Lipschitz bound cannot certify
-that it stays positive, and they zoom into the dips found there in stacked
-brackets.
+Logs and exponentials act row by row on representatives; a log's
+horizontality defect is its search's gradient norm. Rank along a geodesic
+is read from stacked SVDs of points on the path. Escape times scan a grid
+of smallest singular values in two passes: every 32nd time first, then the
+dense times only in the coarse intervals where the gap's Lipschitz bound
+cannot certify that it stays positive, and they zoom into the dips found
+there in stacked brackets.
 """
 
 import functools
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RESULT, SolverConfig, SolverReport, is_number
 from .errors import AlignmentStagnation, InvalidInput
-from .fixed_rank import HORIZ_TOL, _vertical_part, horizontality_defect
+from .fixed_rank import HorizontalTangent, _check_horizontal
 from .kernels import (
     RANK_RELATIVE,
     _polar,
@@ -336,16 +336,16 @@ def orbit_equal(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> bool:
     return orbit_dist(X, Y, cfg) <= EQUALITY_TOL
 
 
-def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
+def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> HorizontalTangent:
     """Logarithm in the quotient: rowwise log toward the aligned representative.
 
     Aligns Y to X by orbit_dist's search of the unordered pair, so |log| is
     the distance, then takes the product-sphere logarithm. First-order
-    optimality of the alignment is exactly horizontality of the log, so when
-    X has full rank the vertical component of the log is measured and the
-    tangent carries the certificate (horizontal_certified, vertical_norm:
-    at most HORIZ_TOL); rank-deficient base points skip the certificate.
-    A failed search (SolverReport.failed) raises AlignmentStagnation.
+    optimality of the alignment is exactly horizontality of the log: at the
+    aligned representative |V^T X - X^T V|_F is the norm of the search's
+    gradient skew(G), so the tangent's defect is the search's grad_norm, at
+    every rank. A failed search (SolverReport.failed) raises
+    AlignmentStagnation.
     """
     X = _rep(X, "X")
     r = _align_pairs([X], [Y], cfg)[0]
@@ -353,30 +353,19 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> ProductTangent:
         raise AlignmentStagnation(
             f"rotation search failed: {r.summary()}", report=r
         )
-    V = ps_log(X, r.aligned)
-    certified = None
-    vnorm = None
-    if numerical_rank(X) == X.shape[1]:
-        vnorm = float(np.linalg.norm(_vertical_part(X, V.vec)))
-        certified = vnorm <= HORIZ_TOL
-    return ProductTangent(
-        base=V.base, vec=V.vec, horizontal_certified=certified, vertical_norm=vnorm
-    )
+    return HorizontalTangent(X, ps_log(X, r.aligned).vec, defect=r.grad_norm)
 
 
-def orbit_exp(X, V, t: float = 1.0, cfg: SolverConfig = DEFAULT_CONFIG) -> OrbitPoint:
+def orbit_exp(X, V, t: float = 1.0) -> OrbitPoint:
     """Exponential in the quotient: rowwise exponential of a horizontal tangent.
 
-    Horizontality is the caller's responsibility by default; set
-    cfg.require_horizontal to have the defect checked against HORIZ_TOL
-    (relative to the tangent norm).
+    V must be rowwise tangent and horizontal at X (fixed_rank's
+    _check_horizontal, within HORIZ_TOL relative to its norm), else
+    InvalidInput.
     """
     X = _rep(X, "X")
     vec = _tangent_vec(X, V)
-    if cfg.require_horizontal:
-        defect = horizontality_defect(X, vec)
-        if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(vec))):
-            raise InvalidInput(f"tangent is not horizontal (defect {defect:.3e})")
+    _check_horizontal(X, vec)
     return OrbitPoint(ps_exp(X, vec, t))
 
 
@@ -514,7 +503,7 @@ def max_full_rank_interval(X, V, t_max_search: float = 10.0):
     t_max_search when no drop is found on that side.
     """
     Xp = _rep(X)
-    vec = ProductTangent(Xp, _tangent_vec(Xp, V)).vec
+    vec = _tangent_vec(Xp, V)
     if not (is_number(t_max_search, 0) and t_max_search > 0.0):
         raise InvalidInput(f"t_max_search must be positive and finite, got {t_max_search!r}")
     k = Xp.shape[1]

@@ -371,19 +371,33 @@ def test_orbit_log_is_certified_horizontal_at_full_rank():
     rng = np.random.default_rng(10)
     X, Y = _nearby_pair(rng, 5, 3)
     V = orbit_log(X, Y)
-    assert V.horizontal_certified is True
-    assert V.vertical_norm <= HORIZ_TOL
+    assert V.defect <= HORIZ_TOL
+    assert vertical_project(X, V).norm <= HORIZ_TOL
     assert horizontality_defect(X, V) < 1e-8
 
 
-def test_orbit_log_skips_certificate_at_low_rank():
+def test_orbit_log_reports_its_defect_at_low_rank():
     rng = np.random.default_rng(11)
     X = random_point(rng, 4, 2)
     pad = np.zeros((4, 1))
     X3 = np.hstack([X, pad])  # rank 2 representative in k=3
     Y3 = np.hstack([random_point(rng, 4, 2), pad])
     V = orbit_log(X3, Y3)
-    assert V.horizontal_certified is None
+    assert V.defect <= HORIZ_TOL
+    assert abs(horizontality_defect(X3, V) - V.defect) <= 1e-12 * max(1.0, V.norm)
+
+
+@pytest.mark.parametrize("m, k, rx, ry", [(5, 3, 3, 3), (8, 2, 2, 2), (6, 4, 4, 2), (7, 4, 3, 2)])
+def test_orbit_log_defect_is_its_search_gradient_norm(m, k, rx, ry):
+    # skew(X^T V) = -1/2 O skew(G) O^T at the aligned representative, so the
+    # log's horizontality defect is the search's gradient norm at every rank
+    rng = np.random.default_rng([27, m, k, rx, ry])
+    for _ in range(10):
+        X, Y = random_rank_point(rng, m, k, rx), random_rank_point(rng, m, k, ry)
+        for A, B in ((X, Y), (Y, X)):
+            V = orbit_log(A, B)
+            assert V.defect == align(A, B).grad_norm
+            assert abs(horizontality_defect(A, V) - V.defect) <= 1e-12 * max(1.0, V.norm)
 
 
 @pytest.mark.parametrize(
@@ -476,11 +490,10 @@ def test_orbit_exp_horizontality_gate():
     # a purely vertical direction: common infinitesimal rotation of all rows
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     V = X @ J.T
-    cfg = DEFAULT_CONFIG.with_(require_horizontal=True)
-    with pytest.raises(InvalidInput):
-        orbit_exp(X, V, cfg=cfg)
-    # without the gate the rowwise exponential just runs
-    orbit_exp(X, V)
+    with pytest.raises(InvalidInput, match="tangent is not horizontal"):
+        orbit_exp(X, V)
+    # the product exponential has no gate: the rows just turn
+    assert ps_dist(ps_exp(X, V), X) > 0.5
 
 
 @pytest.mark.parametrize(
@@ -510,12 +523,24 @@ def test_tangent_must_live_at_the_point(fn, tangent):
 
 def test_escape_times_reject_a_raw_velocity_that_is_not_tangent():
     # ps_exp renormalizes rows, so such a path is no geodesic and its gap
-    # is not (1 + RANK_RELATIVE) |V|_F-Lipschitz
+    # is not (1 + RANK_RELATIVE) |V|_F-Lipschitz; every map that takes a raw
+    # velocity applies the ProductTangent rule, so none reads the normal
+    # part (ps_exp(X, T + 0.3 X) once ended 0.2 away from ps_exp(X, T),
+    # and orbit_exp took the purely normal 0.5 X as horizontal)
     rng = np.random.default_rng(24)
-    X = random_point(rng, 4, 2)
-    V = random_tangent(rng, X) + 0.5 * X
-    with pytest.raises(InvalidInput, match="is not tangent"):
-        max_full_rank_interval(X, V)
+    X = random_point(rng, 4, 3)
+    T = random_tangent(rng, X)
+    for fn in (
+        ps_exp,
+        orbit_exp,
+        horizontality_defect,
+        vertical_project,
+        horizontal_project,
+        max_full_rank_interval,
+    ):
+        for V in (T + 0.3 * X, 0.5 * X):
+            with pytest.raises(InvalidInput, match="is not tangent"):
+                fn(X, V)
 
 
 # geodesics ------------------------------------------------------------------------

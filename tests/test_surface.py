@@ -24,10 +24,10 @@ def test_surface_size():
 
 def test_solver_config_fields_are_the_settings_callers_set():
     # the CLI sets grad_tol, restarts and seed; stagnation_tol is part of the
-    # distance report; require_horizontal gates outside input to orbit_exp.
-    # Every other tolerance or cap is a module constant.
+    # distance report. Every other tolerance or cap is a module constant, and
+    # orbit_exp always checks horizontality.
     fields = {f.name for f in dataclasses.fields(corrgeo.SolverConfig)}
-    assert fields == {"grad_tol", "restarts", "seed", "stagnation_tol", "require_horizontal"}
+    assert fields == {"grad_tol", "restarts", "seed", "stagnation_tol"}
 
 
 @pytest.mark.parametrize("module", ["sphere", "orthogonal_group", "oracle"])
