@@ -36,7 +36,8 @@ class SolverConfig:
     stack; restarts_used is the number of starts, 2 * restarts - 1 (9 at
     the default) plus any extra_inits passed to align or orbit_dist, and
     retired the number of them the search dropped early as redundant.
-    Horizontality is no setting: orbit_exp always checks it.
+    Horizontality is no setting: orbit_exp always checks it, against the
+    defect a tangent records (orbit_log's is its search's grad_norm).
     stagnation_tol separates harmless stops at the rounding floor from
     failures: SolverReport.failed(stagnation_tol) is the verdict orbit_log
     raises on and the CLI's exit code 3 reads.

@@ -1,16 +1,14 @@
 """Horizontal and vertical structure over orbit representatives.
 
 At X the tangent space of the product of spheres holds the vertical space
-{X W : W skew} tangent to the orbit, and the horizontal space
-{V : V^T X = X^T V}, its orthogonal complement. Quotient-level tangents
-are represented by horizontal lifts; gradients of rotation invariant
-functions lift by projecting the ambient gradient.
+{X W : W skew} tangent to the orbit and the horizontal space
+{V : V^T X = X^T V}. Quotient-level tangents are represented by horizontal
+lifts; gradients of rotation invariant functions lift by projection.
 
-This module is the one home of both formulas. horizontality_defect
-measures |V^T X - X^T V| at every rank, and _check_horizontal, the one
-horizontality check (quotient_metric and quotient_space.orbit_exp call
-it), bounds it by HORIZ_TOL. Only the projections, which solve for the
-vertical component (_vertical_part), and the metric need full rank.
+This module is the one home of both formulas: the defect |V^T X - X^T V|,
+defined at every rank and bounded by _check_horizontal (quotient_metric's
+and orbit_exp's one check), and _vertical_part, the vertical component,
+which like the projections and the metric needs full rank.
 """
 
 from dataclasses import dataclass
@@ -27,7 +25,7 @@ HORIZ_TOL = 1e-8  # horizontality tolerance of checked and certified tangents
 @dataclass(frozen=True)
 class HorizontalTangent(ProductTangent):
     """A tangent with its defect |V^T X - X^T V|_F: measured, or orbit_log's
-    search gradient norm, which equals it."""
+    search gradient norm, which equals it and which grad_tol bounds."""
 
     defect: float
 
@@ -46,11 +44,15 @@ def horizontality_defect(X, V) -> float:
     return float(np.linalg.norm(V.T @ X - X.T @ V))
 
 
-def _check_horizontal(X, V, name="tangent"):
-    """Raise InvalidInput unless horizontality_defect(X, V) <= HORIZ_TOL max(1, |V|_F)."""
-    defect = horizontality_defect(X, V)
-    if defect > HORIZ_TOL * max(1.0, float(np.linalg.norm(V))):
+def _check_horizontal(X, V, name="tangent") -> np.ndarray:
+    """V's matrix at the unit-row X; InvalidInput if its defect exceeds the one
+    it records (a HorizontalTangent's, else 0) by HORIZ_TOL max(1, |V|_F)."""
+    vec = _tangent_vec(X, V)
+    recorded = V.defect if isinstance(V, HorizontalTangent) else 0.0
+    defect = float(np.linalg.norm(vec.T @ X - X.T @ vec))
+    if defect > recorded + HORIZ_TOL * max(1.0, float(np.linalg.norm(vec))):
         raise InvalidInput(f"{name} is not horizontal (defect {defect:.3e})")
+    return vec
 
 
 def _vertical_part(X, V) -> np.ndarray:
@@ -90,7 +92,7 @@ def quotient_metric(U, V) -> float:
         raise InvalidInput("tangents live at different base points")
     X = _full_rank_rep(U.base)
     for name, T in (("first", U), ("second", V)):
-        _check_horizontal(X, T.vec, f"{name} tangent")
+        _check_horizontal(X, T, f"{name} tangent")
     return float(np.sum(U.vec * V.vec))
 
 

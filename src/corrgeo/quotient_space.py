@@ -359,13 +359,12 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> HorizontalTangent:
 def orbit_exp(X, V, t: float = 1.0) -> OrbitPoint:
     """Exponential in the quotient: rowwise exponential of a horizontal tangent.
 
-    V must be rowwise tangent and horizontal at X (fixed_rank's
-    _check_horizontal, within HORIZ_TOL relative to its norm), else
-    InvalidInput.
+    V must be rowwise tangent and pass fixed_rank._check_horizontal at X,
+    which holds it to the defect it records (orbit_log's output passes at
+    any grad_tol), else InvalidInput.
     """
     X = _rep(X, "X")
-    vec = _tangent_vec(X, V)
-    _check_horizontal(X, vec)
+    vec = _check_horizontal(X, V)
     return OrbitPoint(ps_exp(X, vec, t))
 
 

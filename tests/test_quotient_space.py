@@ -5,6 +5,7 @@ from corrgeo import (
     DEFAULT_CONFIG,
     AlignmentStagnation,
     GeodesicSegment,
+    HorizontalTangent,
     InvalidInput,
     OrbitPoint,
     ProductTangent,
@@ -24,6 +25,7 @@ from corrgeo import (
     orbit_log,
     ps_dist,
     ps_exp,
+    quotient_metric,
     random_orthogonal,
     vertical_project,
 )
@@ -494,6 +496,25 @@ def test_orbit_exp_horizontality_gate():
         orbit_exp(X, V)
     # the product exponential has no gate: the rows just turn
     assert ps_dist(ps_exp(X, V), X) > 0.5
+    # a tangent that records a smaller defect than it has is held to its record
+    with pytest.raises(InvalidInput, match="tangent is not horizontal"):
+        orbit_exp(X, HorizontalTangent(X, V, defect=0.0))
+
+
+def test_loose_logs_pass_the_horizontality_check():
+    # at grad_tol above HORIZ_TOL a log's defect, its search's gradient norm,
+    # exceeds HORIZ_TOL; the check holds it to the defect it records, so
+    # orbit_exp and quotient_metric take orbit_log's own output
+    cfg = DEFAULT_CONFIG.with_(grad_tol=1e-4)
+    rng = np.random.default_rng(5)
+    loose = 0
+    for _ in range(10):
+        X, Y = random_point(rng, 8, 3), random_point(rng, 8, 3)
+        V = orbit_log(X, Y, cfg)
+        loose += V.defect > HORIZ_TOL * max(1.0, V.norm)
+        assert np.array_equal(orbit_exp(X, V).rep, ps_exp(X, V))
+        assert abs(quotient_metric(V, V) - V.norm**2) <= 1e-12 * V.norm**2
+    assert loose >= 3
 
 
 @pytest.mark.parametrize(
