@@ -3,13 +3,20 @@
 Ingests per-subject CSV time series, drops zero-variance columns under an
 explicit policy, intersects the retained columns across a cohort, computes
 correlation matrices and their unit-row factors, and runs pairwise
-distances, per-group Frechet means, and mean-difference reports. Every
-CSV file read or written here has one dialect: a header row, then data rows
-exactly as wide as the header, blank lines skipped. Emitted files are
-deterministic: fixed ordering and 17-significant-digit decimal formatting.
+distances, per-group Frechet means, and mean-difference reports.
+
+Every CSV file read or written here has one dialect: a header row, then data
+rows exactly as wide as the header, blank lines skipped, records split by
+the csv module only at line feeds, carriage returns and CRLF pairs. A
+numeric body (ingest, read_factor_csv) is parsed in one np.loadtxt pass when
+that pass proves the file well formed; any other file takes the one exact
+path, csv records then float() per cell, which returns the same matrix or
+names the bad line and column. Emitted files are deterministic: fixed
+ordering and 17-significant-digit decimal formatting.
 """
 
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -24,15 +31,25 @@ from .frechet import MeanReport, frechet_mean
 from .quotient_space import SearchReport, _align_pairs, _dist
 
 FLOAT_FMT = "{:.17g}"
+# np.loadtxt strips these around a number as Unicode whitespace; float() refuses them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _read_csv(path, lines):
-    """The stripped header and the non-blank (line number, row) pairs of a CSV.
+def _read_text(path) -> str:
+    """A file's text with its line endings kept, for the csv module to split."""
+    with open(path, newline="") as fh:
+        return fh.read()
 
-    Raises EmptyFile for no content or a header without rows, and
-    ParseError naming the line of a row whose width differs from the header's.
+
+def _read_csv(path, text):
+    """The stripped header and the non-blank (line number, row) pairs of a CSV text.
+
+    This is the exact path every reader shares: csv records, split only at
+    line feeds, carriage returns and CRLF pairs. Raises EmptyFile for no
+    content or a header without rows, and ParseError naming the line of a row
+    whose width differs from the header's.
     """
-    records = list(csv.reader(lines))
+    records = list(csv.reader(io.StringIO(text, newline="")))
     if not records:
         raise EmptyFile(f"{path} is empty")
     header = [h.strip() for h in records[0]]
@@ -53,21 +70,18 @@ def _read_csv(path, lines):
 
 def _parse_floats(path, columns, rows, finite=False) -> np.ndarray:
     """The cells of rows as a float matrix; ParseError names a bad cell's line and column."""
-    try:
-        M = np.array([row for _, row in rows], dtype=float)
-    except ValueError:  # float() per cell, to name the bad one or return its own matrix
-        data = []
-        for lineno, row in rows:
-            parsed = []
-            for col, cell in zip(columns, row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}, column {col}: cannot parse {cell!r}"
-                    ) from None
-            data.append(parsed)
-        M = np.array(data)
+    data = []
+    for lineno, row in rows:
+        parsed = []
+        for col, cell in zip(columns, row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {col}: cannot parse {cell!r}"
+                ) from None
+        data.append(parsed)
+    M = np.array(data)
     if finite and not np.all(np.isfinite(M)):
         i, j = np.argwhere(~np.isfinite(M))[0]
         raise ParseError(
@@ -75,6 +89,50 @@ def _parse_floats(path, columns, rows, finite=False) -> np.ndarray:
             f"non-finite value {rows[i][1][j]!r}"
         )
     return M
+
+
+def _name_fault(header):
+    """Why a stripped header cannot name a table's columns, or None."""
+    if not header or any(not h for h in header):
+        return "header has an empty column name"
+    if len(set(header)) != len(header):
+        return "header has duplicate column names"
+    return None
+
+
+def _read_numeric_csv(path, table=False):
+    """The stripped header and the float body of a CSV file.
+
+    table: the header must name distinct columns and every value be finite,
+    as ingest requires. The body is parsed in one np.loadtxt pass, from where
+    the header's csv record ends, and that result is kept only when the
+    header passes its checks and the body has at least one row, each as wide
+    as the header, of finite values. np.loadtxt accepts a subset of the cells
+    float() accepts, with the same values, once a file holding
+    _LOADTXT_ONLY_SPACE is kept from it. Every other file, a refused cell
+    included, takes the exact path, which returns the same matrix or raises
+    the error that names its line and column.
+    """
+    text = _read_text(path)
+    buf = io.StringIO(text, newline="")
+    header = [h.strip() for h in next(csv.reader(buf), ())]
+    M = None
+    if (
+        header
+        and not (table and _name_fault(header))
+        and text[buf.tell() :].strip()  # np.loadtxt only warns on a blank body
+        and not any(c in text for c in _LOADTXT_ONLY_SPACE)
+    ):
+        try:
+            M = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if M is not None and len(M) and M.shape[1] == len(header) and np.isfinite(M).all():
+        return header, M
+    header, rows = _read_csv(path, text)
+    if table and (fault := _name_fault(header)):
+        raise ParseError(f"{path}: {fault}")
+    return header, _parse_floats(path, header, rows, finite=table)
 
 
 def _write_csv(path, header, M, labels=None) -> None:
@@ -147,7 +205,7 @@ def load_manifest(path) -> CohortManifest:
     ParseError.
     """
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     if not text.strip():
         raise EmptyFile(f"{path} is empty")
     base = str(path.parent)
@@ -168,7 +226,7 @@ def load_manifest(path) -> CohortManifest:
             )
         k, drop = _manifest_settings(path, doc)
     else:
-        header, rows = _read_csv(path, text.splitlines())
+        header, rows = _read_csv(path, text)
         if any(c not in header for c in ("subject_id", "path")):
             raise ParseError(f"{path}: delimited manifest needs columns subject_id,path")
         cols = [header.index(c) for c in ("subject_id", "path", "group") if c in header]
@@ -204,17 +262,13 @@ def _manifest_settings(path, doc):
 def ingest(path) -> TimeSeriesTable:
     """Read one time-series CSV: a header of column names, then float rows.
 
-    Any cell that fails to parse or is non-finite raises ParseError naming
-    the file line and column; a file with no data rows raises EmptyFile.
+    The body is parsed in one fast pass, or on the exact path when that
+    pass cannot prove the file well formed (_read_numeric_csv). Any cell that
+    fails to parse or is non-finite raises ParseError naming the file line and
+    column; a file with no data rows raises EmptyFile.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        header, rows = _read_csv(path, fh)
-    if not header or any(not h for h in header):
-        raise ParseError(f"{path}: header has an empty column name")
-    if len(set(header)) != len(header):
-        raise ParseError(f"{path}: header has duplicate column names")
-    values = _parse_floats(path, header, rows, finite=True)
+    header, values = _read_numeric_csv(path, table=True)
     return TimeSeriesTable(columns=tuple(header), values=values, source=str(path))
 
 
@@ -463,8 +517,7 @@ def read_matrix_csv(path):
     otherwise ParseError names the line.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        header, rows = _read_csv(path, fh)
+    header, rows = _read_csv(path, _read_text(path))
     labels = header[1:]
     M = _parse_floats(path, labels, [(n, row[1:]) for n, row in rows])
     if M.shape[0] != M.shape[1]:
@@ -484,11 +537,9 @@ def write_factor_csv(path, X) -> None:
 
 
 def read_factor_csv(path) -> np.ndarray:
-    """Read a numeric CSV (one header row, float body) as a matrix."""
+    """Read a numeric CSV (one header row, float body) as a matrix (_read_numeric_csv)."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        header, rows = _read_csv(path, fh)
-    return _parse_floats(path, header, rows)
+    return _read_numeric_csv(path)[1]
 
 
 def write_run_report(path, payload: dict) -> None:

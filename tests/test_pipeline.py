@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from corrgeo import (
     DEFAULT_CONFIG,
+    CorrGeoError,
     DegenerateInput,
     DistanceRun,
     EmptyFile,
@@ -86,9 +88,9 @@ def test_ingest_unparseable_cell(tmp_path):
 
 
 # cells float() accepts (whitespace, underscores, any Unicode digit, out of
-# range) and cells it refuses; the one NumPy conversion must agree with it
+# range) and cells it refuses; both readers of a numeric body must agree with it
 ACCEPTED_CELLS = (" 1 ", "nan", "-Infinity", "1_000", "1e400", "\u0663", "+.5e-3", "0.1")
-REFUSED_CELLS = ("0x10", "", "_1", "1__0", "1e", "\u0661\u066b\u0665")
+REFUSED_CELLS = ("0x10", "", "_1", "1__0", "1e", "\u0661\u066b\u0665", "1\x1c", "\x1f1")
 
 
 def test_numeric_cells_are_those_float_accepts(tmp_path):
@@ -97,10 +99,167 @@ def test_numeric_cells_are_those_float_accepts(tmp_path):
     p.write_text(",".join(cols) + "\n" + ",".join(ACCEPTED_CELLS) + "\n")
     got = read_factor_csv(p)
     assert got.tobytes() == np.array([[float(c) for c in ACCEPTED_CELLS]]).tobytes()
+    finite = [c for c in ACCEPTED_CELLS if np.isfinite(float(c))]
+    row = ",".join(finite)
+    p.write_text(",".join(cols[: len(finite)]) + f"\n{row}\n{row}\n")
+    assert ingest(p).values.tobytes() == np.array([[float(c) for c in finite]] * 2).tobytes()
     for cell in REFUSED_CELLS:
         p.write_text(f"x0,x1\n1,2\n3,{cell}\n")
-        with pytest.raises(ParseError, match=f"line 3, column x1: cannot parse {cell!r}"):
-            read_factor_csv(p)
+        for read in (read_factor_csv, ingest):
+            bad = f"line 3, column x1: cannot parse {cell!r}"
+            with pytest.raises(ParseError, match=re.escape(bad)):
+                read(p)
+
+
+# padding that float() strips (np.loadtxt strips it too)
+PADDING = st.text(st.sampled_from(" \t\x0b\x0c\x85\xa0\u2003\u2028"), max_size=2)
+
+
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(2, 5), st.integers(1, 4)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.sampled_from((repr, "{:.17g}".format, "{:.6e}".format)),
+    st.data(),
+)
+def test_padded_cells_parse_as_float_does(tmp_path, X, fmt, data):
+    cells = [[data.draw(PADDING) + fmt(v) + data.draw(PADDING) for v in row] for row in X.tolist()]
+    # a separator float() refuses, although str.isspace() and np.loadtxt take it for space
+    refused = data.draw(st.sampled_from(("", "\x1c", "\x1f")))
+    if refused:
+        i = data.draw(st.integers(0, X.shape[0] - 1))
+        j = data.draw(st.integers(0, X.shape[1] - 1))
+        cells[i][j] = data.draw(st.sampled_from((refused + cells[i][j], cells[i][j] + refused)))
+    p = tmp_path / "padded.csv"
+    header = ",".join(f"x{j}" for j in range(X.shape[1]))
+    p.write_text("\n".join([header] + [",".join(row) for row in cells]) + "\n")
+    for read in (read_factor_csv, lambda q: ingest(q).values):
+        if refused:
+            bad = f"line {i + 2}, column x{j}: cannot parse {cells[i][j]!r}"
+            with pytest.raises(ParseError, match=re.escape(bad)):
+                read(p)
+        else:
+            want = np.array([[float(c) for c in row] for row in cells])
+            assert read(p).tobytes() == want.tobytes()
+
+
+# Files at the edges of the dialect and of float(), with what ingest returns
+# (columns, rows) and what read_factor_csv returns (rows), or the error class
+# and message each raises ({p} is the file). The three separators that
+# str.splitlines() breaks at inside a cell must keep their row whole.
+NAN, INF = float("nan"), float("inf")
+ROWS = [[1.0, 2.0], [3.0, 4.0]]
+TABLE = (("a", "b"), ROWS)
+
+
+def _both(error, message):
+    """The same error from both readers."""
+    return (error, message), (error, message)
+
+
+FIELDS = _both(ParseError, "{p}: line 2 has 3 fields, expected 2")
+EDGE_FILES = {
+    "form_feed_in_cell": ("a,b\n1,2\x0c3,4\n5,6\n", *FIELDS),
+    "file_separator_in_cell": ("a,b\n1,2\x1c3,4\n5,6\n", *FIELDS),
+    "line_separator_in_cell": ("a,b\n1,2\u20283,4\n5,6\n", *FIELDS),
+    "file_separator_padding": (
+        "a,b\n1,2\x1c\n3,4\n",
+        *_both(ParseError, "{p}: line 2, column b: cannot parse '2\\x1c'"),
+    ),
+    "form_feed_padding": ("a,b\n1,2\x0c\n3,4\n", TABLE, ROWS),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", TABLE, ROWS),
+    "bare_cr": ("a,b\r1,2\r3,4\r", TABLE, ROWS),
+    "quoted_cells": ('a,b\n"1","2"\n3,4\n', TABLE, ROWS),
+    "doubled_quote": (
+        'a,b\n1,"2"""\n3,4\n',
+        *_both(ParseError, "{p}: line 2, column b: cannot parse '2\"'"),
+    ),
+    # the message names record 3, which starts on line 4 of the file
+    "quoted_newline_in_body": (
+        'a,b\n1,"2\n"\n3,x\n',
+        *_both(ParseError, "{p}: line 3, column b: cannot parse 'x'"),
+    ),
+    "quoted_newline_in_header": ('a,"b\nc"\n1,2\n3,4\n', (("a", "b\nc"), ROWS), ROWS),
+    "quoted_cr_in_cell": ('a,b\n1,"2\r"\n3,4\n', TABLE, ROWS),
+    "bom": ("\ufeffa,b\n1,2\n3,4\n", (("\ufeffa", "b"), ROWS), ROWS),
+    "trailing_comma": (
+        "a,b,\n1,2,\n3,4,\n",
+        (ParseError, "{p}: header has an empty column name"),
+        (ParseError, "{p}: line 2, column : cannot parse ''"),
+    ),
+    "padded_cells": ("a , b\n 1 , 2 \n\t3,4\t\n", TABLE, ROWS),
+    "comma_only_line": ("a,b\n1,2\n,\n3,4\n", TABLE, ROWS),
+    "whitespace_only_line": ("a,b\n1,2\n   \n3,4\n", TABLE, ROWS),
+    "blank_lines": ("a,b\n\n1,2\n\n3,4\n\n", TABLE, ROWS),
+    "blank_first_line": (
+        "\na,b\n1,2\n3,4\n",
+        *_both(ParseError, "{p}: line 2 has 2 fields, expected 0"),
+    ),
+    "empty": ("", *_both(EmptyFile, "{p} is empty")),
+    "header_only": ("a,b\n", *_both(EmptyFile, "{p} has a header but no data rows")),
+    "one_row": (
+        "a,b\n1,2\n",
+        (DegenerateInput, "need at least 2 observation rows"),
+        [[1.0, 2.0]],
+    ),
+    "nan": (
+        "a,b\n1,2\nnan,4\n",
+        (ParseError, "{p}: line 3, column a: non-finite value 'nan'"),
+        [[1.0, 2.0], [NAN, 4.0]],
+    ),
+    "overflow": (
+        "a,b\n1,2\n1e400,4\n",
+        (ParseError, "{p}: line 3, column a: non-finite value '1e400'"),
+        [[1.0, 2.0], [INF, 4.0]],
+    ),
+    "underscore": (
+        "a,b\n1,2\n1_000,4\n",
+        (("a", "b"), [[1.0, 2.0], [1e3, 4.0]]),
+        [[1.0, 2.0], [1e3, 4.0]],
+    ),
+    "arabic_indic_digit": ("a,b\n1,2\n3,\u0664\n", TABLE, ROWS),
+    "hash": ("a,b\n#1,2\n3,4\n", *_both(ParseError, "{p}: line 2, column a: cannot parse '#1'")),
+    "no_final_newline": ("a,b\n1,2\n3,4", TABLE, ROWS),
+}
+
+
+def _outcome(read, p):
+    """A reader's error class and message, or its (columns,) shape and bytes."""
+    try:
+        got = read(p)
+    except CorrGeoError as e:
+        return type(e), str(e)
+    if isinstance(got, TimeSeriesTable):
+        return got.columns, got.values.shape, got.values.tobytes()
+    return got.shape, got.tobytes()
+
+
+def _expected(want, p):
+    """An EDGE_FILES entry in the form _outcome gives."""
+    if isinstance(want[0], type):
+        return want[0], want[1].format(p=p)
+    if isinstance(want[0], tuple):
+        M = np.array(want[1])
+        return want[0], M.shape, M.tobytes()
+    M = np.array(want)
+    return M.shape, M.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_edge_files_read_as_the_exact_path_does(tmp_path, name):
+    text, from_ingest, from_factor = EDGE_FILES[name]
+    p = tmp_path / "edge.csv"
+    p.write_bytes(text.encode())
+    assert _outcome(ingest, p) == _expected(from_ingest, p)
+    assert _outcome(read_factor_csv, p) == _expected(from_factor, p)
 
 
 def test_ingest_header_only_is_empty(tmp_path):
@@ -151,6 +310,16 @@ def test_csv_readers_share_one_dialect(tmp_path, reader):
         p.write_text(text)
         with pytest.raises(EmptyFile):
             read(p)
+    # str.splitlines() breaks at these; a record keeps them inside its last cell
+    for sep in ("\x0c", "\x1c", "\u2028"):
+        cell = f"{row2.rsplit(',', 1)[1]}{sep}b"
+        p.write_text(f"{header}\n{row1}\n{row2}{sep}b\n")
+        if reader == "manifest":
+            assert read(p).subjects[1].path == cell
+        else:
+            bad = f"line 3, column {header.rsplit(',', 1)[1]}: cannot parse {cell!r}"
+            with pytest.raises(ParseError, match=re.escape(bad)):
+                read(p)
 
 
 # correlation ----------------------------------------------------------------------
