@@ -8,10 +8,10 @@ distances, per-group Frechet means, and mean-difference reports.
 Every CSV file read or written here has one dialect: a header row, then data
 rows exactly as wide as the header, blank lines skipped, records split by
 the csv module only at line feeds, carriage returns and CRLF pairs. A
-numeric body (ingest, read_factor_csv) is parsed in one np.loadtxt pass when
-that pass proves the file well formed; any other file takes the one exact
-path, csv records then float() per cell, which returns the same matrix or
-names the bad line and column. Emitted files are deterministic: fixed
+time-series body (ingest) is parsed in one np.loadtxt pass when that pass
+proves the file well formed; any other file, and every other reader, takes
+the one exact path, csv records then float() per cell, which returns the
+same matrix or names the bad line and column. Emitted files are deterministic: fixed
 ordering and 17-significant-digit decimal formatting.
 """
 
@@ -31,7 +31,10 @@ from .frechet import MeanReport, frechet_mean
 from .quotient_space import SearchReport, _align_pairs, _dist
 
 FLOAT_FMT = "{:.17g}"
-# np.loadtxt strips these around a number as Unicode whitespace; float() refuses them
+# np.loadtxt strips these around a number as Unicode whitespace; float() refuses them.
+# That they are the only cells np.loadtxt takes and float() refuses or reads
+# differently was checked on numpy 2.4.6 alone; on another numpy, run the edge
+# files and the padded-cell property of tests/test_pipeline.py before trusting it.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
@@ -98,41 +101,6 @@ def _name_fault(header):
     if len(set(header)) != len(header):
         return "header has duplicate column names"
     return None
-
-
-def _read_numeric_csv(path, table=False):
-    """The stripped header and the float body of a CSV file.
-
-    table: the header must name distinct columns and every value be finite,
-    as ingest requires. The body is parsed in one np.loadtxt pass, from where
-    the header's csv record ends, and that result is kept only when the
-    header passes its checks and the body has at least one row, each as wide
-    as the header, of finite values. np.loadtxt accepts a subset of the cells
-    float() accepts, with the same values, once a file holding
-    _LOADTXT_ONLY_SPACE is kept from it. Every other file, a refused cell
-    included, takes the exact path, which returns the same matrix or raises
-    the error that names its line and column.
-    """
-    text = _read_text(path)
-    buf = io.StringIO(text, newline="")
-    header = [h.strip() for h in next(csv.reader(buf), ())]
-    M = None
-    if (
-        header
-        and not (table and _name_fault(header))
-        and text[buf.tell() :].strip()  # np.loadtxt only warns on a blank body
-        and not any(c in text for c in _LOADTXT_ONLY_SPACE)
-    ):
-        try:
-            M = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if M is not None and len(M) and M.shape[1] == len(header) and np.isfinite(M).all():
-        return header, M
-    header, rows = _read_csv(path, text)
-    if table and (fault := _name_fault(header)):
-        raise ParseError(f"{path}: {fault}")
-    return header, _parse_floats(path, header, rows, finite=table)
 
 
 def _write_csv(path, header, M, labels=None) -> None:
@@ -262,13 +230,40 @@ def _manifest_settings(path, doc):
 def ingest(path) -> TimeSeriesTable:
     """Read one time-series CSV: a header of column names, then float rows.
 
-    The body is parsed in one fast pass, or on the exact path when that
-    pass cannot prove the file well formed (_read_numeric_csv). Any cell that
-    fails to parse or is non-finite raises ParseError naming the file line and
-    column; a file with no data rows raises EmptyFile.
+    The body is parsed in one np.loadtxt pass, from where the header's csv
+    record ends, and that result is kept only when the header names distinct
+    columns and the body has at least one row, each as wide as the header, of
+    finite values. np.loadtxt accepts a subset of the cells float() accepts,
+    with the same values, once a file holding _LOADTXT_ONLY_SPACE is kept from
+    it. Every other file takes the exact path, where any cell that fails to
+    parse or is non-finite raises ParseError naming the file line and column,
+    and a file with no data rows raises EmptyFile.
     """
     path = Path(path)
-    header, values = _read_numeric_csv(path, table=True)
+    text = _read_text(path)
+    buf = io.StringIO(text, newline="")
+    header = [h.strip() for h in next(csv.reader(buf), ())]
+    fault = _name_fault(header)
+    values = None
+    if (
+        not fault
+        and text[buf.tell() :].strip()  # np.loadtxt only warns on a blank body
+        and not any(c in text for c in _LOADTXT_ONLY_SPACE)
+    ):
+        try:
+            values = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if not (
+        values is not None
+        and len(values)
+        and values.shape[1] == len(header)
+        and np.isfinite(values).all()
+    ):
+        _, rows = _read_csv(path, text)  # the same header; its own errors come first
+        if fault:
+            raise ParseError(f"{path}: {fault}")
+        values = _parse_floats(path, header, rows, finite=True)
     return TimeSeriesTable(columns=tuple(header), values=values, source=str(path))
 
 
@@ -537,9 +532,10 @@ def write_factor_csv(path, X) -> None:
 
 
 def read_factor_csv(path) -> np.ndarray:
-    """Read a numeric CSV (one header row, float body) as a matrix (_read_numeric_csv)."""
+    """Read a numeric CSV (one header row, float body) as a matrix."""
     path = Path(path)
-    return _read_numeric_csv(path)[1]
+    header, rows = _read_csv(path, _read_text(path))
+    return _parse_floats(path, header, rows)
 
 
 def write_run_report(path, payload: dict) -> None:
