@@ -25,9 +25,9 @@ from .product_sphere import (
     _angle_factors,
     _report_fields,
     _row_angles,
+    _row_means,
     _tangent_part,
     _trust_region,
-    ps_frechet_fixed,
     unit_rows,
 )
 from .quotient_space import OrbitPoint, _align_batch, _align_pairs, _dist, as_orbit
@@ -108,6 +108,9 @@ def frechet_variance(
     """
     ss = _as_sample_set(samples, weights)
     cand = as_orbit(candidate, "candidate").rep
+    shape = ss.points[0].rep.shape
+    if cand.shape != shape:
+        raise InvalidInput(f"shape mismatch {shape} vs {cand.shape}")
     results = _align_pairs([P.rep for P in ss.points], [cand] * len(ss), cfg)
     return float(sum(w * _dist(r) ** 2 for r, w in zip(results, ss.weights)))
 
@@ -287,7 +290,7 @@ def frechet_mean(
     # one alternating step picks each sample's basin: the row means of the
     # aligned samples, then every sample aligned to them from its Procrustes
     # and its current rotation; kept when it lowers the loss
-    row_means, _ = ps_frechet_fixed(reps @ rotations, w, cfg)
+    row_means, _ = _row_means(np.stack(reps @ rotations, axis=1), w, cfg)
     step = _align_batch(
         reps, np.broadcast_to(row_means, reps.shape), cfg.with_(restarts=1), rotations[:, None]
     )

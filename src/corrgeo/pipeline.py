@@ -48,19 +48,21 @@ def _read_csv(path, text):
     """The stripped header and the non-blank (line number, row) pairs of a CSV text.
 
     This is the exact path every reader shares: csv records, split only at
-    line feeds, carriage returns and CRLF pairs. Raises EmptyFile for no
-    content or a header without rows, and ParseError naming the line of a row
-    whose width differs from the header's.
+    line feeds, carriage returns and CRLF pairs. A row's line number is the
+    file line on which its record starts (a quoted line break makes a
+    record span lines). Raises EmptyFile for no content or a header without
+    rows, and ParseError naming the line of a row whose width differs from
+    the header's.
     """
-    records = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records, start = [], 1
+    for row in reader:
+        records.append((start, row))
+        start = reader.line_num + 1
     if not records:
         raise EmptyFile(f"{path} is empty")
-    header = [h.strip() for h in records[0]]
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(records[1:], start=2)
-        if any(c.strip() for c in row)
-    ]
+    header = [h.strip() for h in records[0][1]]
+    rows = [(lineno, row) for lineno, row in records[1:] if any(c.strip() for c in row)]
     for lineno, row in rows:
         if len(row) != len(header):
             raise ParseError(
@@ -129,7 +131,8 @@ class TimeSeriesTable:
                 f"values shape {vals.shape} does not match {len(self.columns)} columns"
             )
         if vals.shape[0] < 2:
-            raise DegenerateInput("need at least 2 observation rows")
+            where = f"{self.source}: " if self.source else ""
+            raise DegenerateInput(f"{where}need at least 2 observation rows")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "columns", tuple(self.columns))
 
@@ -329,13 +332,18 @@ def load_cohort(manifest: CohortManifest):
 
     Subjects with more zero-variance columns than the policy allows are
     dropped (and reported); the survivors' correlation matrices are
-    restricted to the ordered intersection of their retained columns.
-    Returns (subjects, common_columns, dropped_subjects).
+    restricted to the ordered intersection of their retained columns. An
+    ingest error is re-raised naming the subject. Returns (subjects,
+    common_columns, dropped_subjects).
     """
     tables = []
     dropped_subjects = []
     for spec in manifest.subjects:
-        ts = ingest(manifest.resolve(spec))
+        try:
+            ts = ingest(manifest.resolve(spec))
+        except CorrGeoError as e:
+            e.args = (f"subject {spec.subject_id}: {e}",)
+            raise
         keep = ts.values.var(axis=0) > manifest.drop.variance_floor
         n_zero = int(np.count_nonzero(~keep))
         if n_zero > manifest.drop.max_zero_variance:

@@ -69,12 +69,12 @@ def _rep(X, name="X") -> np.ndarray:
 
 
 def unit_rows(A) -> np.ndarray:
-    """Rescale every row of A to unit norm (rows of near-zero norm are rejected)."""
+    """Rescale every row (last axis) of A to unit norm (rows of near-zero norm are rejected)."""
     A = np.asarray(A, dtype=float)
-    norms = np.linalg.norm(A, axis=1)
+    norms = np.linalg.norm(A, axis=-1)
     if np.any(norms < 1e-12):
         raise InvalidInput("cannot normalize a row of near-zero norm")
-    return A / norms[:, None]
+    return A / norms[..., None]
 
 
 def _check_tangent(X, V) -> np.ndarray:
@@ -108,6 +108,15 @@ class ProductTangent:
             )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "vec", _check_tangent(base, vec))
+
+    @classmethod
+    def _at(cls, base, vec, **fields):
+        """cls(base, vec, **fields) for a base that passed check_unit_rows and
+        a float vec of its shape: of the checks only _check_tangent runs."""
+        tangent = object.__new__(cls)
+        for name, value in (("base", base), ("vec", _check_tangent(base, vec)), *fields.items()):
+            object.__setattr__(tangent, name, value)
+        return tangent
 
     @property
     def norm(self) -> float:
@@ -170,6 +179,8 @@ def ps_metric(U: ProductTangent, V: ProductTangent) -> float:
 def _tangent_vec(X, V) -> np.ndarray:
     """The matrix of a tangent at X: a ProductTangent based at X or a raw X-shaped matrix."""
     if isinstance(V, ProductTangent):
+        if V.base is X:  # the tangent's own base, checked at its construction
+            return V.vec
         if V.base.shape != X.shape or not np.allclose(V.base, X, rtol=0.0, atol=1e-10):
             raise InvalidInput("tangent base does not match X")
         return V.vec
@@ -196,14 +207,15 @@ def _great_circles(X, V, t):
     """The rows of X moved for time t along the rows of V, before renormalization.
 
     ps_exp's row arithmetic without its checks, for callers whose X and V
-    are already validated.
+    are already validated. Rows lie along the last axis, and a stack of
+    velocities V broadcasts against one X.
     """
-    norms = np.linalg.norm(V, axis=1)
+    norms = np.linalg.norm(V, axis=-1)
     ang = t * norms
     small = np.abs(ang) < SMALL_ANGLE
     # sin(ang)/norms is t*sinc(ang); guard the zero-velocity rows
     scale = np.where(small, t, np.sin(ang) / np.where(norms > 0, norms, 1.0))
-    return np.cos(ang)[:, None] * X + scale[:, None] * V
+    return np.cos(ang)[..., None] * X + scale[..., None] * V
 
 
 def ps_log(X, Y) -> ProductTangent:
@@ -212,6 +224,11 @@ def ps_log(X, Y) -> ProductTangent:
     Y = check_unit_rows(Y, "Y")
     if X.shape != Y.shape:
         raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
+    return ProductTangent._at(X, _log_rows(X, Y))
+
+
+def _log_rows(X, Y) -> np.ndarray:
+    """ps_log's matrix for checked X and Y of one shape; raises AntipodalLogarithm."""
     c, theta = _row_angles(X, Y)
     bad = theta > np.pi - ANTIPODAL_GUARD
     if np.any(bad):
@@ -222,8 +239,7 @@ def ps_log(X, Y) -> ProductTangent:
         )
     small = theta < SMALL_ANGLE
     scale = np.where(small, 1.0, theta / np.sin(np.where(small, 1.0, theta)))
-    V = scale[:, None] * (Y - c[:, None] * X)
-    return ProductTangent(X, V)
+    return scale[:, None] * (Y - c[:, None] * X)
 
 
 def _angle_factors(c, theta):
@@ -539,8 +555,11 @@ def ps_frechet_fixed(points, weights, cfg: SolverConfig = DEFAULT_CONFIG):
         raise InvalidInput(f"weights shape {w.shape} does not match {len(pts)} samples")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)) or w.sum() <= 0.0:
         raise InvalidInput("weights must be nonnegative with positive sum")
+    return _row_means(np.stack(pts, axis=1), w, cfg)
 
-    clouds = np.stack(pts, axis=1)  # m x n x k, the samples of each row
+
+def _row_means(clouds, w, cfg: SolverConfig):
+    """ps_frechet_fixed of checked inputs: clouds (m, n, k) holds the n samples of each row."""
     x0 = w @ clouds
     n0 = np.linalg.norm(x0, axis=1)[:, None]
     x0 = np.where(n0 < 1e-8, clouds[:, 0], x0 / np.maximum(n0, 1e-8))

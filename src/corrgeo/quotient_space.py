@@ -26,11 +26,16 @@ is read from stacked SVDs of points on the path. Escape times scan a grid
 of smallest singular values in two passes: every 32nd time first, then the
 dense times only in the coarse intervals where the gap's Lipschitz bound
 cannot certify that it stays positive, and they zoom into the dips found
-there in stacked brackets.
+there in stacked brackets. Both directions share one batched coarse
+evaluation, and one dense one: exp(X, (-t) V) is exp(X, t (-V)) bit for
+bit.
+
+Public entry points check each input once (check_unit_rows, the shape
+match); the internal helpers they call take checked arrays.
 """
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -52,6 +57,7 @@ from .product_sphere import (
     _HessianOp,
     _angle_factors,
     _great_circles,
+    _log_rows,
     _rep,
     _report_fields,
     _row_angles,
@@ -59,7 +65,6 @@ from .product_sphere import (
     _trust_region,
     check_unit_rows,
     ps_exp,
-    ps_log,
     unit_rows,
 )
 
@@ -199,6 +204,15 @@ def _random_starts(k, restarts, seed):
     return rand
 
 
+@functools.lru_cache(maxsize=32)
+def _unordered_starts(k, restarts, seed):
+    """_random_starts, then their transposes: the seeded starts of an unordered pair (read-only)."""
+    rand = _random_starts(k, restarts, seed)
+    both = np.concatenate([rand, np.swapaxes(rand, -1, -2)])
+    both.flags.writeable = False
+    return both
+
+
 # Floats of model data one stacked solve may hold. A member (one start of
 # one pair) holds O(m k + k^2) floats: the rows U and Y of its model (in
 # the current and the trial model and the active copy), the temporaries of
@@ -218,23 +232,28 @@ def _member_floats(m, k):
     return 12 * m * k + 18 * k * k
 
 
-def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
+def _align_batch(Xs, Ys, cfg: SolverConfig, extra, swapped=None):
     """Rotation searches of the ordered pairs (Xs[p], Ys[p]), all starts in one stack.
 
     Per pair the starts are the Procrustes rotation (one batched polar
-    factor), the cfg.restarts - 1 seeded random rotations, then the pair's
-    extra starts extra[p], R starts per pair. The batch is cut into chunks
-    of whole pairs within _STACK_FLOATS, and each chunk is one lockstep
-    trust-region solve in blocks of R consecutive starts, one block per
-    pair. A start that stops converged, without clamped rows, at a rotation
-    _certify accepts retires the live starts of its block (_trust_region),
-    so each pair follows the iterates it would follow alone. Per pair the first lowest loss over the starts not retired wins,
-    restarts_used counts every start and retired those that left early,
-    and clamped_rows are the solver's clamped rows at the winner's returned
-    rotation. Returns one AlignmentResult per pair.
+    factor), the cfg.restarts - 1 seeded random rotations, joined by their
+    transposes when swapped is given (the search of an unordered pair,
+    _align_pairs), then the pair's extra starts extra[p], R starts per
+    pair. The batch is cut into chunks of whole pairs within _STACK_FLOATS,
+    and each chunk is one lockstep trust-region solve in blocks of R
+    consecutive starts, one block per pair. A start that stops converged,
+    without clamped rows, at a rotation _certify accepts retires the live
+    starts of its block (_trust_region), so each pair follows the iterates
+    it would follow alone. Per pair the
+    first lowest loss over the starts not retired wins, restarts_used
+    counts every start and retired those that left early, and clamped_rows
+    are the solver's clamped rows at the winner's returned rotation.
+    Returns one AlignmentResult per pair, for (Xs[p], Ys[p]), or for
+    (Ys[p], Xs[p]) where swapped[p] is true.
     """
     P, m, k = Xs.shape
-    rand = _random_starts(k, cfg.restarts, cfg.seed)
+    starts_of = _random_starts if swapped is None else _unordered_starts
+    rand = starts_of(k, cfg.restarts, cfg.seed)
     R = 1 + len(rand) + (len(extra[0]) if P else 0)
     chunk = max(1, _STACK_FLOATS // (R * _member_floats(m, k)))
     results = []
@@ -257,10 +276,13 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra):
         best = np.argmin(np.where(retired, np.inf, solve[0]).reshape(n, R), axis=1)
         left = retired.reshape(n, R).sum(axis=1)
         for p, b in enumerate(R * np.arange(n) + best):
+            rot = O[b].copy()
+            # a swapped pair's rotation carries Ys[p] onto Xs[p]'s orbit
+            swap = swapped is not None and swapped[lo + p]
             results.append(
                 AlignmentResult(
-                    rotation=O[b].copy(),
-                    aligned=Yc[p] @ O[b].T,
+                    rotation=rot.T if swap else rot,
+                    aligned=Xc[p] @ rot if swap else Yc[p] @ rot.T,
                     restarts_used=R,
                     retired=int(left[p]),
                     **_report_fields(*(a[b] for a in solve)),
@@ -280,12 +302,22 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     cfg.restarts - 1 seeded random rotations and their transposes, and any
     caller-supplied extra_inits, as one lockstep stack.
     """
+    X, Y = _checked_pair(X, Y)
     return _align_pairs([X], [Y], cfg, [extra_inits])[0]
+
+
+def _checked_pair(X, Y):
+    """The unit-row matrices of X and Y (orbit points or arrays), of one shape."""
+    X, Y = _rep(X, "X"), _rep(Y, "Y")
+    if X.shape != Y.shape:
+        raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
+    return X, Y
 
 
 def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
     """The rotation search of each unordered pair (Xs[p], Ys[p]), all pairs in one stack.
 
+    Xs and Ys hold unit-row matrices of one shape, checked by the caller.
     The search of (Y, X) is that of (X, Y) under O -> O^T (a reversed-pair
     start P follows the transposed iterates of P^T), so each pair is
     searched in the order of its representatives' bytes by _align_batch,
@@ -294,28 +326,18 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
     further starts. Returns one AlignmentResult per pair, reported for
     (Xs[p], Ys[p]).
     """
-    pairs = [(_rep(X, "X"), _rep(Y, "Y")) for X, Y in zip(Xs, Ys, strict=True)]
-    if not pairs:
+    if not len(Xs):
         return []
-    for X, Y in pairs:
-        if X.shape != Y.shape:
-            raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
-    k = pairs[0][0].shape[1]
+    swap = [Y.tobytes() < X.tobytes() for X, Y in zip(Xs, Ys, strict=True)]
+    A = np.stack([Y if s else X for X, Y, s in zip(Xs, Ys, swap)])
+    B = np.stack([X if s else Y for X, Y, s in zip(Xs, Ys, swap)])
     if extra_inits is None:
-        extra_inits = [()] * len(pairs)
-    swap = [Y.tobytes() < X.tobytes() for X, Y in pairs]
-    A = np.stack([Y if s else X for (X, Y), s in zip(pairs, swap)])
-    B = np.stack([X if s else Y for (X, Y), s in zip(pairs, swap)])
-    flipped = list(np.swapaxes(_random_starts(k, cfg.restarts, cfg.seed), -1, -2))
+        extra_inits = [()] * len(swap)
     extra = [
-        flipped + [np.asarray(O, dtype=float).T if s else O for O in inits]
+        [np.asarray(O, dtype=float).T if s else O for O in inits]
         for inits, s in zip(extra_inits, swap, strict=True)
     ]
-    results = _align_batch(A, B, cfg, extra)
-    return [
-        replace(r, rotation=r.rotation.T, aligned=Y @ r.rotation) if s else r
-        for r, (X, Y), s in zip(results, pairs, swap)
-    ]
+    return _align_batch(A, B, cfg, extra, swap)
 
 
 def _dist(r: AlignmentResult) -> float:
@@ -325,7 +347,7 @@ def _dist(r: AlignmentResult) -> float:
 
 def orbit_dist(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> float:
     """Quotient distance: aligned product-sphere distance, exactly symmetric."""
-    return _dist(_align_pairs([X], [Y], cfg, [extra_inits])[0])
+    return _dist(align(X, Y, cfg, extra_inits))
 
 
 EQUALITY_TOL = 1e-8  # orbit distance at or below which two points are the same
@@ -347,13 +369,13 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> HorizontalTangent:
     every rank. A failed search (SolverReport.failed) raises
     AlignmentStagnation.
     """
-    X = _rep(X, "X")
+    X, Y = _checked_pair(X, Y)
     r = _align_pairs([X], [Y], cfg)[0]
     if r.failed(cfg.stagnation_tol):
         raise AlignmentStagnation(
             f"rotation search failed: {r.summary()}", report=r
         )
-    return HorizontalTangent(X, ps_log(X, r.aligned).vec, defect=r.grad_norm)
+    return HorizontalTangent._at(X, _log_rows(X, r.aligned), defect=r.grad_norm)
 
 
 def orbit_exp(X, V, t: float = 1.0) -> OrbitPoint:
@@ -378,7 +400,10 @@ class GeodesicSegment:
 
     def __post_init__(self):
         start = check_unit_rows(self.start, "start")
-        if not np.allclose(self.velocity.base, start, rtol=0.0, atol=1e-10):
+        base = self.velocity.base
+        if base is not start and (
+            base.shape != start.shape or not np.allclose(base, start, rtol=0.0, atol=1e-10)
+        ):
             raise InvalidInput("velocity is not based at the start point")
         if not (is_number(self.duration, 0) and self.duration > 0.0):
             raise InvalidInput(f"duration must be positive and finite, got {self.duration!r}")
@@ -401,12 +426,12 @@ def geodesic_rank_profile(seg: GeodesicSegment, samples: int):
 
 
 def _path(X, V, ts):
-    """exp(X, t V) at every t of ts, as one stack of independent rows.
+    """exp(X, t V) at every t of ts, a stack of matrices (one per time).
 
     X and V are validated by the caller, so the rows skip ps_exp's checks.
+    Each row moves along t v_i for time 1, with ps_exp's row arithmetic.
     """
-    rows = unit_rows(_great_circles(np.tile(X, (ts.size, 1)), np.kron(ts[:, None], V), 1.0))
-    return rows.reshape(-1, *X.shape)
+    return unit_rows(_great_circles(X, ts[:, None, None] * V, 1.0))
 
 
 def _gaps(X, V, ts):
@@ -450,38 +475,43 @@ def _zoom(X, V, lo: float, hi: float, lipschitz: float):
     return float(lo) if crossing else None
 
 
-def _first_drop(X, V, T: float, lipschitz: float):
-    """Smallest t in (0, T] where the rank drops, or None. Resolved to 1e-7.
+# The escape scan's dense grid has GRID intervals; its gap is taken first at every STEP-th time.
+GRID, STEP = 1024, 32
 
-    Candidate dips on the dense grid ts = linspace(0, T, 1025) are its
-    crossings and interior local minima of the gap, each zoomed into
-    unless the Lipschitz bound certifies it. The gap is taken first at
-    every 32nd time (the zoom's 33-point bracket); a coarse interval [a, b]
+
+def _candidates(gaps, ts, lipschitz: float):
+    """A direction's candidate indices and the dense indices its scan reads.
+
+    gaps holds the gap at every STEP-th time of ts. A coarse interval [a, b]
     with g_a + g_b > lipschitz (t_b - t_a) keeps its gap above half the
-    difference, so it holds no crossing and no dip a zoom could resolve,
-    and the dense times are evaluated only where a candidate's bracket
-    meets an uncertified interval. Every gap has the bits of the full
-    dense scan, and so has the result.
+    difference, so it holds no crossing and no dip a zoom could resolve.
+    The candidates are the indices i > 0 whose bracket [i - 1, i + 1] meets
+    an interval the bound leaves open; their scan reads the gaps at them
+    and their neighbours.
     """
-    grid, step = 1024, 32
-    ts = np.linspace(0.0, T, grid + 1)
-    gaps = np.empty(grid + 1)
-    gaps[::step] = _gaps(X, V, ts[::step])
-    open_ = gaps[:-step:step] + gaps[step::step] <= lipschitz * np.diff(ts[::step])
-    if not open_.any():
-        return None
-    # candidates i whose bracket [i - 1, i + 1] meets an open interval, and their neighbours
-    cand = np.unique(step * np.flatnonzero(open_)[:, None] + np.arange(step + 1))
+    coarse = gaps[::STEP]
+    open_ = coarse[:-1] + coarse[1:] <= lipschitz * np.diff(ts[::STEP])
+    cand = np.unique(STEP * np.flatnonzero(open_)[:, None] + np.arange(STEP + 1))
     cand = cand[cand > 0]
-    near = np.unique(np.minimum(cand[:, None] + np.arange(-1, 2), grid))
-    near = near[near % step != 0]
-    gaps[near] = _gaps(X, V, ts[near])
+    near = np.unique(np.minimum(cand[:, None] + np.arange(-1, 2), GRID))
+    return cand, near[near % STEP != 0]
+
+
+def _first_drop(X, V, ts, gaps, cand, lipschitz: float):
+    """Smallest t in (0, ts[-1]] where the rank drops, or None. Resolved to 1e-7.
+
+    Candidate dips on the dense grid ts = linspace(0, T, GRID + 1) are its
+    crossings and interior local minima of the gap, each zoomed into
+    unless the Lipschitz bound certifies it; only the candidates cand
+    (_candidates) can hold one, and gaps holds the gap at them and their
+    neighbours.
+    """
     for i in cand:
         if gaps[i] <= 0.0:
             return _zoom(X, V, ts[i - 1], ts[i], lipschitz)
-        is_min = gaps[i] <= gaps[i - 1] and (i == grid or gaps[i] <= gaps[i + 1])
+        is_min = gaps[i] <= gaps[i - 1] and (i == GRID or gaps[i] <= gaps[i + 1])
         if is_min and not _stays_positive(gaps[i - 1 : i + 2], ts[1] - ts[0], lipschitz):
-            t = _zoom(X, V, ts[i - 1], ts[min(i + 1, grid)], lipschitz)
+            t = _zoom(X, V, ts[i - 1], ts[min(i + 1, GRID)], lipschitz)
             if t is not None:
                 return t
     return None
@@ -491,8 +521,9 @@ def max_full_rank_interval(X, V, t_max_search: float = 10.0):
     """Largest interval around 0 on which t -> exp(X, t V) keeps full rank.
 
     Scans (-t_max_search, t_max_search) with a dense grid of smallest
-    singular values, evaluated coarsely first and densely only where the
-    gap's Lipschitz bound cannot certify that it stays positive, then
+    singular values, evaluated coarsely first (both directions in one
+    batched evaluation) and densely only where the gap's Lipschitz bound
+    cannot certify that it stays positive (again one evaluation), then
     zooms into every candidate dip in stacked brackets of 33 times each
     (rank drops may touch zero without crossing the grid) until the first
     certified drop is resolved to 1e-7 in t. The bound holds because each
@@ -512,8 +543,16 @@ def max_full_rank_interval(X, V, t_max_search: float = 10.0):
     if speed == 0.0:
         return (-t_max_search, t_max_search)
     lipschitz = (1.0 + RANK_RELATIVE) * speed
-    up = _first_drop(Xp, vec, t_max_search, lipschitz)
-    down = _first_drop(Xp, -vec, t_max_search, lipschitz)
+    ts = np.linspace(0.0, t_max_search, GRID + 1)
+    # (-t) V is t (-V) bit for bit, so one stack holds both directions' times
+    gaps = np.empty((2, GRID + 1))
+    gaps[:, ::STEP] = _gaps(Xp, vec, np.concatenate([ts[::STEP], -ts[::STEP]])).reshape(2, -1)
+    (cand_up, near_up), (cand_down, near_down) = (_candidates(g, ts, lipschitz) for g in gaps)
+    if near_up.size or near_down.size:
+        dense = _gaps(Xp, vec, np.concatenate([ts[near_up], -ts[near_down]]))
+        gaps[0, near_up], gaps[1, near_down] = np.split(dense, [near_up.size])
+    up = _first_drop(Xp, vec, ts, gaps[0], cand_up, lipschitz)
+    down = _first_drop(Xp, -vec, ts, gaps[1], cand_down, lipschitz)
     t_max = t_max_search if up is None else up
     t_min = -t_max_search if down is None else -down
     return (float(t_min), float(t_max))

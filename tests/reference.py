@@ -5,8 +5,9 @@ written without sharing their code), the sign-corrected QR factor and the
 QR retraction on O(k), the Procrustes rotation, and slow
 independent oracles: the k = 2 distance as a dense scan of the whole
 orthogonal group, gradients from central finite differences, the tiny
-circle mean as an exhaustive angle grid, and the escape-time scan with the
-gap taken at every time of its dense grid. The trust-region models'
+circle mean as an exhaustive angle grid, the points of a geodesic at many
+times as one tiled matrix of rows, and the escape-time scan with the gap
+taken at every time of its dense grid. The trust-region models'
 Hessians are kept as dense matrices in orthonormal coordinates (the K
 basis matrices of so(k), Householder bases of the row tangent spaces), for
 the models' ambient Hessian-vector products to be checked against through
@@ -33,11 +34,13 @@ from corrgeo.product_sphere import (
     SMALL_ANGLE,
     _HessianOp,
     _angle_factors,
+    _great_circles,
     _row_angles,
     _row_mean_model,
     _trust_region,
     check_unit_rows,
     ps_frechet_fixed,
+    unit_rows,
 )
 from corrgeo.quotient_space import (
     CERTIFY_TOL,
@@ -279,6 +282,16 @@ def exhaustive_small_frechet(points, weights, resolution: int = 200000) -> np.nd
 
 
 # escape times, dense grid ---------------------------------------------------------
+
+
+def tiled_path(X, V, ts):
+    """quotient_space._path with X tiled and the velocities t V built by np.kron.
+
+    Every time's rows are stacked into one (len(ts) m) x k matrix for
+    ps_exp's row arithmetic at time 1, then split into one matrix per time.
+    """
+    rows = unit_rows(_great_circles(np.tile(X, (ts.size, 1)), np.kron(ts[:, None], V), 1.0))
+    return rows.reshape(-1, *X.shape)
 
 
 def dense_first_drop(X, V, T: float):

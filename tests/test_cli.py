@@ -160,6 +160,17 @@ def test_dist_duplicate_subject_id_is_io_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "distances.csv").exists()
 
 
+def test_dist_one_row_subject_is_validation_error_naming_it(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    man = _cohort(tmp_path, rng, 3)
+    short = tmp_path / "s1.csv"
+    _write_csv(short, ("a", "b", "c"), rng.standard_normal((1, 3)))
+    assert main(["dist", str(man), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: subject s1: {short}: need at least 2 observation rows\n"
+    assert not (tmp_path / "out" / "distances.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -182,12 +182,17 @@ EDGE_FILES = {
         'a,b\n1,"2"""\n3,4\n',
         *_both(ParseError, "{p}: line 2, column b: cannot parse '2\"'"),
     ),
-    # the message names record 3, which starts on line 4 of the file
+    # the message names record 3 by line 4 of the file, where it starts
     "quoted_newline_in_body": (
         'a,b\n1,"2\n"\n3,x\n',
-        *_both(ParseError, "{p}: line 3, column b: cannot parse 'x'"),
+        *_both(ParseError, "{p}: line 4, column b: cannot parse 'x'"),
     ),
     "quoted_newline_in_header": ('a,"b\nc"\n1,2\n3,4\n', (("a", "b\nc"), ROWS), ROWS),
+    # the header spans lines 1 and 2, so record 2 starts on line 3
+    "quoted_newline_in_header_then_bad_cell": (
+        'a,"b\nc"\n1,x\n3,4\n',
+        *_both(ParseError, "{p}: line 3, column b\nc: cannot parse 'x'"),
+    ),
     "quoted_cr_in_cell": ('a,b\n1,"2\r"\n3,4\n', TABLE, ROWS),
     "bom": ("\ufeffa,b\n1,2\n3,4\n", (("\ufeffa", "b"), ROWS), ROWS),
     "trailing_comma": (
@@ -207,7 +212,7 @@ EDGE_FILES = {
     "header_only": ("a,b\n", *_both(EmptyFile, "{p} has a header but no data rows")),
     "one_row": (
         "a,b\n1,2\n",
-        (DegenerateInput, "need at least 2 observation rows"),
+        (DegenerateInput, "{p}: need at least 2 observation rows"),
         [[1.0, 2.0]],
     ),
     "nan": (

@@ -12,6 +12,8 @@ from corrgeo import (
     SolverReport,
     align,
     factorize,
+    frechet_mean,
+    frechet_variance,
     geodesic_rank_profile,
     gram,
     horizontal_project,
@@ -25,12 +27,13 @@ from corrgeo import (
     orbit_log,
     ps_dist,
     ps_exp,
+    ps_frechet_fixed,
     quotient_metric,
     random_orthogonal,
     vertical_project,
 )
 
-from corrgeo import quotient_space
+from corrgeo import product_sphere, quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
 from corrgeo.product_sphere import MAX_ITERS, _trust_region
 from corrgeo.quotient_space import _align_pairs, _alignment_model, _random_starts
@@ -42,6 +45,7 @@ from reference import (
     alignment_certified,
     dense_first_drop,
     o2_grid_distance,
+    tiled_path,
 )
 
 HALF_SQRT2_PI = np.pi / np.sqrt(2.0)
@@ -288,6 +292,102 @@ def test_bad_unit_rows_name_their_argument(fn):
         fn(good, bad)
     with pytest.raises(InvalidInput, match="row 0 of X has norm"):
         fn(bad, good)
+
+
+# Each public entry point checks each input once; internal helpers take
+# checked arrays. Per entry point: a call on two unit-row arguments, their
+# names in the messages, and its message for a second argument of another
+# shape (a, b the shapes of the first and the second).
+ENTRY_POINTS = {
+    "align": (align, ("X", "Y"), "shape mismatch {a} vs {b}"),
+    "orbit_dist": (orbit_dist, ("X", "Y"), "shape mismatch {a} vs {b}"),
+    "orbit_log": (orbit_log, ("X", "Y"), "shape mismatch {a} vs {b}"),
+    "frechet_mean": (
+        lambda A, B: frechet_mean([A, B]),
+        ("points[0]", "points[1]"),
+        "sample 1 has shape {b}, expected {a}",
+    ),
+    "frechet_variance": (
+        lambda A, B: frechet_variance([A], B),
+        ("points[0]", "candidate"),
+        "shape mismatch {a} vs {b}",
+    ),
+    "ps_frechet_fixed": (
+        lambda A, B: ps_frechet_fixed([A, B], [1.0, 1.0]),
+        ("points[0]", "points[1]"),
+        "points[1] has shape {b}, expected {a}",
+    ),
+    "GeodesicSegment": (
+        lambda A, B: GeodesicSegment(
+            start=A, velocity=ProductTangent(B, np.zeros(np.shape(B))), duration=1.0
+        ),
+        ("start", "base"),
+        "velocity is not based at the start point",
+    ),
+    "max_full_rank_interval": (
+        lambda A, B: max_full_rank_interval(A, ProductTangent(B, np.zeros(np.shape(B)))),
+        ("X", "base"),
+        "tangent base does not match X",
+    ),
+}
+
+
+def _faulty(G, fault):
+    """G with one fault, and the message check_unit_rows gives it under name ({name})."""
+    B = G.copy()
+    if fault == "non_unit_row":
+        B[1] *= 2.0
+        return B, "row 1 of {name} has norm 2.000000000000, expected 1"
+    if fault == "nan":
+        B[2, 0] = np.nan
+        return B, "{name} has non-finite entries"
+    if fault == "k1":
+        return np.ones((G.shape[0], 1)), "{name} needs at least 2 columns, got 1"
+    return np.vstack([G, G[:1]]), None  # another shape
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("fault", ["non_unit_row", "nan", "k1", "shape"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_each_entry_point_checks_both_arguments(entry, fault, side):
+    fn, names, mismatch = ENTRY_POINTS[entry]
+    G = random_point(np.random.default_rng(40), 4, 3)
+    fn(G, G.copy())
+    B, message = _faulty(G, fault)
+    args = (B, G) if side == 0 else (G, B)
+    if message is None:
+        a, b = (np.shape(A) for A in args)
+        message = mismatch.format(a=a, b=b)
+    with pytest.raises(InvalidInput) as info:
+        fn(*args)
+    assert str(info.value) == message.format(name=names[side])
+
+
+@pytest.fixture
+def unit_row_checks(monkeypatch):
+    """The arrays check_unit_rows is called on, wherever the package calls it."""
+    calls = []
+    check = product_sphere.check_unit_rows
+
+    def counted(X, name="X"):
+        calls.append(X)
+        return check(X, name)
+
+    for module in (product_sphere, quotient_space):
+        monkeypatch.setattr(module, "check_unit_rows", counted)
+    return calls
+
+
+def test_geodesic_ops_check_each_input_once(unit_row_checks):
+    rng = np.random.default_rng(41)
+    X, Y = random_point(rng, 6, 4), random_point(rng, 6, 4)
+    V = orbit_log(X, Y)
+    assert [id(A) for A in unit_row_checks] == [id(X), id(Y)]
+    # the velocity's own base is checked once more as the start, not compared
+    unit_row_checks.clear()
+    seg = GeodesicSegment(start=V.base, velocity=V, duration=1.0)
+    max_full_rank_interval(seg.start, V, t_max_search=1.0)
+    assert [id(A) for A in unit_row_checks] == [id(X), id(X)]
 
 
 # orbit_dist ---------------------------------------------------------------------
@@ -685,16 +785,30 @@ def test_escape_scan_skips_the_certified_stretches(monkeypatch):
         quotient_space, "_gaps", lambda X, V, ts: times.append(len(ts)) or gaps(X, V, ts)
     )
     # gap near 1 and |V| = 0.05: every coarse interval is certified, so
-    # each direction takes its 33 coarse times and nothing else
+    # the scan is one evaluation of both directions' 33 coarse times
     X = np.vstack([np.eye(3), np.full((1, 3), 1.0 / np.sqrt(3.0))])
     V = random_tangent(np.random.default_rng(3), X, scale=0.05)
     assert max_full_rank_interval(X, V, t_max_search=4.0) == (-4.0, 4.0)
-    assert times == [33, 33]
+    assert times == [66]
     # a drop at pi/2 costs a few uncertified intervals, not the dense grid
     times.clear()
     lo, hi = max_full_rank_interval(np.eye(2), [[0.0, 1.0], [0.0, 0.0]], t_max_search=4.0)
     assert abs(hi - np.pi / 2.0) < 1e-6 and abs(lo + np.pi / 2.0) < 1e-6
     assert sum(times) < 2 * 1025
+
+
+@pytest.mark.parametrize("m, k, n", [(6, 4, 1025), (8, 3, 1025), (5, 3, 19), (116, 20, 19)])
+def test_path_equals_the_tiled_rows(m, k, n):
+    # one stack broadcast over the times has the bits of the tiled rows, at
+    # negative, zero and tiny times and along a zero-velocity row
+    rng = np.random.default_rng(m)
+    X = random_point(rng, m, k)
+    V = random_tangent(rng, X, scale=2.0)
+    V[1] = 0.0
+    ts = np.concatenate([np.linspace(-4.0, 4.0, n - 6), [0.0, -0.0, 1e-14, -1e-14, 1e-300, 3.0]])
+    P = quotient_space._path(X, V, ts)
+    assert P.shape == (n, m, k)
+    assert P.tobytes() == tiled_path(X, V, ts).tobytes()
 
 
 def test_full_rank_interval_rejects_rank_deficient_base():
