@@ -33,9 +33,12 @@ class SolverConfig:
     restarts / seed: a pair search (align, orbit_dist, orbit_log and the
     cohort distances alike) starts from Procrustes, restarts - 1 random
     rotations drawn from seed and their transposes, all solved as one
-    stack; restarts_used is the number of starts, 2 * restarts - 1 (9 at
+    stack, where a pair whose Procrustes start is near its certificate's
+    bound runs it alone first and its random starts only if it does not
+    certify; restarts_used is the number of starts, 2 * restarts - 1 (9 at
     the default) plus any extra_inits passed to align or orbit_dist, and
-    retired the number of them the search dropped early as redundant.
+    retired the number of them the search dropped early or never ran as
+    redundant.
     Horizontality is no setting: orbit_exp always checks it, against the
     defect a tangent records (orbit_log's is its search's grad_norm).
     stagnation_tol separates harmless stops at the rounding floor from

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .kernels import numerical_rank, sylvester_spd
-from .product_sphere import ProductTangent, _rep, _tangent_vec, ps_project
+from .product_sphere import ProductTangent, _check_tangent, _rep, _tangent_part, _tangent_vec
 
 HORIZ_TOL = 1e-8  # horizontality tolerance of checked and certified tangents
 
@@ -37,11 +37,14 @@ def _full_rank_rep(X) -> np.ndarray:
     return X
 
 
+def _defect(X, vec) -> float:
+    return float(np.linalg.norm(vec.T @ X - X.T @ vec))
+
+
 def horizontality_defect(X, V) -> float:
     """Frobenius norm of V^T X - X^T V, zero exactly when V is horizontal."""
     X = _rep(X)
-    V = _tangent_vec(X, V)
-    return float(np.linalg.norm(V.T @ X - X.T @ V))
+    return _defect(X, _tangent_vec(X, V))
 
 
 def _check_horizontal(X, V, name="tangent") -> np.ndarray:
@@ -49,7 +52,7 @@ def _check_horizontal(X, V, name="tangent") -> np.ndarray:
     it records (a HorizontalTangent's, else 0) by HORIZ_TOL max(1, |V|_F)."""
     vec = _tangent_vec(X, V)
     recorded = V.defect if isinstance(V, HorizontalTangent) else 0.0
-    defect = float(np.linalg.norm(vec.T @ X - X.T @ vec))
+    defect = _defect(X, vec)
     if defect > recorded + HORIZ_TOL * max(1.0, float(np.linalg.norm(vec))):
         raise InvalidInput(f"{name} is not horizontal (defect {defect:.3e})")
     return vec
@@ -69,15 +72,19 @@ def vertical_project(X, W) -> ProductTangent:
     returns X A. Fixed points are exactly the vertical vectors X Omega.
     """
     X = _full_rank_rep(X)
-    return ProductTangent(X, _vertical_part(X, _tangent_vec(X, W)))
+    return ProductTangent._at(X, _vertical_part(X, _tangent_vec(X, W)))
+
+
+def _horizontal(X, V) -> HorizontalTangent:
+    """The horizontal component of the tangent matrix V at the checked full-rank X."""
+    H = V - _vertical_part(X, V)
+    return HorizontalTangent._at(X, H, defect=_defect(X, H))
 
 
 def horizontal_project(X, W) -> HorizontalTangent:
     """Horizontal component: the tangent minus its vertical projection."""
     X = _full_rank_rep(X)
-    V = _tangent_vec(X, W)
-    H = V - _vertical_part(X, V)
-    return HorizontalTangent(base=X, vec=H, defect=horizontality_defect(X, H))
+    return _horizontal(X, _tangent_vec(X, W))
 
 
 def quotient_metric(U, V) -> float:
@@ -108,5 +115,4 @@ def lift_gradient(X, euclidean_grad) -> HorizontalTangent:
     G = np.asarray(euclidean_grad, dtype=float)
     if G.shape != X.shape:
         raise InvalidInput(f"gradient shape {G.shape} does not match {X.shape}")
-    V = ps_project(X, G)
-    return horizontal_project(X, V.vec)
+    return _horizontal(X, _check_tangent(X, _tangent_part(X, G)))

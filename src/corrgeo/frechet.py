@@ -170,24 +170,25 @@ def _joint_model(reps, w, pin):
     def unpack(x):
         return x[:m], x[m:].reshape(n, k, k)
 
-    def project(U, M, c, wcoef, wcurv, xeg, wS, d):
+    def project(U, M, V, wcoef, wU, wcurv, xeg, wS, d):
         # the stack's one member, its axis dropped and restored as in product
         a, W = unpack(d.reshape(-1, k))
         W = skew_part(W)
         W[pin] = 0.0
         return np.concatenate([_tangent_part(M[0], a).ravel(), W.ravel()])[None]
 
-    def product(U, M, c, wcoef, wcurv, xeg, wS, d):
+    def product(U, M, V, wcoef, wU, wcurv, xeg, wS, d):
         # one member: drop the stack axis (d may come without it), restore it
-        U, M, c, wcoef, wcurv, xeg, wS = (v[0] for v in (U, M, c, wcoef, wcurv, xeg, wS))
+        U, M, V, wcoef, wU, wcurv, xeg, wS = (
+            v[0] for v in (U, M, V, wcoef, wU, wcurv, xeg, wS)
+        )
         a, W = unpack(d.reshape(-1, k))
-        V = U - c[..., None] * M
         UW = U @ W
         ct = wcurv * (np.einsum("irk,rk->ir", V, a) + np.einsum("irk,rk->ir", UW, M))
         hM = np.einsum("ir,irk->rk", ct, V) + np.einsum("ir,irk->rk", wcoef, UW)
         hM = _tangent_part(M, hM) - xeg[:, None] * a
         G = np.swapaxes(U * ct[..., None], -1, -2) @ M
-        G += np.swapaxes(U * wcoef[..., None], -1, -2) @ a
+        G += np.swapaxes(wU, -1, -2) @ a
         hO = skew_part(G - W @ wS)
         hO[pin] = 0.0
         return np.concatenate([hM.ravel(), hO.ravel()])[None]
@@ -205,7 +206,9 @@ def _joint_model(reps, w, pin):
         wS = 0.5 * (G + np.swapaxes(G, -1, -2))
         gO = skew_part(G)
         gO[pin] = 0.0
-        state = (v[None] for v in (U, M, c, wcoef, w[:, None] * curv, xeg, wS))
+        # the samples' tangent parts V and weighted rows wU, formed once per evaluation
+        V = U - c[..., None] * M
+        state = (v[None] for v in (U, M, V, wcoef, wU, w[:, None] * curv, xeg, wS))
         H = _HessianOp(product, project, size, dim, *state)
         g = np.concatenate([_tangent_part(M, e).ravel(), gO.ravel()])
         loss = w @ np.einsum("ir,ir->i", th, th)

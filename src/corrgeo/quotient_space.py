@@ -15,10 +15,14 @@ large batch in chunks of whole pairs under a fixed memory budget; align is
 the batch of one pair. The loss is convex on the convex hull of O(k), so
 a converged start without clamped rows can certify from its own model
 that it found the pair's global minimum (_certify); its live siblings
-then retire, since none can end lower. A retired start never wins, and
-pairs never interact, so batching moves no number. Only the Frechet
-mean's final alignment stack runs the ordered search, warm-started from
-each sample's rotation in the joint mean solve.
+then retire, since none can end lower. Pairs near their bound run their
+first starts alone: when the bound at the start puts a pair's Procrustes
+rotation (or a warm start) within START_TOL, its random starts wait until
+every first start has stopped uncertified, and retire without running
+when one certifies, as on sample correlations. A retired start never
+wins, and pairs never interact, so batching moves no number. Only the
+Frechet mean's final alignment stack runs the ordered search,
+warm-started from each sample's rotation in the joint mean solve.
 
 Logs and exponentials act row by row on representatives; a log's
 horizontality defect is its search's gradient norm. Rank along a geodesic
@@ -78,6 +82,13 @@ class OrbitPoint:
     def __post_init__(self):
         object.__setattr__(self, "rep", check_unit_rows(self.rep, "rep"))
 
+    @classmethod
+    def _at(cls, rep):
+        """cls(rep) for a rep that passed check_unit_rows: no second check."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "rep", rep)
+        return point
+
     @property
     def m(self) -> int:
         return self.rep.shape[0]
@@ -89,7 +100,7 @@ class OrbitPoint:
 
 def as_orbit(X, name="rep") -> OrbitPoint:
     """Coerce a unit-row matrix (or pass through an OrbitPoint); errors call it name."""
-    return X if isinstance(X, OrbitPoint) else OrbitPoint(check_unit_rows(X, name))
+    return X if isinstance(X, OrbitPoint) else OrbitPoint._at(check_unit_rows(X, name))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -98,9 +109,11 @@ class SearchReport(SolverReport):
 
     The SolverReport fields are those of the winning start at its returned
     rotation. restarts_used counts the search's starts, retired those of
-    them that left early because a sibling start certified the pair's
-    global minimum. Every record of a search (AlignmentResult,
-    pipeline.PairReport) extends this one, and both CLI reports print it.
+    them that left early, or never ran, because a sibling start certified
+    the pair's global minimum (a pair near its bound runs its first starts
+    alone, so its random starts never run when one of them certifies).
+    Every record of a search (AlignmentResult, pipeline.PairReport)
+    extends this one, and both CLI reports print it.
     """
 
     restarts_used: int
@@ -176,23 +189,31 @@ def _alignment_model(X, Y):
 # global minimum. Of 300 mixed-rank winners 276 certify at 1e-9 and 271 at
 # 1e-12, which costs the geodesic_rank pool 9% more Hessian products.
 CERTIFY_TOL = 1e-9
+# Gap, relative to max(1, loss), up to which a pair's first start (the
+# Procrustes rotation, a warm start) counts as near its bound, so that the
+# pair runs its first starts alone. On sample correlations Procrustes
+# starts at gaps of 1e-8 to 3e-4 and certifies; of 1,000 random and
+# mixed-rank pairs, 96 start within 1e-3 and all certify from a first
+# start, while 1e-2 admits 2 pairs that do not and 1e-1 admits 48.
+START_TOL = 1e-3
 
 
-def _certify(loss, g, H):
-    """Whether each member's rotation provably minimizes its pair's loss.
+def _certify(loss, g, H, members, gate=False):
+    """Whether the listed members' rotations provably minimize their pairs' loss.
 
     phi(c) = arccos(c)^2 is convex, so the loss is convex on the spectral
     ball, the convex hull of O(k), and lies above its linearization at O:
     min f >= f(O) - tr G - |G|_*, G = U^T diag(phi') Y (Boyd & Vandenberghe,
     2004, sec. 5). G is S + skew(G), S = sym(G) from the Hessian's state
     and g = skew(G); one batched k x k singular-value call gives the gap.
-    Valid only without clamped rows (the solver checks). Returns gap <=
-    CERTIFY_TOL max(1, loss) per member.
+    loss, g and H are the stack's; members indexes them. Valid only
+    without clamped rows (the solver checks). Returns gap <= tol max(1,
+    loss) per member, tol CERTIFY_TOL, or START_TOL for the gate on starts.
     """
-    S = H.state[3]
-    G = S + g.reshape(S.shape)
+    S = H.state[3][members]
+    G = S + g[members].reshape(S.shape)
     gap = np.trace(G, axis1=-2, axis2=-1) + np.linalg.svd(G, compute_uv=False).sum(axis=-1)
-    return gap <= CERTIFY_TOL * np.maximum(1.0, loss)
+    return gap <= (START_TOL if gate else CERTIFY_TOL) * np.maximum(1.0, loss[members])
 
 
 @functools.lru_cache(maxsize=32)
@@ -241,12 +262,14 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra, swapped=None):
     _align_pairs), then the pair's extra starts extra[p], R starts per
     pair. The batch is cut into chunks of whole pairs within _STACK_FLOATS,
     and each chunk is one lockstep trust-region solve in blocks of R
-    consecutive starts, one block per pair. A start that stops converged,
-    without clamped rows, at a rotation _certify accepts retires the live
-    starts of its block (_trust_region), so each pair follows the iterates
-    it would follow alone. Per pair the
-    first lowest loss over the starts not retired wins, restarts_used
-    counts every start and retired those that left early, and clamped_rows
+    consecutive starts, one block per pair. The Procrustes and extra
+    starts come first: the random ones wait while a first start within
+    START_TOL of its bound runs (_trust_region). A start that stops
+    converged, without clamped rows, at a rotation _certify accepts retires
+    the live and waiting starts of its block, so each pair follows the
+    iterates it would follow alone. Per pair the first lowest loss over the
+    starts not retired wins, restarts_used counts every start and retired
+    those that left early or never ran, and clamped_rows
     are the solver's clamped rows at the winner's returned rotation.
     Returns one AlignmentResult per pair, for (Xs[p], Ys[p]), or for
     (Ys[p], Xs[p]) where swapped[p] is true.
@@ -255,6 +278,11 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra, swapped=None):
     starts_of = _random_starts if swapped is None else _unordered_starts
     rand = starts_of(k, cfg.restarts, cfg.seed)
     R = 1 + len(rand) + (len(extra[0]) if P else 0)
+    # the seeded random starts wait while a pair's first starts are near their bound
+    wait = None
+    if len(rand):
+        wait = np.zeros(R, dtype=bool)
+        wait[1 : 1 + len(rand)] = True
     chunk = max(1, _STACK_FLOATS // (R * _member_floats(m, k)))
     results = []
     for lo in range(0, P, chunk):
@@ -270,7 +298,7 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra, swapped=None):
         )
         model, retract = _alignment_model(np.repeat(Xc, R, axis=0), np.repeat(Yc, R, axis=0))
         O, *solve, retired = _trust_region(
-            model, retract, starts.reshape(n * R, k, k), cfg, R, _certify
+            model, retract, starts.reshape(n * R, k, k), cfg, R, _certify, wait
         )
         # a retired start never wins, ties included (solve[0] is the loss)
         best = np.argmin(np.where(retired, np.inf, solve[0]).reshape(n, R), axis=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from corrgeo import factorize
+
 
 def unit_rows_of(A):
     A = np.asarray(A, dtype=float)
@@ -41,6 +43,26 @@ def random_correlation(rng, m, r):
     Z = np.clip(0.5 * (Z + Z.T), -1.0, 1.0)
     np.fill_diagonal(Z, 1.0)
     return Z
+
+
+def factor_cohort(rng, m, f, T, n, spread=0.0, noise=1.0):
+    """Unit-row m x m factors (factorize) of n subjects' sample correlations.
+
+    A seeded factor model of m regions: loadings L (m x f) shared by the
+    cohort, and per subject T samples of F_i (L + spread N_i)^T + noise E_i,
+    with F_i (T x f), N_i (m x f) and E_i (T x m) standard normal, drawn in
+    that order (N_i only when spread, E_i only when noise is nonzero).
+    """
+    loadings = rng.standard_normal((m, f))
+    factors = []
+    for _ in range(n):
+        F = rng.standard_normal((T, f))
+        L = loadings + spread * rng.standard_normal((m, f)) if spread else loadings
+        Z = F @ L.T
+        if noise:
+            Z = Z + noise * rng.standard_normal((T, m))
+        factors.append(factorize(np.corrcoef(Z, rowvar=False), m))
+    return factors
 
 
 def counterexample_pair():

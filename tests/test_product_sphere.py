@@ -19,7 +19,7 @@ from corrgeo import (
     ps_project,
     unit_rows,
 )
-from corrgeo import factorize, frechet, product_sphere
+from corrgeo import frechet, product_sphere, quotient_space
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.kernels import random_orthogonal
 from corrgeo.product_sphere import (
@@ -32,7 +32,7 @@ from corrgeo.product_sphere import (
 )
 from corrgeo.quotient_space import _align_batch, _align_pairs, _alignment_model, _member_floats
 
-from conftest import random_point, random_rank_point, random_tangent
+from conftest import factor_cohort, random_point, random_rank_point, random_tangent
 from reference import (
     _tangent_basis,
     dense_alignment_hessian,
@@ -414,8 +414,6 @@ def test_retirement_never_crosses_pairs():
 def test_align_batch_chunks_match_one_solve(monkeypatch):
     # a batch cut into chunks of whole pairs gives the one-solve results bit
     # for bit, and no chunk exceeds the float budget
-    from corrgeo import quotient_space
-
     rng = np.random.default_rng(46)
     cfg = DEFAULT_CONFIG
     m, k = 6, 3
@@ -427,9 +425,9 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
 
     sizes = []
 
-    def counted(model, retract, x, cfg, block=None, certify=None):
-        sizes.append(len(x))
-        return _trust_region(model, retract, x, cfg, block, certify)
+    def counted(*args):
+        sizes.append(len(args[2]))
+        return _trust_region(*args)
 
     monkeypatch.setattr(quotient_space, "_trust_region", counted)
     monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * _member_floats(m, k))
@@ -761,15 +759,20 @@ def test_no_member_is_stepped_from_the_floor():
 
 def test_converged_members_drive_no_cg_iteration(monkeypatch):
     # on one cohort-shaped stack (4 subjects x 8 variables, T = 200: the 6
-    # pairs' rotation searches in one stack) every lockstep CG iteration is
-    # one that a member with its gradient above grad_tol needs: the same CG
-    # solve without the members at or below grad_tol takes as many products
-    rng = np.random.default_rng(56)
-    mixing = rng.standard_normal((8, 8))
-    series = [
-        rng.standard_normal((200, 8)) @ (mixing + rng.standard_normal((8, 8))).T for _ in range(4)
-    ]
-    factors = [factorize(np.corrcoef(Z, rowvar=False), 8) for Z in series]
+    # pairs' rotation searches in one stack), run unstaged (every start
+    # steps from the first iteration), every lockstep CG iteration is one
+    # that a member with its gradient above grad_tol needs: the same CG
+    # solve without the members at or below grad_tol takes as many
+    # products. Staged (each pair's Procrustes start first, the random
+    # starts waiting), the stack takes no more member products
+    factors = factor_cohort(np.random.default_rng(56), 8, 8, 200, 4, spread=1.0, noise=0.0)
+    pairs = list(zip(*itertools.combinations(factors, 2)))
+    with solver_work() as staged:
+        _align_pairs(*pairs)
+    monkeypatch.setattr(quotient_space, "START_TOL", 0.0)
+    with solver_work() as unstaged:
+        _align_pairs(*pairs)
+    assert staged.products <= unstaged.products
     excess = []
 
     def counted_cg(H, g, gn, radius, *floor):
@@ -784,7 +787,7 @@ def test_converged_members_drive_no_cg_iteration(monkeypatch):
 
     monkeypatch.setattr(product_sphere, "_truncated_cg", counted_cg)
     with solver_work() as work:
-        results = _align_pairs(*zip(*itertools.combinations(factors, 2)))
+        results = _align_pairs(*pairs)
     assert all(r.converged for r in results)
     assert len(excess) == work.iterations and work.calls > 50
     assert not any(excess)

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,13 +41,20 @@ from corrgeo.fixed_rank import HORIZ_TOL
 from corrgeo.product_sphere import MAX_ITERS, _trust_region
 from corrgeo.quotient_space import _align_pairs, _alignment_model, _random_starts
 
-from conftest import counterexample_pair, random_point, random_rank_point, random_tangent
+from conftest import (
+    counterexample_pair,
+    factor_cohort,
+    random_point,
+    random_rank_point,
+    random_tangent,
+)
 from reference import (
     align_every_start,
     align_random_starts,
     alignment_certified,
     dense_first_drop,
     o2_grid_distance,
+    procrustes,
     tiled_path,
 )
 
@@ -143,8 +153,8 @@ def _recording_trust_region(monkeypatch, edit=None):
     """
     outputs = []
 
-    def recorded(model, retract, x, cfg, block=None, certify=None):
-        out = _trust_region(model, retract, x, cfg, block, certify)
+    def recorded(*args):
+        out = _trust_region(*args)
         if edit is not None:
             edit(out)
         outputs.append(out)
@@ -190,9 +200,9 @@ def test_rank_deficient_pair_retires_on_aligned_rows(monkeypatch):
     loss, _, _ = align_every_start(X, Y)
     calls = []
 
-    def recorded(model, retract, x, cfg, block=None, certify=None):
-        out = _trust_region(model, retract, x, cfg, block, certify)
-        calls.append((np.array(x), out))
+    def recorded(*args):
+        out = _trust_region(*args)
+        calls.append((np.array(args[2]), out))
         return out
 
     monkeypatch.setattr(quotient_space, "_trust_region", recorded)
@@ -262,8 +272,10 @@ def test_retired_starts_match_every_start_oracle(monkeypatch):
                     for a in np.flatnonzero(conv & ~clamped & ~gone)
                     if alignment_certified(A, B, O[a])
                 ]
+                # or, for a start that never ran, the Procrustes start (the
+                # pair's one first start) certified
                 for j in np.flatnonzero(gone):
-                    assert any(it[a] == it[j] for a in anchors)
+                    assert any(it[a] == it[j] for a in anchors) or (it[j] == 0 and 0 in anchors)
                 assert np.array_equal(align(Y, X).rotation, r.rotation.T)
     assert retired > 0
 
@@ -282,6 +294,126 @@ def test_retired_starts_match_every_start_oracle(monkeypatch):
     tied = align(X, Y)
     assert outputs[0][7][0] and outputs[0][1][0] == tied.loss
     assert np.array_equal(tied.rotation, r.rotation) and tied.loss == r.loss
+
+
+# starts near their bound run first --------------------------------------------
+
+
+def _stepped_starts(monkeypatch):
+    """Wrap the rotation search's solver; returns, per solve, its block, its
+    waiting starts' mask, the members it stepped (evaluated after a
+    retraction) and its output."""
+    solves = []
+
+    def recorded(model, *args):
+        stepped = []
+
+        def seen(x, members):
+            stepped.append(members)
+            return model(x, members)
+
+        out = _trust_region(seen, *args)
+        solves.append((args[3], args[5], np.concatenate([[], *stepped[1:]]).astype(int), out))
+        return out
+
+    monkeypatch.setattr(quotient_space, "_trust_region", recorded)
+    return solves
+
+
+def _same_search(a, b):
+    """Whether two AlignmentResults are equal bit for bit, every field."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
+
+
+def test_factor_cohort_steps_no_random_start(monkeypatch):
+    # the cohort of test_converged_members_drive_no_cg_iteration: every pair
+    # starts near its bound, so its random starts wait, and no random start
+    # is ever stepped: each pair certifies from its Procrustes start, which
+    # retires the others, and every result is bitwise the unstaged solve's
+    factors = factor_cohort(np.random.default_rng(56), 8, 8, 200, 4, spread=1.0, noise=0.0)
+    pairs = list(zip(*itertools.combinations(factors, 2)))
+    solves = _stepped_starts(monkeypatch)
+    staged = _align_pairs(*pairs)
+    ((block, wait, stepped, _),) = solves
+    assert stepped.size and not wait[stepped % block].any()
+    for (X, Y), r in zip(itertools.combinations(factors, 2), staged):
+        assert r.retired == r.restarts_used - 1 and alignment_certified(X, Y, r.rotation)
+    # unstaged, the random starts step from the first iteration
+    monkeypatch.setattr(quotient_space, "START_TOL", 0.0)
+    solves.clear()
+    unstaged = _align_pairs(*pairs)
+    ((_, _, stepped, _),) = solves
+    assert wait[stepped % block].any()
+    assert all(_same_search(a, b) for a, b in zip(staged, unstaged, strict=True))
+
+
+def test_paper_width_pairs_step_only_their_first_starts(monkeypatch):
+    # 10 pairs of sample correlations at k = m = 40 (6 shared factors plus
+    # unit noise, T = 300): each pair's Procrustes start certifies, so no
+    # random start of any chunk is ever stepped
+    factors = factor_cohort(np.random.default_rng(1), 40, 6, 300, 20)
+    solves = _stepped_starts(monkeypatch)
+    results = _align_pairs(factors[0::2], factors[1::2])
+    assert len(solves) > 1  # the batch runs in chunks
+    for block, wait, stepped, _ in solves:
+        assert stepped.size and not wait[stepped % block].any()
+    assert all(r.retired == r.restarts_used - 1 and r.converged for r in results)
+
+
+def test_clamped_first_start_fails_the_gate(monkeypatch):
+    # the rank-1 pair of test_cut_locus_procrustes_start_is_retired: its
+    # Procrustes start has clamped rows and a gap of about 4e7, so its random
+    # starts step from the first iteration, and the search is bitwise the
+    # unstaged one
+    rng = np.random.default_rng(0)
+    X, Y = random_rank_point(rng, 6, 3, 1), random_rank_point(rng, 6, 3, 1)
+    A, B = (Y, X) if Y.tobytes() < X.tobytes() else (X, Y)
+    loss, g, H, clamped = _alignment_model(A, B)[0](procrustes(A, B)[None], [0])
+    G = H.state[3][0] + g[0].reshape(3, 3)
+    gap = np.trace(G) + np.linalg.svd(G, compute_uv=False).sum()
+    assert clamped.any() and gap > 1e7 * max(1.0, loss[0])
+    solves = _stepped_starts(monkeypatch)
+    r = align(X, Y)
+    ((block, wait, stepped, _),) = solves
+    assert set(np.flatnonzero(wait)) <= set(stepped[:block])
+    monkeypatch.setattr(quotient_space, "START_TOL", 0.0)
+    assert _same_search(r, align(X, Y))
+
+
+def test_open_gate_matches_every_start_oracle(monkeypatch):
+    # with the gate forced open every pair whose first start has no clamped
+    # row runs it alone: either it certifies (its random starts never run)
+    # or the random starts join. Either way the search ends within 1e-12 of
+    # the every-start oracle, alone and in a batch of its shape, and
+    # align(Y, X) is still align(X, Y) transposed
+    monkeypatch.setattr(quotient_space, "START_TOL", np.inf)
+    solves = _stepped_starts(monkeypatch)
+    rng = np.random.default_rng(11)
+    shapes = {}
+    outcomes = set()
+    for _ in range(300):
+        m = int(rng.integers(4, 13))
+        k = int(rng.integers(2, min(6, m) + 1))
+        rx, ry = (int(r) for r in rng.integers(1, k + 1, size=2))
+        X, Y = random_rank_point(rng, m, k, rx), random_rank_point(rng, m, k, ry)
+        solves.clear()
+        r = align(X, Y)
+        ((block, wait, stepped, _),) = solves
+        ran = wait[stepped % block].any()
+        if not ran:
+            assert r.retired == block - 1 and alignment_certified(X, Y, r.rotation)
+        outcomes.add(ran)
+        loss, _, _ = align_every_start(X, Y)
+        assert abs(r.loss - loss) <= 1e-12 * max(1.0, loss)
+        assert np.array_equal(align(Y, X).rotation, r.rotation.T)
+        shapes.setdefault((m, k), []).append((X, Y, r))
+    assert outcomes == {False, True}
+    for batch in shapes.values():
+        Xs, Ys, alone = zip(*batch)
+        for a, b in zip(_align_pairs(Xs, Ys), alone, strict=True):
+            assert _same_search(a, b)
 
 
 @pytest.mark.parametrize("fn", [align, orbit_dist, orbit_log])
@@ -388,6 +520,27 @@ def test_geodesic_ops_check_each_input_once(unit_row_checks):
     seg = GeodesicSegment(start=V.base, velocity=V, duration=1.0)
     max_full_rank_interval(seg.start, V, t_max_search=1.0)
     assert [id(A) for A in unit_row_checks] == [id(X), id(X)]
+
+
+def test_raw_samples_are_checked_once(monkeypatch):
+    # by name: a mean checks each raw sample once (and its result once), a
+    # horizontal projection its base once
+    names = []
+    check = product_sphere.check_unit_rows
+
+    def counted(X, name="X"):
+        names.append(name)
+        return check(X, name)
+
+    for module in (product_sphere, quotient_space):
+        monkeypatch.setattr(module, "check_unit_rows", counted)
+    rng = np.random.default_rng(43)
+    frechet_mean([random_point(rng, 5, 3) for _ in range(3)])
+    assert names == ["points[0]", "points[1]", "points[2]", "rep"]
+    names.clear()
+    X = random_point(rng, 5, 3)
+    horizontal_project(X, random_tangent(rng, X))
+    assert names == ["X"]
 
 
 # orbit_dist ---------------------------------------------------------------------
