@@ -9,8 +9,8 @@ common-rotation gauge (M Q, O_i Q). It starts at the sample of smallest
 weighted variance, from one stack of the pair searches that bounds on
 their losses cannot rule out, takes one alternating step (row means, then
 a stack of alignments) to pick each sample's basin, and ends with one
-stack of ordered alignments of every sample to the mean;
-frechet_variance's distances are one stack as well.
+stack aligning every sample to the mean; frechet_variance's distances are
+one stack as well. Every stack is the pair search of orbit_dist.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +30,7 @@ from .product_sphere import (
     _trust_region,
     unit_rows,
 )
-from .quotient_space import OrbitPoint, _align_batch, _align_pairs, _dist, as_orbit
+from .quotient_space import OrbitPoint, _align_pairs, _dist, as_orbit
 
 # relative loss drop of the final alignment stack below the joint solve's
 # loss beyond which a sample changed basin and the joint solve runs again
@@ -254,9 +254,9 @@ def frechet_mean(
     mean and the rotations (_joint_model) follows, with the initializer
     sample's rotation held fixed; it stops at product_sphere.MAX_ITERS
     iterations, and converged means its gradient norm is at most
-    cfg.grad_tol. Then every sample is aligned to
-    the mean by one stack of ordered searches (the Procrustes and seeded
-    random starts), each warm-started from its joint rotation. When a
+    cfg.grad_tol. Then every sample is aligned to the mean by one stack of
+    orbit_dist's pair searches, each warm-started from its joint rotation,
+    so alignments[i] is align(sample_i, mean, extra_inits=[O_i]). When a
     converged solve's alignments lower the loss by more than BASIN_TOL
     relative (a sample changed basin), the joint solve runs again from
     them, so each repeat strictly lowers the loss.
@@ -294,9 +294,7 @@ def frechet_mean(
     # aligned samples, then every sample aligned to them from its Procrustes
     # and its current rotation; kept when it lowers the loss
     row_means, _ = _row_means(np.stack(reps @ rotations, axis=1), w, cfg)
-    step = _align_batch(
-        reps, np.broadcast_to(row_means, reps.shape), cfg.with_(restarts=1), rotations[:, None]
-    )
+    step = _align_pairs(reps, [row_means] * n, cfg.with_(restarts=1), rotations[:, None])
     if w @ [r.loss for r in step] < loss_history[0]:
         mean, rotations = row_means, np.stack([r.rotation for r in step])
     iterations = 0
@@ -304,7 +302,7 @@ def frechet_mean(
         mean, rotations, inner = _joint_solve(reps, w, best_j, mean, rotations, cfg)
         iterations += inner.iterations
         loss_history.append(inner.loss)
-        results = _align_batch(reps, np.broadcast_to(mean, reps.shape), cfg, rotations[:, None])
+        results = _align_pairs(reps, [mean] * n, cfg, rotations[:, None])
         aligned = float(w @ [r.loss for r in results])
         if not inner.converged or aligned >= inner.loss - BASIN_TOL * max(1.0, inner.loss):
             break

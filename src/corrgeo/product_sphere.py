@@ -200,9 +200,14 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     number.
     """
     X = check_unit_rows(X, "X")
+    _check_time(t)
+    return unit_rows(_great_circles(X, _tangent_vec(X, V), t))
+
+
+def _check_time(t):
+    """InvalidInput unless t is a finite real number."""
     if not (is_number(t, -math.inf) and abs(t) <= sys.float_info.max):
         raise InvalidInput(f"t must be a finite real number, got {t!r}")
-    return unit_rows(_great_circles(X, _tangent_vec(X, V), t))
 
 
 def _great_circles(X, V, t):

@@ -7,10 +7,11 @@ distance after the best aligning rotation, found by Riemannian
 trust-region Newton iterations on O(k) (closed-form gradient and
 Hessian-vector products on k x k skew matrices, truncated-CG steps, no
 Hessian matrix, steps retracted by the Cayley transform) from a Procrustes
-start plus random restarts. align, orbit_dist and orbit_log share one
-search of the unordered pair (the random starts and their transposes), so
-they agree bit for bit and cost the same. One solve takes all starts of
-all pairs of a batch (a cohort, a mean's samples) as one lockstep stack, a
+start plus random restarts. The package has one such search, of the
+unordered pair (the random starts and their transposes): align,
+orbit_dist, orbit_log and the Frechet mean's alignments run it, so they
+agree bit for bit and cost the same. One solve takes all starts of all
+pairs of a batch (a cohort, a mean's samples) as one lockstep stack, a
 large batch in chunks of whole pairs under a fixed memory budget; align is
 the batch of one pair. The loss is convex on the convex hull of O(k), so
 a converged start without clamped rows can certify from its own model
@@ -20,9 +21,7 @@ first starts alone: when the bound at the start puts a pair's Procrustes
 rotation (or a warm start) within START_TOL, its random starts wait until
 every first start has stopped uncertified, and retire without running
 when one certifies, as on sample correlations. A retired start never
-wins, and pairs never interact, so batching moves no number. Only the
-Frechet mean's final alignment stack runs the ordered search,
-warm-started from each sample's rotation in the joint mean solve.
+wins, and pairs never interact, so batching moves no number.
 
 Logs and exponentials act row by row on representatives; a log's
 horizontality defect is its search's gradient norm. Rank along a geodesic
@@ -60,6 +59,7 @@ from .product_sphere import (
     ProductTangent,
     _HessianOp,
     _angle_factors,
+    _check_time,
     _great_circles,
     _log_rows,
     _rep,
@@ -217,18 +217,11 @@ def _certify(loss, g, H, members, gate=False):
 
 
 @functools.lru_cache(maxsize=32)
-def _random_starts(k, restarts, seed):
-    """The restarts - 1 seeded random rotations of every search, built once (read-only)."""
+def _unordered_starts(k, restarts, seed):
+    """The seeded starts of every pair search, built once (read-only): the
+    restarts - 1 random rotations drawn from seed, then their transposes."""
     rng = np.random.default_rng(seed)
     rand = np.reshape([random_orthogonal(k, rng) for _ in range(restarts - 1)], (-1, k, k))
-    rand.flags.writeable = False
-    return rand
-
-
-@functools.lru_cache(maxsize=32)
-def _unordered_starts(k, restarts, seed):
-    """_random_starts, then their transposes: the seeded starts of an unordered pair (read-only)."""
-    rand = _random_starts(k, restarts, seed)
     both = np.concatenate([rand, np.swapaxes(rand, -1, -2)])
     both.flags.writeable = False
     return both
@@ -239,12 +232,13 @@ def _unordered_starts(k, restarts, seed):
 # the current and the trial model and the active copy), the temporaries of
 # an evaluation and a product, its k x k blocks and truncated-CG vectors;
 # _member_floats is within 5% of a stack's traced peak per member at m = k
-# from 10 to 116. _align_batch solves a batch in chunks of whole pairs
-# within this budget (peak memory about 8 bytes times it), so the solver's
-# working set stays flat in the number of pairs; the batch's stacked pairs
-# and its results (a rotation and an aligned representative per pair) do
-# not. Pairs never interact (a start is retired only because of its own
-# pair's starts), so the chunking moves no number.
+# from 10 to 116. _align_pairs stacks and solves a batch in chunks of
+# whole pairs within this budget, so the solver's working set stays flat in
+# the number of pairs (peak about 8 bytes times it, except that a chunk
+# holds at least one pair: at m = k = 116 one pair's 9 starts are charged
+# 3.6 M floats); its results (a rotation and an aligned representative per
+# pair) do not. Pairs never interact (a start is retired only because of
+# its own pair's starts), so the chunking moves no number.
 _STACK_FLOATS = 2**20
 
 
@@ -253,31 +247,50 @@ def _member_floats(m, k):
     return 12 * m * k + 18 * k * k
 
 
-def _align_batch(Xs, Ys, cfg: SolverConfig, extra, swapped=None):
-    """Rotation searches of the ordered pairs (Xs[p], Ys[p]), all starts in one stack.
+def _checked_starts(extra_inits, P, k):
+    """extra_inits (per pair an equally long list of starts) as a (P, E, k, k) array;
+    InvalidInput unless every start is finite, k x k and orthogonal within 1e-8."""
+    if extra_inits is None:
+        return np.empty((P, 0, k, k))
+    try:
+        extra = np.asarray(extra_inits, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"extra_inits must hold {k} x {k} rotations") from None
+    if extra.shape == (P, 0):
+        return extra.reshape(P, 0, k, k)
+    if extra.ndim != 4 or extra.shape[0] != P or extra.shape[2:] != (k, k):
+        raise InvalidInput(f"extra_inits must hold {k} x {k} rotations, got {extra.shape[1:]}")
+    if not np.isfinite(extra).all():
+        raise InvalidInput("extra_inits has non-finite entries")
+    dev = np.abs(np.swapaxes(extra, -1, -2) @ extra - np.eye(k)).max(initial=0.0)
+    if dev > 1e-8:
+        raise InvalidInput(f"extra_inits are not orthogonal (|O^T O - I| up to {dev:.3e})")
+    return extra
 
-    Per pair the starts are the Procrustes rotation (one batched polar
-    factor), the cfg.restarts - 1 seeded random rotations, joined by their
-    transposes when swapped is given (the search of an unordered pair,
-    _align_pairs), then the pair's extra starts extra[p], R starts per
-    pair. The batch is cut into chunks of whole pairs within _STACK_FLOATS,
-    and each chunk is one lockstep trust-region solve in blocks of R
-    consecutive starts, one block per pair. The Procrustes and extra
-    starts come first: the random ones wait while a first start within
-    START_TOL of its bound runs (_trust_region). A start that stops
-    converged, without clamped rows, at a rotation _certify accepts retires
-    the live and waiting starts of its block, so each pair follows the
-    iterates it would follow alone. Per pair the first lowest loss over the
-    starts not retired wins, restarts_used counts every start and retired
-    those that left early or never ran, and clamped_rows
-    are the solver's clamped rows at the winner's returned rotation.
-    Returns one AlignmentResult per pair, for (Xs[p], Ys[p]), or for
-    (Ys[p], Xs[p]) where swapped[p] is true.
+
+def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
+    """The rotation search of each unordered pair (Xs[p], Ys[p]), all starts in one stack.
+
+    Xs and Ys hold unit-row matrices of one shape, checked by the caller;
+    extra_inits holds per pair an equally long list of further starts
+    carrying Xs[p] onto Ys[p]'s orbit (_checked_starts). Each pair is
+    searched in the order of its representatives' bytes from R starts: the
+    Procrustes rotation (one batched polar factor), the _unordered_starts
+    and its extra starts, transposed with the pair, so (Y, X) gets the
+    search of (X, Y) under O -> O^T bit for bit. Each chunk of whole pairs
+    within _STACK_FLOATS is one lockstep trust-region solve in blocks of R
+    starts, one block per pair, whose random starts wait and retire as the
+    module docstring says; per pair the first lowest loss over the starts
+    not retired wins. Returns one AlignmentResult per pair, for (Xs[p],
+    Ys[p]).
     """
-    P, m, k = Xs.shape
-    starts_of = _random_starts if swapped is None else _unordered_starts
-    rand = starts_of(k, cfg.restarts, cfg.seed)
-    R = 1 + len(rand) + (len(extra[0]) if P else 0)
+    P = len(Xs)
+    if not P:
+        return []
+    m, k = Xs[0].shape
+    extra = _checked_starts(extra_inits, P, k)
+    rand = _unordered_starts(k, cfg.restarts, cfg.seed)
+    R = 1 + len(rand) + extra.shape[1]
     # the seeded random starts wait while a pair's first starts are near their bound
     wait = None
     if len(rand):
@@ -287,16 +300,20 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra, swapped=None):
     results = []
     for lo in range(0, P, chunk):
         Xc, Yc = Xs[lo : lo + chunk], Ys[lo : lo + chunk]
-        n = len(Xc)
+        swap = np.array([Y.tobytes() < X.tobytes() for X, Y in zip(Xc, Yc, strict=True)])
+        A = np.stack([Y if s else X for X, Y, s in zip(Xc, Yc, swap)])
+        B = np.stack([X if s else Y for X, Y, s in zip(Xc, Yc, swap)])
+        n = len(A)
+        ex = extra[lo : lo + chunk]
         starts = np.concatenate(
             [
-                _polar(np.swapaxes(Xc, -1, -2) @ Yc)[:, None],
+                _polar(np.swapaxes(A, -1, -2) @ B)[:, None],
                 np.broadcast_to(rand, (n, *rand.shape)),
-                np.reshape(extra[lo : lo + chunk], (n, -1, k, k)),
+                np.where(swap[:, None, None, None], np.swapaxes(ex, -1, -2), ex),
             ],
             axis=1,
         )
-        model, retract = _alignment_model(np.repeat(Xc, R, axis=0), np.repeat(Yc, R, axis=0))
+        model, retract = _alignment_model(np.repeat(A, R, axis=0), np.repeat(B, R, axis=0))
         O, *solve, retired = _trust_region(
             model, retract, starts.reshape(n * R, k, k), cfg, R, _certify, wait
         )
@@ -306,11 +323,10 @@ def _align_batch(Xs, Ys, cfg: SolverConfig, extra, swapped=None):
         for p, b in enumerate(R * np.arange(n) + best):
             rot = O[b].copy()
             # a swapped pair's rotation carries Ys[p] onto Xs[p]'s orbit
-            swap = swapped is not None and swapped[lo + p]
             results.append(
                 AlignmentResult(
-                    rotation=rot.T if swap else rot,
-                    aligned=Xc[p] @ rot if swap else Yc[p] @ rot.T,
+                    rotation=rot.T if swap[p] else rot,
+                    aligned=A[p] @ rot if swap[p] else B[p] @ rot.T,
                     restarts_used=R,
                     retired=int(left[p]),
                     **_report_fields(*(a[b] for a in solve)),
@@ -328,7 +344,8 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     rotation transposed, and a call costs what orbit_dist costs. The
     unordered pair is searched from the Procrustes rotation, the
     cfg.restarts - 1 seeded random rotations and their transposes, and any
-    caller-supplied extra_inits, as one lockstep stack.
+    caller-supplied extra_inits (k x k rotations, else InvalidInput), as
+    one lockstep stack.
     """
     X, Y = _checked_pair(X, Y)
     return _align_pairs([X], [Y], cfg, [extra_inits])[0]
@@ -340,32 +357,6 @@ def _checked_pair(X, Y):
     if X.shape != Y.shape:
         raise InvalidInput(f"shape mismatch {X.shape} vs {Y.shape}")
     return X, Y
-
-
-def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
-    """The rotation search of each unordered pair (Xs[p], Ys[p]), all pairs in one stack.
-
-    Xs and Ys hold unit-row matrices of one shape, checked by the caller.
-    The search of (Y, X) is that of (X, Y) under O -> O^T (a reversed-pair
-    start P follows the transposed iterates of P^T), so each pair is
-    searched in the order of its representatives' bytes by _align_batch,
-    whose random starts are joined by their transposes: bitwise the same
-    for both orders. extra_inits holds per pair an equally long list of
-    further starts. Returns one AlignmentResult per pair, reported for
-    (Xs[p], Ys[p]).
-    """
-    if not len(Xs):
-        return []
-    swap = [Y.tobytes() < X.tobytes() for X, Y in zip(Xs, Ys, strict=True)]
-    A = np.stack([Y if s else X for X, Y, s in zip(Xs, Ys, swap)])
-    B = np.stack([X if s else Y for X, Y, s in zip(Xs, Ys, swap)])
-    if extra_inits is None:
-        extra_inits = [()] * len(swap)
-    extra = [
-        [np.asarray(O, dtype=float).T if s else O for O in inits]
-        for inits, s in zip(extra_inits, swap, strict=True)
-    ]
-    return _align_batch(A, B, cfg, extra, swap)
 
 
 def _dist(r: AlignmentResult) -> float:
@@ -415,7 +406,11 @@ def orbit_exp(X, V, t: float = 1.0) -> OrbitPoint:
     """
     X = _rep(X, "X")
     vec = _check_horizontal(X, V)
-    return OrbitPoint(ps_exp(X, vec, t))
+    _check_time(t)
+    rep = unit_rows(_great_circles(X, vec, t))
+    if not np.all(np.isfinite(rep)):  # t |v_i| beyond the float range
+        raise InvalidInput("rep has non-finite entries")
+    return OrbitPoint._at(rep)
 
 
 @dataclass(frozen=True)
@@ -592,5 +587,5 @@ def k_embedding(X, k2: int) -> OrbitPoint:
     k = Xp.shape[1]
     if not is_number(k2, k, Integral):
         raise InvalidInput(f"target width must be an integer >= current width {k}, got {k2!r}")
-    pad = np.zeros((Xp.shape[0], k2 - k))
-    return OrbitPoint(np.hstack([Xp, pad]))
+    # zero columns leave every row's norm as it was
+    return OrbitPoint._at(np.hstack([Xp, np.zeros((Xp.shape[0], k2 - k))]))

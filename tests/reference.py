@@ -44,12 +44,11 @@ from corrgeo.product_sphere import (
 )
 from corrgeo.quotient_space import (
     CERTIFY_TOL,
-    _align_batch,
     _align_pairs,
     _alignment_model,
     _gaps,
-    _random_starts,
     _stays_positive,
+    _unordered_starts,
     _zoom,
 )
 
@@ -388,8 +387,8 @@ def align_every_start(X, Y, cfg=DEFAULT_CONFIG):
     """
     swap = Y.tobytes() < X.tobytes()
     A, B = (Y, X) if swap else (X, Y)
-    rand = _random_starts(A.shape[1], cfg.restarts, cfg.seed)
-    starts = np.concatenate([procrustes(A, B)[None], rand, np.swapaxes(rand, -1, -2)])
+    rand = _unordered_starts(A.shape[1], cfg.restarts, cfg.seed)
+    starts = np.concatenate([procrustes(A, B)[None], rand])
     model, retract = _alignment_model(np.stack([A] * len(starts)), np.stack([B] * len(starts)))
     O, loss, _, it, *_ = _trust_region(model, retract, starts, cfg)
     b = int(np.argmin(loss))
@@ -467,11 +466,12 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
     """The alternating Frechet mean with every rotation search solved alone.
 
     The initializer searches each unordered pair in a stack of its own, and
-    each outer iteration runs the ordered, warm-started search of every
-    sample in a stack of its own, then the rotations-fixed row means
-    warm-started from the current mean. Returns (mean, loss_history,
-    outer_iterations, converged, per-sample alignments of the last outer
-    iteration).
+    each outer iteration runs the pair search of every sample and the
+    current mean (quotient_space._align_pairs, orbit_dist's search),
+    warm-started from the sample's rotation, in a stack of its own, then
+    the rotations-fixed row means warm-started from the current mean.
+    Returns (mean, loss_history, outer_iterations, converged, per-sample
+    alignments of the last outer iteration).
     """
     n = len(reps)
     w = np.asarray(weights, dtype=float)
@@ -490,10 +490,7 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
     results = []
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
-        results = [
-            _align_batch(reps[i][None], mean[None], cfg, [[rotations[i]]])[0]
-            for i in range(n)
-        ]
+        results = [_align_pairs([reps[i]], [mean], cfg, [[rotations[i]]])[0] for i in range(n)]
         rotations = [r.rotation for r in results]
         rotated = [reps[i] @ rotations[i] for i in range(n)]
         mean, loss = _row_means_from(rotated, w, mean, cfg)

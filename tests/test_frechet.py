@@ -4,6 +4,7 @@ import pytest
 from corrgeo import (
     InvalidInput,
     WeightedSampleSet,
+    align,
     frechet,
     frechet_mean,
     frechet_variance,
@@ -16,7 +17,7 @@ from corrgeo import (
 from corrgeo.config import DEFAULT_CONFIG
 from corrgeo.frechet import _joint_model
 from corrgeo.product_sphere import _row_angles
-from corrgeo.quotient_space import _align_batch, _align_pairs
+from corrgeo.quotient_space import _align_pairs
 
 from conftest import random_point, random_rank_point, random_tangent
 from reference import frechet_mean_per_pair
@@ -170,11 +171,11 @@ def test_mean_stacks_match_per_pair_searches(monkeypatch):
     # warm-started from its joint rotation
     warm = []
 
-    def spy(Xs, Ys, cfg, extra):
-        warm.append(np.array(extra))
-        return _align_batch(Xs, Ys, cfg, extra)
+    def spy(Xs, Ys, cfg=DEFAULT_CONFIG, extra_inits=None):
+        warm.append(extra_inits)
+        return _align_pairs(Xs, Ys, cfg, extra_inits)
 
-    monkeypatch.setattr(frechet, "_align_batch", spy)
+    monkeypatch.setattr(frechet, "_align_pairs", spy)
     rng = np.random.default_rng(21)
     for m, k, ranks in ((6, 3, (3, 3, 2, 1)), (9, 4, (4, 3, 4, 4, 2)), (5, 2, (2, 1, 2))):
         pts = [random_rank_point(rng, m, k, r) for r in ranks]
@@ -187,7 +188,7 @@ def test_mean_stacks_match_per_pair_searches(monkeypatch):
         assert loss <= history[-1] + 1e-12 * max(1.0, loss)
         assert len(rep.alignments) == len(pts)
         for i, a in enumerate(rep.alignments):
-            (b,) = _align_batch(
+            (b,) = _align_pairs(
                 pts[i][None], rep.mean.rep[None], DEFAULT_CONFIG, warm[-1][i : i + 1]
             )
             assert np.array_equal(a.rotation, b.rotation)
@@ -197,6 +198,43 @@ def test_mean_stacks_match_per_pair_searches(monkeypatch):
                 b.stagnated,
                 b.restarts_used,
             )
+
+
+def test_mean_alignments_are_the_pair_search(monkeypatch):
+    # each sample's alignment to the mean is align(mean, sample_i) warm-started
+    # from its joint rotation O_i (transposed, as the pair is reversed), with
+    # the rotation transposed: the symmetric pair search, bit for bit, for
+    # samples whose bytes sort before and after the mean's
+    joint = []
+    solve = frechet._joint_solve
+
+    def spy(*args):
+        out = solve(*args)
+        joint.append(out[1])
+        return out
+
+    monkeypatch.setattr(frechet, "_joint_solve", spy)
+    rng = np.random.default_rng(22)
+    before = set()
+    for m, k, ranks in ((6, 3, (3, 3, 2, 1)), (9, 4, (4, 3, 4, 4, 2)), (5, 2, (2, 1, 2))):
+        pts = [random_rank_point(rng, m, k, r) for r in ranks]
+        w = rng.uniform(0.5, 2.0, len(pts))
+        rep = frechet_mean(pts, weights=w)
+        M = rep.mean.rep
+        for i, a in enumerate(rep.alignments):
+            b = align(M, pts[i], extra_inits=[joint[-1][i].T])
+            assert np.array_equal(a.rotation, b.rotation.T)
+            assert np.array_equal(a.aligned, M @ b.rotation)
+            assert (a.loss, a.grad_norm, a.iterations) == (b.loss, b.grad_norm, b.iterations)
+            assert (a.converged, a.stagnated, a.restarts_used, a.retired, a.clamped_rows) == (
+                b.converged,
+                b.stagnated,
+                b.restarts_used,
+                b.retired,
+                b.clamped_rows,
+            )
+            before.add(pts[i].tobytes() < M.tobytes())
+    assert before == {False, True}
 
 
 def _spread_set(rng, m, k, n, spread):
@@ -239,7 +277,8 @@ def test_initializer_pruning_changes_no_bit(monkeypatch):
 
 def test_tight_set_searches_only_the_pairs_of_its_initializer(monkeypatch):
     # at spread 0.2 the bounds leave one candidate of 20, so the initializer
-    # searches its n - 1 pairs instead of all n (n - 1) / 2
+    # searches its n - 1 pairs instead of all n (n - 1) / 2; every later
+    # stack (the alternating step, the final alignments) searches n pairs
     searched = []
 
     def spy(Xs, Ys, cfg=DEFAULT_CONFIG, extra_inits=None):
@@ -249,7 +288,8 @@ def test_tight_set_searches_only_the_pairs_of_its_initializer(monkeypatch):
     monkeypatch.setattr(frechet, "_align_pairs", spy)
     n = 20
     rep = frechet_mean(_spread_set(np.random.default_rng(3), 10, 4, n, 0.2))
-    assert rep.converged and searched == [n - 1]
+    assert rep.converged and searched[0] == n - 1
+    assert len(searched) >= 3 and searched[1:] == [n] * (len(searched) - 1)
 
 
 # joint model ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from corrgeo.product_sphere import (
     _truncated_cg,
     _trust_region,
 )
-from corrgeo.quotient_space import _align_batch, _align_pairs, _alignment_model, _member_floats
+from corrgeo.quotient_space import _align_pairs, _alignment_model, _member_floats
 
 from conftest import factor_cohort, random_point, random_rank_point, random_tangent
 from reference import (
@@ -353,18 +353,19 @@ def test_align_stack_pair_matches_pair_solved_alone():
     # a pair in a multi-pair stack follows the iterates it would follow in a
     # stack of its own: same rotation and loss, bit for bit, same flags; its
     # first start is the Procrustes rotation, so a one-start search is a
-    # one-member trust-region solve from procrustes(X, Y)
+    # one-member trust-region solve from procrustes(A, B), (A, B) the pair
+    # in the order of its bytes, reported transposed when that is (Y, X)
     rng = np.random.default_rng(45)
     cfg = DEFAULT_CONFIG
     one_start = cfg.with_(restarts=1)
-    iterations = set()
+    iterations, swaps = set(), set()
     for m, k in ((5, 2), (6, 3), (10, 3), (15, 5)):
         ranks = sorted({1, k - 1, k})
         Xs = np.stack([random_rank_point(rng, m, k, r) for r in ranks for _ in ranks])
         Ys = np.stack([random_rank_point(rng, m, k, r) for _ in ranks for r in ranks])
         extra = [[random_orthogonal(k, rng)] for _ in Xs]
-        for p, r in enumerate(_align_batch(Xs, Ys, cfg, extra)):
-            (alone,) = _align_batch(Xs[p : p + 1], Ys[p : p + 1], cfg, extra[p : p + 1])
+        for p, r in enumerate(_align_pairs(Xs, Ys, cfg, extra)):
+            (alone,) = _align_pairs(Xs[p : p + 1], Ys[p : p + 1], cfg, extra[p : p + 1])
             assert np.array_equal(r.rotation, alone.rotation)
             assert r.loss == alone.loss
             assert (r.iterations, r.converged, r.stagnated, r.clamped_rows) == (
@@ -373,17 +374,18 @@ def test_align_stack_pair_matches_pair_solved_alone():
                 alone.stagnated,
                 alone.clamped_rows,
             )
-            assert r.restarts_used == cfg.restarts + 1
+            assert r.restarts_used == 2 * cfg.restarts
             iterations.add(r.iterations)
 
-            (first,) = _align_batch(Xs[p : p + 1], Ys[p : p + 1], one_start, [[]])
-            model, retract = _alignment_model(Xs[p : p + 1], Ys[p : p + 1])
-            O, loss, _, it, *_ = _trust_region(
-                model, retract, procrustes(Xs[p], Ys[p])[None], one_start
-            )
-            assert np.array_equal(first.rotation, O[0])
+            (first,) = _align_pairs(Xs[p : p + 1], Ys[p : p + 1], one_start, [[]])
+            swap = Ys[p].tobytes() < Xs[p].tobytes()
+            A, B = (Ys[p], Xs[p]) if swap else (Xs[p], Ys[p])
+            model, retract = _alignment_model(A[None], B[None])
+            O, loss, _, it, *_ = _trust_region(model, retract, procrustes(A, B)[None], one_start)
+            assert np.array_equal(first.rotation, O[0].T if swap else O[0])
+            swaps.add(swap)
             assert (first.loss, first.iterations, first.restarts_used) == (loss[0], it[0], 1)
-    assert len(iterations) > 3
+    assert len(iterations) > 3 and swaps == {False, True}
 
 
 def test_retirement_never_crosses_pairs():
@@ -400,28 +402,29 @@ def test_retirement_never_crosses_pairs():
     P = procrustes(X, Y)
     v = Y[0]
     turn = scipy.linalg.expm(np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]))
-    (alone,) = _align_batch(X[None], Y[None], cfg, [[P @ turn]])
+    (alone,) = _align_pairs(X[None], Y[None], cfg, [[P @ turn]])
     assert alone.iterations > 30
     X2 = random_point(rng, 6, 3)
     Y2 = X2 @ random_orthogonal(3, rng)
     extra = [[P @ turn], [random_orthogonal(3, rng)]]
-    r, same = _align_batch(np.stack([X, X2]), np.stack([Y, Y2]), cfg, extra)
+    r, same = _align_pairs(np.stack([X, X2]), np.stack([Y, Y2]), cfg, extra)
     assert (same.retired, same.iterations) == (1, 1)
     assert np.array_equal(r.rotation, alone.rotation) and r.loss == alone.loss
     assert (r.iterations, r.retired) == (alone.iterations, alone.retired)
 
 
-def test_align_batch_chunks_match_one_solve(monkeypatch):
+def test_align_pairs_chunks_match_one_solve(monkeypatch):
     # a batch cut into chunks of whole pairs gives the one-solve results bit
-    # for bit, and no chunk exceeds the float budget
+    # for bit, and every chunk is within the float budget or holds exactly
+    # one pair, also under a budget smaller than one pair's stack
     rng = np.random.default_rng(46)
     cfg = DEFAULT_CONFIG
     m, k = 6, 3
     Xs = np.stack([random_rank_point(rng, m, k, r) for r in (1, 2, 3, 3, 2)])
     Ys = np.stack([random_rank_point(rng, m, k, r) for r in (3, 3, 2, 1, 3)])
     extra = [[random_orthogonal(k, rng)] for _ in Xs]
-    R = cfg.restarts + 1
-    whole = _align_batch(Xs, Ys, cfg, extra)
+    R = 2 * cfg.restarts
+    whole = _align_pairs(Xs, Ys, cfg, extra)
 
     sizes = []
 
@@ -430,23 +433,29 @@ def test_align_batch_chunks_match_one_solve(monkeypatch):
         return _trust_region(*args)
 
     monkeypatch.setattr(quotient_space, "_trust_region", counted)
-    monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 2 * R * _member_floats(m, k))
-    chunked = _align_batch(Xs, Ys, cfg, extra)
-    assert sizes == [2 * R, 2 * R, R]
-    for a, b in zip(whole, chunked, strict=True):
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.aligned, b.aligned)
-        assert (a.loss, a.grad_norm, a.iterations, a.converged) == (
-            b.loss,
-            b.grad_norm,
-            b.iterations,
-            b.converged,
-        )
-        assert (a.restarts_used, a.stagnated, a.clamped_rows) == (
-            b.restarts_used,
-            b.stagnated,
-            b.clamped_rows,
-        )
+    for budget, expect in (
+        (2 * R * _member_floats(m, k), [2 * R, 2 * R, R]),
+        (R * _member_floats(m, k) - 1, [R] * 5),
+    ):
+        sizes.clear()
+        monkeypatch.setattr(quotient_space, "_STACK_FLOATS", budget)
+        chunked = _align_pairs(Xs, Ys, cfg, extra)
+        assert sizes == expect
+        assert all(s * _member_floats(m, k) <= budget or s == R for s in sizes)
+        for a, b in zip(whole, chunked, strict=True):
+            assert np.array_equal(a.rotation, b.rotation)
+            assert np.array_equal(a.aligned, b.aligned)
+            assert (a.loss, a.grad_norm, a.iterations, a.converged) == (
+                b.loss,
+                b.grad_norm,
+                b.iterations,
+                b.converged,
+            )
+            assert (a.restarts_used, a.stagnated, a.clamped_rows) == (
+                b.restarts_used,
+                b.stagnated,
+                b.clamped_rows,
+            )
 
 
 # Hessian-vector products --------------------------------------------------------

@@ -39,7 +39,7 @@ from corrgeo import (
 from corrgeo import product_sphere, quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
 from corrgeo.product_sphere import MAX_ITERS, _trust_region
-from corrgeo.quotient_space import _align_pairs, _alignment_model, _random_starts
+from corrgeo.quotient_space import _align_pairs, _alignment_model, _unordered_starts
 
 from conftest import (
     counterexample_pair,
@@ -524,7 +524,8 @@ def test_geodesic_ops_check_each_input_once(unit_row_checks):
 
 def test_raw_samples_are_checked_once(monkeypatch):
     # by name: a mean checks each raw sample once (and its result once), a
-    # horizontal projection its base once
+    # horizontal projection, an exponential and an embedding their base
+    # once (they recorded X, X, rep and X, rep), their results not at all
     names = []
     check = product_sphere.check_unit_rows
 
@@ -541,6 +542,11 @@ def test_raw_samples_are_checked_once(monkeypatch):
     X = random_point(rng, 5, 3)
     horizontal_project(X, random_tangent(rng, X))
     assert names == ["X"]
+    V = orbit_log(X, random_point(rng, 5, 3))
+    for call in (lambda: orbit_exp(X, V, 0.5), lambda: k_embedding(X, 4)):
+        names.clear()
+        call()
+        assert names == ["X"]
 
 
 # orbit_dist ---------------------------------------------------------------------
@@ -737,6 +743,10 @@ def test_exponentials_reject_a_non_finite_or_non_real_time():
         for call in (lambda: ps_exp(X, V, t), lambda: orbit_exp(X, V, t), lambda: seg.point(t)):
             with pytest.raises(InvalidInput, match="t must be a finite real number"):
                 call()
+    # a finite time can still overflow a row's angle t |v_i|: no NaN point
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="rep has non-finite entries"):
+            orbit_exp(X, 4.0 * V.vec, 1e308)
 
 
 def test_orbit_exp_horizontality_gate():
@@ -1025,13 +1035,40 @@ def test_orbit_point_properties():
 
 def test_seeded_starts_are_built_once():
     # every search of a (k, restarts, seed) shares one read-only array of
-    # the seeded rotations, equal to drawing them afresh
-    starts = _random_starts(4, 5, 3)
-    assert _random_starts(4, 5, 3) is starts
+    # the seeded rotations and their transposes, equal to drawing them afresh
+    starts = _unordered_starts(4, 5, 3)
+    assert _unordered_starts(4, 5, 3) is starts
     assert not starts.flags.writeable
     rng = np.random.default_rng(3)
-    assert np.array_equal(starts, [random_orthogonal(4, rng) for _ in range(4)])
-    assert _random_starts(4, 1, 3).shape == (0, 4, 4)
+    rand = np.stack([random_orthogonal(4, rng) for _ in range(4)])
+    assert np.array_equal(starts, np.concatenate([rand, np.swapaxes(rand, -1, -2)]))
+    assert _unordered_starts(4, 1, 3).shape == (0, 4, 4)
+
+
+def test_extra_starts_must_be_rotations():
+    # a start off O(k) was searched as given: from pinv(X) Y align reported
+    # 3.477 against the pair's 3.794, at a "rotation" with |O^T O - I|_F =
+    # 1.78; a NaN start raised LinAlgError, a 2 x 2 one a bare ValueError
+    rng = np.random.default_rng(1)
+    X, Y = random_point(rng, 8, 3), random_point(rng, 8, 3)
+    d = orbit_dist(X, Y)
+    assert abs(d - 3.7938) < 1e-4
+    for inits, match in (
+        ([np.linalg.pinv(X) @ Y], "not orthogonal"),
+        ([np.full((3, 3), np.nan)], "non-finite"),
+        ([np.eye(2)], "3 x 3"),
+        ([np.eye(3) + 1e-7], "not orthogonal"),
+        ([np.eye(3), np.eye(2)], "3 x 3"),
+        (["a"], "3 x 3"),
+    ):
+        for call in (align, orbit_dist):
+            with pytest.raises(InvalidInput, match=match):
+                call(X, Y, extra_inits=inits)
+    # a reflection is a start, and so is a rotation rounded 1e-10 off O(3)
+    for O in (random_orthogonal(3, rng) @ np.diag([1.0, 1.0, -1.0]), np.eye(3) + 1e-10):
+        r = align(X, Y, extra_inits=[O])
+        assert r.restarts_used == 2 * DEFAULT_CONFIG.restarts
+        assert abs(r.loss - d * d) <= 1e-9 * d * d
 
 
 # certified global minima ------------------------------------------------------------
