@@ -90,13 +90,13 @@ def horizontal_project(X, W) -> HorizontalTangent:
 def quotient_metric(U, V) -> float:
     """Inner product of two horizontal tangents at the same full-rank point.
 
-    Both arguments must pass _check_horizontal; the metric is then the
-    Frobenius inner product of the lifts.
+    Both arguments must be tangents at one base point (_tangent_vec's rule)
+    and pass _check_horizontal; the metric is then the Frobenius inner
+    product of the lifts.
     """
     if not isinstance(U, ProductTangent) or not isinstance(V, ProductTangent):
         raise InvalidInput("quotient_metric expects tangent objects")
-    if not np.allclose(U.base, V.base, rtol=0.0, atol=1e-10):
-        raise InvalidInput("tangents live at different base points")
+    _tangent_vec(U.base, V, "tangents live at different base points")
     X = _full_rank_rep(U.base)
     for name, T in (("first", U), ("second", V)):
         _check_horizontal(X, T, f"{name} tangent")

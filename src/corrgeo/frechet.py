@@ -294,7 +294,7 @@ def frechet_mean(
     # aligned samples, then every sample aligned to them from its Procrustes
     # and its current rotation; kept when it lowers the loss
     row_means, _ = _row_means(np.stack(reps @ rotations, axis=1), w, cfg)
-    step = _align_pairs(reps, [row_means] * n, cfg.with_(restarts=1), rotations[:, None])
+    step = list(_align_pairs(reps, [row_means] * n, cfg.with_(restarts=1), rotations[:, None]))
     if w @ [r.loss for r in step] < loss_history[0]:
         mean, rotations = row_means, np.stack([r.rotation for r in step])
     iterations = 0
@@ -302,7 +302,7 @@ def frechet_mean(
         mean, rotations, inner = _joint_solve(reps, w, best_j, mean, rotations, cfg)
         iterations += inner.iterations
         loss_history.append(inner.loss)
-        results = _align_pairs(reps, [mean] * n, cfg, rotations[:, None])
+        results = list(_align_pairs(reps, [mean] * n, cfg, rotations[:, None]))
         aligned = float(w @ [r.loss for r in results])
         if not inner.converged or aligned >= inner.loss - BASIN_TOL * max(1.0, inner.loss):
             break

@@ -16,6 +16,7 @@ ordering and 17-significant-digit decimal formatting.
 """
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -31,10 +32,13 @@ from .frechet import MeanReport, frechet_mean
 from .quotient_space import SearchReport, _align_pairs, _dist
 
 FLOAT_FMT = "{:.17g}"
-# np.loadtxt strips these around a number as Unicode whitespace; float() refuses them.
-# That they are the only cells np.loadtxt takes and float() refuses or reads
-# differently was checked on numpy 2.4.6 alone; on another numpy, run the edge
-# files and the padded-cell property of tests/test_pipeline.py before trusting it.
+# ingest's one-pass parse of a CSV body
+_loadtxt = functools.partial(np.loadtxt, delimiter=",", quotechar='"', comments=None, ndmin=2)
+# _loadtxt strips these around a number as Unicode whitespace; float() refuses them.
+# That they are the only cells _loadtxt takes and float() refuses or reads
+# differently is checked on the numpy that runs the tests, over every space and
+# control code point in every cell shape, by
+# tests/test_pipeline.py::test_loadtxt_only_space_is_where_loadtxt_and_float_disagree.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
@@ -254,7 +258,7 @@ def ingest(path) -> TimeSeriesTable:
         and not any(c in text for c in _LOADTXT_ONLY_SPACE)
     ):
         try:
-            values = np.loadtxt(buf, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            values = _loadtxt(buf)
         except ValueError:
             pass
     if not (

@@ -46,6 +46,9 @@ MAX_ITERS = 500
 # residual of grad_tol / 100 keeps the next gradient well inside grad_tol;
 # anything below it is polish that no caller reads
 CG_FLOOR = 1e-2
+# largest |t| max_i |v_i| of a time t along a velocity V (_check_time): the
+# squared row norms of t V, which a path forms, stay finite
+TIME_BOUND = math.sqrt(sys.float_info.max)
 
 
 def check_unit_rows(X, name="X") -> np.ndarray:
@@ -170,21 +173,25 @@ def _tangent_part(x, v):
 
 
 def ps_metric(U: ProductTangent, V: ProductTangent) -> float:
-    """Frobenius inner product of two tangents at the same base point."""
-    if U.base.shape != V.base.shape or not np.allclose(
-        U.base, V.base, rtol=0.0, atol=1e-10
-    ):
-        raise InvalidInput("tangents live at different base points")
-    return float(np.sum(U.vec * V.vec))
+    """Frobenius inner product of two tangents at the same base point (_tangent_vec's rule)."""
+    if not isinstance(U, ProductTangent) or not isinstance(V, ProductTangent):
+        raise InvalidInput("ps_metric expects tangent objects")
+    return float(np.sum(U.vec * _tangent_vec(U.base, V, "tangents live at different base points")))
 
 
-def _tangent_vec(X, V) -> np.ndarray:
-    """The matrix of a tangent at X: a ProductTangent based at X or a raw X-shaped matrix."""
+def _tangent_vec(X, V, mismatch="tangent base does not match X") -> np.ndarray:
+    """The matrix of a tangent at X: a ProductTangent based at X or a raw X-shaped matrix.
+
+    The base-point rule of every map that takes a tangent: a ProductTangent
+    is at X when its base is X itself or has X's shape and lies within
+    1e-10 of it, else InvalidInput(mismatch); a raw matrix must pass
+    _check_tangent at X.
+    """
     if isinstance(V, ProductTangent):
         if V.base is X:  # the tangent's own base, checked at its construction
             return V.vec
         if V.base.shape != X.shape or not np.allclose(V.base, X, rtol=0.0, atol=1e-10):
-            raise InvalidInput("tangent base does not match X")
+            raise InvalidInput(mismatch)
         return V.vec
     V = np.asarray(V, dtype=float)
     if V.shape != X.shape:
@@ -196,18 +203,30 @@ def ps_exp(X, V, t: float = 1.0) -> np.ndarray:
     """Rowwise exponential map: each row follows its great circle for time t.
 
     Accepts a ProductTangent (base must be X) or a raw m x k matrix of
-    rowwise-tangent velocities (else InvalidInput); t must be a finite real
-    number.
+    rowwise-tangent velocities (else InvalidInput); t must pass _check_time.
     """
     X = check_unit_rows(X, "X")
-    _check_time(t)
-    return unit_rows(_great_circles(X, _tangent_vec(X, V), t))
+    V = _tangent_vec(X, V)
+    _check_time(t, V)
+    return unit_rows(_great_circles(X, V, t))
 
 
-def _check_time(t):
-    """InvalidInput unless t is a finite real number."""
-    if not (is_number(t, -math.inf) and abs(t) <= sys.float_info.max):
-        raise InvalidInput(f"t must be a finite real number, got {t!r}")
+def _check_time(t, V, name="t"):
+    """InvalidInput unless t is a finite real number with |t| max_i |v_i| <= TIME_BOUND.
+
+    The time rule of every exponential and path, checked before any
+    arithmetic on t: beyond the bound a row's angle t |v_i| or the squared
+    norm of t v_i overflows, and the point would be NaN.
+    """
+    if not (
+        is_number(t, -math.inf)
+        and abs(t) <= sys.float_info.max
+        and abs(float(t)) * float(np.hypot.reduce(V, axis=-1).max(initial=0.0)) <= TIME_BOUND
+    ):
+        raise InvalidInput(
+            f"{name} must be a finite real number with |{name}| max_i |v_i| <= "
+            f"{TIME_BOUND:.4g}, got {t!r}"
+        )
 
 
 def _great_circles(X, V, t):

@@ -233,12 +233,12 @@ def _unordered_starts(k, restarts, seed):
 # an evaluation and a product, its k x k blocks and truncated-CG vectors;
 # _member_floats is within 5% of a stack's traced peak per member at m = k
 # from 10 to 116. _align_pairs stacks and solves a batch in chunks of
-# whole pairs within this budget, so the solver's working set stays flat in
-# the number of pairs (peak about 8 bytes times it, except that a chunk
-# holds at least one pair: at m = k = 116 one pair's 9 starts are charged
-# 3.6 M floats); its results (a rotation and an aligned representative per
-# pair) do not. Pairs never interact (a start is retired only because of
-# its own pair's starts), so the chunking moves no number.
+# whole pairs within this budget and yields each chunk's results before
+# stacking the next, so a batch's working set stays flat in the number of
+# pairs (peak about 8 bytes times it, except that a chunk holds at least
+# one pair: at m = k = 116 one pair's 9 starts are charged 3.6 M floats).
+# Pairs never interact (a start is retired only because of its own pair's
+# starts), so the chunking moves no number.
 _STACK_FLOATS = 2**20
 
 
@@ -281,12 +281,13 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
     within _STACK_FLOATS is one lockstep trust-region solve in blocks of R
     starts, one block per pair, whose random starts wait and retire as the
     module docstring says; per pair the first lowest loss over the starts
-    not retired wins. Returns one AlignmentResult per pair, for (Xs[p],
-    Ys[p]).
+    not retired wins. Yields one AlignmentResult per pair, for (Xs[p],
+    Ys[p]), in order, as its chunk's solve returns: a consumer that keeps
+    only each pair's loss and record holds one chunk at a time.
     """
     P = len(Xs)
     if not P:
-        return []
+        return
     m, k = Xs[0].shape
     extra = _checked_starts(extra_inits, P, k)
     rand = _unordered_starts(k, cfg.restarts, cfg.seed)
@@ -297,7 +298,6 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
         wait = np.zeros(R, dtype=bool)
         wait[1 : 1 + len(rand)] = True
     chunk = max(1, _STACK_FLOATS // (R * _member_floats(m, k)))
-    results = []
     for lo in range(0, P, chunk):
         Xc, Yc = Xs[lo : lo + chunk], Ys[lo : lo + chunk]
         swap = np.array([Y.tobytes() < X.tobytes() for X, Y in zip(Xc, Yc, strict=True)])
@@ -323,16 +323,13 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
         for p, b in enumerate(R * np.arange(n) + best):
             rot = O[b].copy()
             # a swapped pair's rotation carries Ys[p] onto Xs[p]'s orbit
-            results.append(
-                AlignmentResult(
-                    rotation=rot.T if swap[p] else rot,
-                    aligned=A[p] @ rot if swap[p] else B[p] @ rot.T,
-                    restarts_used=R,
-                    retired=int(left[p]),
-                    **_report_fields(*(a[b] for a in solve)),
-                )
+            yield AlignmentResult(
+                rotation=rot.T if swap[p] else rot,
+                aligned=A[p] @ rot if swap[p] else B[p] @ rot.T,
+                restarts_used=R,
+                retired=int(left[p]),
+                **_report_fields(*(a[b] for a in solve)),
             )
-    return results
 
 
 def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> AlignmentResult:
@@ -348,7 +345,7 @@ def align(X, Y, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=()) -> Alignment
     one lockstep stack.
     """
     X, Y = _checked_pair(X, Y)
-    return _align_pairs([X], [Y], cfg, [extra_inits])[0]
+    return next(_align_pairs([X], [Y], cfg, [extra_inits]))
 
 
 def _checked_pair(X, Y):
@@ -389,7 +386,7 @@ def orbit_log(X, Y, cfg: SolverConfig = DEFAULT_CONFIG) -> HorizontalTangent:
     AlignmentStagnation.
     """
     X, Y = _checked_pair(X, Y)
-    r = _align_pairs([X], [Y], cfg)[0]
+    r = next(_align_pairs([X], [Y], cfg))
     if r.failed(cfg.stagnation_tol):
         raise AlignmentStagnation(
             f"rotation search failed: {r.summary()}", report=r
@@ -402,20 +399,22 @@ def orbit_exp(X, V, t: float = 1.0) -> OrbitPoint:
 
     V must be rowwise tangent and pass fixed_rank._check_horizontal at X,
     which holds it to the defect it records (orbit_log's output passes at
-    any grad_tol), else InvalidInput.
+    any grad_tol), else InvalidInput; t must pass product_sphere._check_time.
     """
     X = _rep(X, "X")
     vec = _check_horizontal(X, V)
-    _check_time(t)
-    rep = unit_rows(_great_circles(X, vec, t))
-    if not np.all(np.isfinite(rep)):  # t |v_i| beyond the float range
-        raise InvalidInput("rep has non-finite entries")
-    return OrbitPoint._at(rep)
+    _check_time(t, vec)
+    return OrbitPoint._at(unit_rows(_great_circles(X, vec, t)))
 
 
 @dataclass(frozen=True)
 class GeodesicSegment:
-    """A constant-speed geodesic t -> exp(start, t * velocity), t in [0, duration]."""
+    """A constant-speed geodesic t -> exp(start, t * velocity), t in [0, duration].
+
+    velocity is a ProductTangent at start or a raw rowwise-tangent matrix
+    (product_sphere._tangent_vec's rule, as for ps_exp), stored as a
+    ProductTangent; duration must be positive and pass _check_time.
+    """
 
     start: np.ndarray
     velocity: ProductTangent
@@ -423,14 +422,13 @@ class GeodesicSegment:
 
     def __post_init__(self):
         start = check_unit_rows(self.start, "start")
-        base = self.velocity.base
-        if base is not start and (
-            base.shape != start.shape or not np.allclose(base, start, rtol=0.0, atol=1e-10)
-        ):
-            raise InvalidInput("velocity is not based at the start point")
+        vec = _tangent_vec(start, self.velocity, "velocity is not based at the start point")
         if not (is_number(self.duration, 0) and self.duration > 0.0):
             raise InvalidInput(f"duration must be positive and finite, got {self.duration!r}")
+        _check_time(self.duration, vec, "duration")
         object.__setattr__(self, "start", start)
+        if not isinstance(self.velocity, ProductTangent):
+            object.__setattr__(self, "velocity", ProductTangent._at(start, vec))
 
     def point(self, t: float) -> np.ndarray:
         return ps_exp(self.start, self.velocity.vec, t)
@@ -552,13 +550,15 @@ def max_full_rank_interval(X, V, t_max_search: float = 10.0):
     certified drop is resolved to 1e-7 in t. The bound holds because each
     row moves along its great circle at speed |v_i|, so V must be rowwise
     tangent at X (the ProductTangent rule); a raw V that is not raises
-    InvalidInput. Returns (t_min, t_max), using -t_max_search or
-    t_max_search when no drop is found on that side.
+    InvalidInput, and t_max_search must be positive and pass _check_time.
+    Returns (t_min, t_max), using -t_max_search or t_max_search when no
+    drop is found on that side.
     """
     Xp = _rep(X)
     vec = _tangent_vec(Xp, V)
     if not (is_number(t_max_search, 0) and t_max_search > 0.0):
         raise InvalidInput(f"t_max_search must be positive and finite, got {t_max_search!r}")
+    _check_time(t_max_search, vec, "t_max_search")
     k = Xp.shape[1]
     if numerical_rank(Xp) < k:
         raise InvalidInput("base point is rank deficient")

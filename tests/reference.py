@@ -490,7 +490,7 @@ def frechet_mean_per_pair(reps, weights, cfg=DEFAULT_CONFIG):
     results = []
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
-        results = [_align_pairs([reps[i]], [mean], cfg, [[rotations[i]]])[0] for i in range(n)]
+        results = [next(_align_pairs([reps[i]], [mean], cfg, [[rotations[i]]])) for i in range(n)]
         rotations = [r.rotation for r in results]
         rotated = [reps[i] @ rotations[i] for i in range(n)]
         mean, loss = _row_means_from(rotated, w, mean, cfg)

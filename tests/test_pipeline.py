@@ -1,5 +1,9 @@
+import io
 import json
 import re
+import sys
+import unicodedata
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +153,38 @@ def test_padded_cells_parse_as_float_does(tmp_path, X, fmt, data):
         else:
             want = np.array([[float(c) for c in row] for row in cells])
             assert read(p).tobytes() == want.tobytes()
+
+
+def _cell_outcome(parse, cell):
+    """The values parse reads from one cell, or None when it refuses the cell."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt only warns on a blank body
+        try:
+            return tuple(np.ravel(parse(cell)))
+        except (ValueError, UserWarning):
+            return None
+
+
+def test_loadtxt_only_space_is_where_loadtxt_and_float_disagree():
+    # ingest keeps a file holding _LOADTXT_ONLY_SPACE from its np.loadtxt
+    # pass; on the numpy that runs this, those must be exactly the space and
+    # control code points (line breaks aside) at which the pass and float()
+    # read some cell shape differently, or the fast path diverges silently
+    points = [
+        c
+        for c in map(chr, range(sys.maxunicode + 1))
+        if (c.isspace() or unicodedata.category(c) in ("Cc", "Cf", "Zs", "Zl", "Zp"))
+        and c not in "\n\r"
+    ]
+    shapes = ("{}", "{}1", "1{}", "1{}5", "1.{}", "1e{}5")
+    disagree = {
+        c
+        for c in points
+        for cell in (shape.format(c) for shape in shapes)
+        if _cell_outcome(lambda s: pipeline._loadtxt(io.StringIO(s, newline="")), cell)
+        != _cell_outcome(float, cell)
+    }
+    assert disagree == set(pipeline._LOADTXT_ONLY_SPACE)
 
 
 # Files at the edges of the dialect and of float(), with what ingest returns

@@ -424,7 +424,7 @@ def test_align_pairs_chunks_match_one_solve(monkeypatch):
     Ys = np.stack([random_rank_point(rng, m, k, r) for r in (3, 3, 2, 1, 3)])
     extra = [[random_orthogonal(k, rng)] for _ in Xs]
     R = 2 * cfg.restarts
-    whole = _align_pairs(Xs, Ys, cfg, extra)
+    whole = list(_align_pairs(Xs, Ys, cfg, extra))
 
     sizes = []
 
@@ -439,7 +439,7 @@ def test_align_pairs_chunks_match_one_solve(monkeypatch):
     ):
         sizes.clear()
         monkeypatch.setattr(quotient_space, "_STACK_FLOATS", budget)
-        chunked = _align_pairs(Xs, Ys, cfg, extra)
+        chunked = list(_align_pairs(Xs, Ys, cfg, extra))
         assert sizes == expect
         assert all(s * _member_floats(m, k) <= budget or s == R for s in sizes)
         for a, b in zip(whole, chunked, strict=True):
@@ -456,6 +456,32 @@ def test_align_pairs_chunks_match_one_solve(monkeypatch):
                 b.stagnated,
                 b.clamped_rows,
             )
+
+
+def test_align_pairs_yields_each_chunk_as_it_is_solved(monkeypatch):
+    # with one pair per chunk, the first result of a 3-pair batch is yielded
+    # after one solve, and each later one after one more, bit for bit the
+    # results of the batch solved in one chunk
+    rng = np.random.default_rng(47)
+    m, k = 6, 3
+    Xs = [random_point(rng, m, k) for _ in range(3)]
+    Ys = [random_point(rng, m, k) for _ in range(3)]
+    whole = list(_align_pairs(Xs, Ys))
+    solves = []
+
+    def counted(*args):
+        solves.append(len(args[2]))
+        return _trust_region(*args)
+
+    monkeypatch.setattr(quotient_space, "_trust_region", counted)
+    monkeypatch.setattr(quotient_space, "_STACK_FLOATS", 1)
+    pairs = _align_pairs(Xs, Ys)
+    assert solves == []
+    for p, r in enumerate(pairs):
+        assert len(solves) == p + 1
+        assert np.array_equal(r.rotation, whole[p].rotation) and r.loss == whole[p].loss
+    # one pair's Procrustes start, random starts and their transposes per solve
+    assert solves == [2 * DEFAULT_CONFIG.restarts - 1] * 3
 
 
 # Hessian-vector products --------------------------------------------------------
@@ -777,10 +803,10 @@ def test_converged_members_drive_no_cg_iteration(monkeypatch):
     factors = factor_cohort(np.random.default_rng(56), 8, 8, 200, 4, spread=1.0, noise=0.0)
     pairs = list(zip(*itertools.combinations(factors, 2)))
     with solver_work() as staged:
-        _align_pairs(*pairs)
+        list(_align_pairs(*pairs))
     monkeypatch.setattr(quotient_space, "START_TOL", 0.0)
     with solver_work() as unstaged:
-        _align_pairs(*pairs)
+        list(_align_pairs(*pairs))
     assert staged.products <= unstaged.products
     excess = []
 
@@ -796,7 +822,7 @@ def test_converged_members_drive_no_cg_iteration(monkeypatch):
 
     monkeypatch.setattr(product_sphere, "_truncated_cg", counted_cg)
     with solver_work() as work:
-        results = _align_pairs(*pairs)
+        results = list(_align_pairs(*pairs))
     assert all(r.converged for r in results)
     assert len(excess) == work.iterations and work.calls > 50
     assert not any(excess)

@@ -31,14 +31,16 @@ from corrgeo import (
     ps_dist,
     ps_exp,
     ps_frechet_fixed,
+    ps_metric,
     quotient_metric,
     random_orthogonal,
+    unit_rows,
     vertical_project,
 )
 
 from corrgeo import product_sphere, quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
-from corrgeo.product_sphere import MAX_ITERS, _trust_region
+from corrgeo.product_sphere import MAX_ITERS, TIME_BOUND, _trust_region
 from corrgeo.quotient_space import _align_pairs, _alignment_model, _unordered_starts
 
 from conftest import (
@@ -335,7 +337,7 @@ def test_factor_cohort_steps_no_random_start(monkeypatch):
     factors = factor_cohort(np.random.default_rng(56), 8, 8, 200, 4, spread=1.0, noise=0.0)
     pairs = list(zip(*itertools.combinations(factors, 2)))
     solves = _stepped_starts(monkeypatch)
-    staged = _align_pairs(*pairs)
+    staged = list(_align_pairs(*pairs))
     ((block, wait, stepped, _),) = solves
     assert stepped.size and not wait[stepped % block].any()
     for (X, Y), r in zip(itertools.combinations(factors, 2), staged):
@@ -343,7 +345,7 @@ def test_factor_cohort_steps_no_random_start(monkeypatch):
     # unstaged, the random starts step from the first iteration
     monkeypatch.setattr(quotient_space, "START_TOL", 0.0)
     solves.clear()
-    unstaged = _align_pairs(*pairs)
+    unstaged = list(_align_pairs(*pairs))
     ((_, _, stepped, _),) = solves
     assert wait[stepped % block].any()
     assert all(_same_search(a, b) for a, b in zip(staged, unstaged, strict=True))
@@ -355,7 +357,7 @@ def test_paper_width_pairs_step_only_their_first_starts(monkeypatch):
     # random start of any chunk is ever stepped
     factors = factor_cohort(np.random.default_rng(1), 40, 6, 300, 20)
     solves = _stepped_starts(monkeypatch)
-    results = _align_pairs(factors[0::2], factors[1::2])
+    results = list(_align_pairs(factors[0::2], factors[1::2]))
     assert len(solves) > 1  # the batch runs in chunks
     for block, wait, stepped, _ in solves:
         assert stepped.size and not wait[stepped % block].any()
@@ -743,10 +745,24 @@ def test_exponentials_reject_a_non_finite_or_non_real_time():
         for call in (lambda: ps_exp(X, V, t), lambda: orbit_exp(X, V, t), lambda: seg.point(t)):
             with pytest.raises(InvalidInput, match="t must be a finite real number"):
                 call()
-    # a finite time can still overflow a row's angle t |v_i|: no NaN point
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InvalidInput, match="rep has non-finite entries"):
-            orbit_exp(X, 4.0 * V.vec, 1e308)
+    # a finite time can still overflow a row's angle t |v_i| (NaN rows, a
+    # non-finite rank, numpy's LinAlgError in the escape scan, each with
+    # RuntimeWarnings): every exponential and path refuses it before any
+    # arithmetic, and a time within the bound gives a finite point
+    rng = np.random.default_rng(0)
+    X, Y = (unit_rows(rng.standard_normal((5, 3))) for _ in range(2))
+    W = 4.0 * orbit_log(X, Y).vec
+    for call in (
+        lambda: ps_exp(X, W, 1e308),
+        lambda: orbit_exp(X, W, 1e308),
+        lambda: GeodesicSegment(X, W, 1.0).point(1e308),
+        lambda: geodesic_rank_profile(GeodesicSegment(X, W, 1e308), 3),
+        lambda: max_full_rank_interval(X, W, t_max_search=1e300),
+    ):
+        with pytest.raises(InvalidInput, match=r"must be a finite real number with \|"):
+            call()
+    t = 0.5 * TIME_BOUND / np.linalg.norm(W, axis=1).max()
+    assert np.isfinite(ps_exp(X, W, t)).all() and np.isfinite(orbit_exp(X, W, -t).rep).all()
 
 
 def test_orbit_exp_horizontality_gate():
@@ -803,6 +819,42 @@ def test_tangent_must_live_at_the_point(fn, tangent):
         V = ProductTangent(Y, random_tangent(rng, Y))
     with pytest.raises(InvalidInput, match="tangent base does not match X|velocity shape"):
         fn(X, V)
+
+
+@pytest.mark.parametrize(
+    "case", ["metric_of_raw", "metric_across_shapes", "owning_array", "list", "view"]
+)
+def test_one_base_point_rule(case):
+    # every map decides by _tangent_vec whether a tangent is at a point:
+    # ps_metric of a raw array raised AttributeError, quotient_metric of
+    # bases of two shapes numpy's broadcast ValueError, and GeodesicSegment
+    # read ndarray.base of a raw velocity (an owning array, a list, a view of
+    # a larger array), which ps_exp takes by the ProductTangent rule
+    rng = np.random.default_rng(25)
+    X = random_point(rng, 4, 3)
+    T = ProductTangent(X, random_tangent(rng, X))
+    if case == "metric_of_raw":
+        for U, V in ((T, T.vec), (T.vec, T), (T.vec, T.vec)):
+            with pytest.raises(InvalidInput, match="ps_metric expects tangent objects"):
+                ps_metric(U, V)
+    elif case == "metric_across_shapes":
+        Z = random_point(rng, 5, 3)
+        H, G = horizontal_project(X, T), horizontal_project(Z, random_tangent(rng, Z))
+        for fn in (ps_metric, quotient_metric):
+            with pytest.raises(InvalidInput, match="tangents live at different base points"):
+                fn(H, G)
+    else:
+        if case == "view":
+            larger = np.zeros((6, 5))
+            larger[:4, :3] = T.vec
+            raw = larger[:4, :3]
+        else:
+            raw = T.vec.copy() if case == "owning_array" else T.vec.tolist()
+        seg = GeodesicSegment(X, raw, 2.0)
+        assert np.array_equal(seg.velocity.vec, T.vec)
+        assert np.array_equal(seg.point(1.5), GeodesicSegment(X, T, 2.0).point(1.5))
+        with pytest.raises(InvalidInput, match="is not tangent"):
+            GeodesicSegment(X, np.asarray(raw) + 0.3 * X, 2.0)
 
 
 def test_escape_times_reject_a_raw_velocity_that_is_not_tangent():
