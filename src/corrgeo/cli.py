@@ -120,6 +120,8 @@ def cmd_mean(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    if args.top < 0:
+        raise InvalidInput(f"top must be an integer >= 0, got {args.top}")
     A, cols_a = pipeline.read_matrix_csv(args.mean_a)
     B, cols_b = pipeline.read_matrix_csv(args.mean_b)
     if cols_a != cols_b:

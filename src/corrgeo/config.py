@@ -33,12 +33,11 @@ class SolverConfig:
     restarts / seed: a pair search (align, orbit_dist, orbit_log, the
     cohort distances and a Frechet mean's alignments alike) starts from
     Procrustes, restarts - 1 random rotations drawn from seed and their
-    transposes, all solved as one stack, where a pair whose Procrustes
-    start is near its certificate's bound runs it alone first and its
-    random starts only if it does not certify; restarts_used is the number
-    of starts, 2 * restarts - 1 (9 at the default) plus any extra starts
-    (align's extra_inits, a mean sample's joint rotation), and retired the
-    number of them the search dropped early or never ran as redundant.
+    transposes, all solved as one stack under quotient_space's start
+    policy; restarts_used is the number of starts, 2 * restarts - 1 (9 at
+    the default) plus any extra starts (align's extra_inits, a mean
+    sample's joint rotation), and retired the number of them the search
+    dropped early or never ran as redundant.
     Horizontality is no setting: orbit_exp always checks it, against the
     defect a tangent records (orbit_log's is its search's grad_norm).
     stagnation_tol separates harmless stops at the rounding floor from

@@ -232,7 +232,7 @@ def _joint_solve(reps, w, pin, mean, rotations, cfg):
     n, m, k = reps.shape
     model, retract = _joint_model(reps, w, pin)
     x0 = np.concatenate([mean, rotations.reshape(n * k, k)])[None]
-    x, *solve, _ = _trust_region(model, retract, x0, cfg)
+    x, *solve = _trust_region(model, retract, x0, cfg)
     report = SolverReport(**_report_fields(*(a[0] for a in solve)))
     return x[0, :m], x[0, m:].reshape(n, k, k), report
 

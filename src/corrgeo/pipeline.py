@@ -11,8 +11,9 @@ the csv module only at line feeds, carriage returns and CRLF pairs. A
 time-series body (ingest) is parsed in one np.loadtxt pass when that pass
 proves the file well formed; any other file, and every other reader, takes
 the one exact path, csv records then float() per cell, which returns the
-same matrix or names the bad line and column. Emitted files are deterministic: fixed
-ordering and 17-significant-digit decimal formatting.
+same matrix or names the bad line and column. Emitted CSVs are byte-stable
+(fixed ordering, 17 significant digits); a rerun's JSON reports differ
+only in wall_seconds.
 """
 
 import csv

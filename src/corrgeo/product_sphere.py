@@ -14,12 +14,9 @@ retraction. It solves a stack of independent problems in lockstep (all
 rows of a row mean, all starts of all pairs of a stack of alignments): per
 iteration one truncated-CG solve of the trust-region subproblems, one
 retraction and one model evaluation for the whole stack; a member that
-finishes drops out of the stack, and the live starts of a rotation search
-leave early when a sibling start certifies the pair's global minimum; a
-pair whose first starts begin near that bound runs them alone, its other
-starts pending until they stop uncertified. No
-Hessian matrix is formed: a member holds its model's data, never a matrix
-as large as its tangent space squared.
+finishes drops out of the stack, and so does one that its caller's rule
+holds idle. No Hessian matrix is formed: a member holds its model's data,
+never a matrix as large as its tangent space squared.
 """
 
 import math
@@ -407,7 +404,7 @@ def _truncated_cg(H, g, gn, radius, floor=0.0):
     return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
 
 
-def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None, wait=None):
+def _trust_region(model, retract, x, cfg: SolverConfig, idle=None):
     """Riemannian trust-region Newton method with truncated-CG steps.
 
     Solves a stack of independent problems in lockstep: x holds one
@@ -424,20 +421,12 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
     member's own, and a member that stops leaves the active set, so every
     member follows the iterates it would follow alone.
 
-    block and certify, when given, make the stack rotation searches: each
-    block of consecutive members starts the search of one pair, and
-    certify(loss, g, H, members) tells which of the listed members (indices
-    into the stack's arrays) provably sit at their loss's global minimum.
-    When a member stops converged and certify accepts it, every live member
-    of its block is retired (leaves the active set), since none can end
-    lower. wait, when given, marks the starts of a block that may wait: a
-    pair whose other starts, its first starts, include one that the initial
-    evaluation puts near its bound without clamped rows (certify(...,
-    gate=True)) holds its waiting starts pending. A pending start does not
-    step; it joins the stack in the iteration in which every first start of
-    its pair has stopped without certifying, and is retired (never having
-    run) when one does certify. Blocks never interact, so a pair follows
-    the iterates it would follow in a stack of its own.
+    idle, when given, holds members that have not stopped: idle(stopped,
+    loss, g, H, clamped, done) runs after the initial evaluation (stopped
+    empty) and after each iteration in which members stopped, with the
+    indices of those that stopped converged, the stack's arrays and the
+    mask of the stopped members, and returns the mask of the members that
+    take no step. The solve ends once every member has stopped or idles.
 
     Steps are accepted on the ratio of actual to predicted decrease. Once
     the predicted decrease is below the rounding level of the loss, loss
@@ -452,13 +441,13 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
     MAX_ITERS iterations.
 
     Returns per-member arrays (x, loss, grad_norm, iterations, converged,
-    stagnated, clamped, retired), the six between x and retired in the
-    order _report_fields reads them: converged means grad_norm <=
-    cfg.grad_tol with no clamped row (a zero gradient on the cut locus is
-    not a minimum), stagnated that the trust region collapsed with the
-    gradient still above it, clamped the model's clamped rows at the
-    returned point; a retired member's arrays hold the point where it left
-    (a start that never ran: its start, 0 iterations).
+    stagnated, clamped), the six after x in the order _report_fields reads
+    them: converged means grad_norm <= cfg.grad_tol with no clamped row (a
+    zero gradient on the cut locus is not a minimum), stagnated that the
+    trust region collapsed with the gradient still above it, clamped the
+    model's clamped rows at the returned point; a member that idles at the
+    end holds the point of its last step (if it never stepped: its start, 0
+    iterations).
     """
     x = np.array(x, dtype=float)
     size = x.shape[0]
@@ -466,22 +455,14 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
     gn = np.sqrt((g * g).sum(axis=1))
     radius = np.ones(size)
     stagnated = np.zeros(size, dtype=bool)
-    retired = np.zeros(size, dtype=bool)
     done = np.zeros(size, dtype=bool)
-    pending = np.zeros(size, dtype=bool)
-    waiting = False
-    if wait is not None:
-        first = np.flatnonzero(~np.tile(wait, size // block))
-        near = first[certify(loss, g, H, first, gate=True)]
-        near = near[~clamped[near].any(axis=1)]
-        if near.size:
-            pending.reshape(-1, block)[near // block] = wait
-            waiting = True
+    # the members that take no step: stopped, or idle by the caller's rule
+    halted = done if idle is None else idle(np.arange(0), loss, g, H, clamped, done)
     it = np.zeros(size, dtype=int)
     floor = 100.0 * np.finfo(float).eps
     cg_floor = CG_FLOOR * cfg.grad_tol
-    while not done.all():
-        act = np.flatnonzero(~(done | pending) if waiting else ~done)
+    while not halted.all():
+        act = np.flatnonzero(~halted)
         it[act] += 1
         # while every member is active, the stack's own arrays are its active set
         if act.size == size:
@@ -510,20 +491,9 @@ def _trust_region(model, retract, x, cfg: SolverConfig, block=None, certify=None
         conv = gn[act] <= cfg.grad_tol
         stopped = stop | (floored & conv) | (gn[act] <= cg_floor) | (it[act] >= MAX_ITERS)
         done[act] = stopped
-        # converged members in blocks with live members may certify their
-        # pair, which retires its live and pending starts
-        if certify is not None and stopped.any():
-            c = act[stopped & conv]
-            c = c[~clamped[c].any(axis=1) & ~done.reshape(-1, block)[c // block].all(axis=1)]
-            if c.size:
-                b = c[certify(loss, g, H, c)] // block
-                retired.reshape(-1, block)[b] |= ~done.reshape(-1, block)[b]
-                done |= retired
-            if waiting:
-                # pairs whose first starts all stopped release their pending ones
-                pending.reshape(-1, block)[(done | pending).reshape(-1, block).all(axis=1)] = False
-                waiting = pending.any()
-    return x, loss, gn, it, (gn <= cfg.grad_tol) & ~clamped.any(axis=1), stagnated, clamped, retired
+        if idle is not None and stopped.any():
+            halted = done | idle(act[stopped & conv], loss, g, H, clamped, done)
+    return x, loss, gn, it, (gn <= cfg.grad_tol) & ~clamped.any(axis=1), stagnated, clamped
 
 
 def _report_fields(loss, gn, it, conv, stag, clamped_rows):
@@ -612,5 +582,5 @@ def _row_means(clouds, w, cfg: SolverConfig):
     n0 = np.linalg.norm(x0, axis=1)[:, None]
     x0 = np.where(n0 < 1e-8, clouds[:, 0], x0 / np.maximum(n0, 1e-8))
     model, retract = _row_mean_model(clouds, w)
-    mean, loss, gn, it, conv, stag, clamped, _ = _trust_region(model, retract, x0, cfg)
+    mean, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
     return mean, SolverReport(**_report_fields(loss, gn, it, conv, stag, clamped.any(axis=1)))

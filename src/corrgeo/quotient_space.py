@@ -15,12 +15,12 @@ pairs of a batch (a cohort, a mean's samples) as one lockstep stack, a
 large batch in chunks of whole pairs under a fixed memory budget; align is
 the batch of one pair. The loss is convex on the convex hull of O(k), so
 a converged start without clamped rows can certify from its own model
-that it found the pair's global minimum (_certify); its live siblings
-then retire, since none can end lower. Pairs near their bound run their
-first starts alone: when the bound at the start puts a pair's Procrustes
-rotation (or a warm start) within START_TOL, its random starts wait until
-every first start has stopped uncertified, and retire without running
-when one certifies, as on sample correlations. A retired start never
+that it found the pair's global minimum within CERTIFY_TOL (_certify);
+its live siblings then retire. A pair whose first start (Procrustes, a
+warm start) is within START_TOL of that bound, without clamped rows, at
+the initial evaluation holds its random starts pending until every other
+start has stopped uncertified, and retires them unrun when one certifies.
+_start_rule is this policy, the solver's idle rule. A retired start never
 wins, and pairs never interact, so batching moves no number.
 
 Logs and exponentials act row by row on representatives; a log's
@@ -68,7 +68,6 @@ from .product_sphere import (
     _tangent_vec,
     _trust_region,
     check_unit_rows,
-    ps_exp,
     unit_rows,
 )
 
@@ -110,8 +109,7 @@ class SearchReport(SolverReport):
     The SolverReport fields are those of the winning start at its returned
     rotation. restarts_used counts the search's starts, retired those of
     them that left early, or never ran, because a sibling start certified
-    the pair's global minimum (a pair near its bound runs its first starts
-    alone, so its random starts never run when one of them certifies).
+    the pair's global minimum (the module docstring's start policy).
     Every record of a search (AlignmentResult, pipeline.PairReport)
     extends this one, and both CLI reports print it.
     """
@@ -198,8 +196,8 @@ CERTIFY_TOL = 1e-9
 START_TOL = 1e-3
 
 
-def _certify(loss, g, H, members, gate=False):
-    """Whether the listed members' rotations provably minimize their pairs' loss.
+def _certify(loss, g, H, members, tol):
+    """Whether the listed members' rotations are within tol of their pairs' minimum.
 
     phi(c) = arccos(c)^2 is convex, so the loss is convex on the spectral
     ball, the convex hull of O(k), and lies above its linearization at O:
@@ -207,13 +205,44 @@ def _certify(loss, g, H, members, gate=False):
     2004, sec. 5). G is S + skew(G), S = sym(G) from the Hessian's state
     and g = skew(G); one batched k x k singular-value call gives the gap.
     loss, g and H are the stack's; members indexes them. Valid only
-    without clamped rows (the solver checks). Returns gap <= tol max(1,
-    loss) per member, tol CERTIFY_TOL, or START_TOL for the gate on starts.
+    without clamped rows (_start_rule checks). Returns gap <= tol max(1,
+    loss) per member: CERTIFY_TOL certifies, START_TOL gates the starts.
     """
     S = H.state[3][members]
     G = S + g[members].reshape(S.shape)
     gap = np.trace(G, axis1=-2, axis2=-1) + np.linalg.svd(G, compute_uv=False).sum(axis=-1)
-    return gap <= (START_TOL if gate else CERTIFY_TOL) * np.maximum(1.0, loss[members])
+    return gap <= tol * np.maximum(1.0, loss[members])
+
+
+def _start_rule(n, R, wait):
+    """The module docstring's start policy for n pair searches of R consecutive starts.
+
+    wait marks the starts of a pair that may wait, the others are its first
+    starts. Returns (idle, retired): the _trust_region idle rule, and the
+    (n, R) mask of the starts it retires, filled in as the solve runs.
+    """
+    retired = np.zeros((n, R), dtype=bool)
+    pending = np.zeros((n, R), dtype=bool)
+    first = np.flatnonzero(~np.tile(wait, n))
+
+    def idle(stopped, loss, g, H, clamped, done):
+        done = done.reshape(n, R)
+        if not done.any():  # the initial evaluation: the gate on first starts
+            if wait.any():
+                near = first[_certify(loss, g, H, first, START_TOL)]
+                pending[near[~clamped[near].any(axis=1)] // R] = wait
+        else:
+            # converged stops without clamped rows, in pairs with starts to run
+            c = stopped[~clamped[stopped].any(axis=1)]
+            c = c[~(done | retired)[c // R].all(axis=1)]
+            if c.size:
+                b = c[_certify(loss, g, H, c, CERTIFY_TOL)] // R
+                retired[b] |= ~done[b]
+            # pending starts join once every other start of their pair stopped
+            pending[(done | retired | pending).all(axis=1)] = False
+        return (retired | pending).ravel()
+
+    return idle, retired
 
 
 @functools.lru_cache(maxsize=32)
@@ -293,10 +322,8 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
     rand = _unordered_starts(k, cfg.restarts, cfg.seed)
     R = 1 + len(rand) + extra.shape[1]
     # the seeded random starts wait while a pair's first starts are near their bound
-    wait = None
-    if len(rand):
-        wait = np.zeros(R, dtype=bool)
-        wait[1 : 1 + len(rand)] = True
+    wait = np.zeros(R, dtype=bool)
+    wait[1 : 1 + len(rand)] = True
     chunk = max(1, _STACK_FLOATS // (R * _member_floats(m, k)))
     for lo in range(0, P, chunk):
         Xc, Yc = Xs[lo : lo + chunk], Ys[lo : lo + chunk]
@@ -314,12 +341,10 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
             axis=1,
         )
         model, retract = _alignment_model(np.repeat(A, R, axis=0), np.repeat(B, R, axis=0))
-        O, *solve, retired = _trust_region(
-            model, retract, starts.reshape(n * R, k, k), cfg, R, _certify, wait
-        )
+        idle, retired = _start_rule(n, R, wait)
+        O, *solve = _trust_region(model, retract, starts.reshape(n * R, k, k), cfg, idle)
         # a retired start never wins, ties included (solve[0] is the loss)
-        best = np.argmin(np.where(retired, np.inf, solve[0]).reshape(n, R), axis=1)
-        left = retired.reshape(n, R).sum(axis=1)
+        best = np.argmin(np.where(retired, np.inf, solve[0].reshape(n, R)), axis=1)
         for p, b in enumerate(R * np.arange(n) + best):
             rot = O[b].copy()
             # a swapped pair's rotation carries Ys[p] onto Xs[p]'s orbit
@@ -327,7 +352,7 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
                 rotation=rot.T if swap[p] else rot,
                 aligned=A[p] @ rot if swap[p] else B[p] @ rot.T,
                 restarts_used=R,
-                retired=int(left[p]),
+                retired=int(retired[p].sum()),
                 **_report_fields(*(a[b] for a in solve)),
             )
 
@@ -431,7 +456,9 @@ class GeodesicSegment:
             object.__setattr__(self, "velocity", ProductTangent._at(start, vec))
 
     def point(self, t: float) -> np.ndarray:
-        return ps_exp(self.start, self.velocity.vec, t)
+        """ps_exp(start, velocity, t), checking only t: the segment is checked."""
+        _check_time(t, self.velocity.vec)
+        return unit_rows(_great_circles(self.start, self.velocity.vec, t))
 
 
 def geodesic_rank_profile(seg: GeodesicSegment, samples: int):

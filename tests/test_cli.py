@@ -138,6 +138,29 @@ def test_dist_deterministic_bytes(tmp_path):
     assert a == b
 
 
+def test_reruns_reproduce_every_output(tmp_path):
+    # CSVs byte for byte, JSON reports apart from wall_seconds, the run's
+    # wall-clock time: every pair's and every alignment's record, retired
+    # and restarts_used among them
+    rng = np.random.default_rng(2)
+    man = _cohort(tmp_path, rng, 4, groups=("g1", "g2"))
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        for command in ("dist", "mean"):
+            assert main([command, str(man), "--out", str(out), "--seed", "7"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "distances_report.json" in names and "mean_g2_report.json" in names
+    for name in names:
+        a, b = ((out / name).read_bytes() for out in outs)
+        if name.endswith(".json"):
+            a, b = (json.loads(d) for d in (a, b))
+            assert a.pop("wall_seconds") > 0.0 and b.pop("wall_seconds") > 0.0
+            records = a.get("pairs", a.get("alignments"))
+            assert records and all("retired" in r and "restarts_used" in r for r in records)
+        assert a == b, name
+
+
 def test_dist_bad_manifest_is_io_error(tmp_path):
     p = tmp_path / "nope.json"
     assert main(["dist", str(p)]) == 4
@@ -367,6 +390,24 @@ def test_diff_thresholded_output(tmp_path, capsys):
     assert T_text.startswith("id,x,y,z")
     printed = capsys.readouterr().out
     assert "above threshold" in printed
+
+
+def test_diff_top_must_not_be_negative(tmp_path, capsys):
+    # three entries above the threshold: --top 0 prints none of them, and a
+    # negative --top is refused before any file is read or written
+    A = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix_csv(pa, A, ["x", "y", "z"])
+    write_matrix_csv(pb, np.eye(3), ["x", "y", "z"])
+    args = ["diff", str(pa), str(pb), "--threshold", "0.05"]
+    assert main([*args, "--out", str(tmp_path / "ok"), "--top", "0"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("3 entries above threshold") and len(printed) == 1
+    for top in ("-1", "-3"):
+        out = tmp_path / f"top{top}"
+        assert main([*args, "--out", str(out), "--top", top]) == 2
+        assert capsys.readouterr().err == f"error: top must be an integer >= 0, got {top}\n"
+        assert not out.exists()
 
 
 def test_diff_mismatched_columns(tmp_path, capsys):

@@ -41,7 +41,12 @@ from corrgeo import (
 from corrgeo import product_sphere, quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
 from corrgeo.product_sphere import MAX_ITERS, TIME_BOUND, _trust_region
-from corrgeo.quotient_space import _align_pairs, _alignment_model, _unordered_starts
+from corrgeo.quotient_space import (
+    _align_pairs,
+    _alignment_model,
+    _start_rule,
+    _unordered_starts,
+)
 
 from conftest import (
     counterexample_pair,
@@ -149,19 +154,27 @@ def test_align_is_the_search_of_orbit_dist():
 
 
 def _recording_trust_region(monkeypatch, edit=None):
-    """Wrap the rotation search's solver; returns the list of its outputs.
+    """Wrap the rotation search's solver and start rule; returns the list of
+    the solver's outputs, each followed by the rule's retired mask (one
+    entry per start).
 
     edit(out), when given, may change an output before align reads it.
     """
-    outputs = []
+    outputs, masks = [], []
+
+    def rule(*args):
+        idle, retired = _start_rule(*args)
+        masks.append(retired)
+        return idle, retired
 
     def recorded(*args):
-        out = _trust_region(*args)
+        out = (*_trust_region(*args), masks[-1].reshape(-1))
         if edit is not None:
             edit(out)
         outputs.append(out)
-        return out
+        return out[:-1]
 
+    monkeypatch.setattr(quotient_space, "_start_rule", rule)
     monkeypatch.setattr(quotient_space, "_trust_region", recorded)
     return outputs
 
@@ -200,16 +213,16 @@ def test_rank_deficient_pair_retires_on_aligned_rows(monkeypatch):
     A, B = (Y, X) if swap else (X, Y)
     assert numerical_rank(A) == 2
     loss, _, _ = align_every_start(X, Y)
-    calls = []
+    outputs, calls = _recording_trust_region(monkeypatch), []
+    solve = quotient_space._trust_region
 
     def recorded(*args):
-        out = _trust_region(*args)
-        calls.append((np.array(args[2]), out))
-        return out
+        calls.append(np.array(args[2]))
+        return solve(*args)
 
     monkeypatch.setattr(quotient_space, "_trust_region", recorded)
     r = align(X, Y)
-    ((starts, out),) = calls
+    ((starts,), (out,)) = calls, outputs
     searched = r.rotation.T if swap else r.rotation
     model, retract = _alignment_model(A, B)
     far_apart_same_rows = []
@@ -302,10 +315,14 @@ def test_retired_starts_match_every_start_oracle(monkeypatch):
 
 
 def _stepped_starts(monkeypatch):
-    """Wrap the rotation search's solver; returns, per solve, its block, its
-    waiting starts' mask, the members it stepped (evaluated after a
-    retraction) and its output."""
-    solves = []
+    """Wrap the rotation search's solver and start rule; returns, per solve,
+    its block (the starts per pair), its waiting starts' mask, the members
+    it stepped (evaluated after a retraction) and its output."""
+    solves, rules = [], []
+
+    def rule(n, R, wait):
+        rules.append((R, wait))
+        return _start_rule(n, R, wait)
 
     def recorded(model, *args):
         stepped = []
@@ -315,9 +332,10 @@ def _stepped_starts(monkeypatch):
             return model(x, members)
 
         out = _trust_region(seen, *args)
-        solves.append((args[3], args[5], np.concatenate([[], *stepped[1:]]).astype(int), out))
+        solves.append((*rules[-1], np.concatenate([[], *stepped[1:]]).astype(int), out))
         return out
 
+    monkeypatch.setattr(quotient_space, "_start_rule", rule)
     monkeypatch.setattr(quotient_space, "_trust_region", recorded)
     return solves
 
@@ -901,6 +919,35 @@ def test_segment_validation():
     for t_max in (0.0, -1.0, np.inf, np.nan, True, "4"):
         with pytest.raises(InvalidInput, match="t_max_search must be positive and finite"):
             max_full_rank_interval(X, V, t_max_search=t_max)
+
+
+def test_segment_points_check_only_their_time(monkeypatch):
+    # the segment's start and velocity were checked when it was built, so a
+    # point checks neither again, and is ps_exp's point bit for bit
+    rng = np.random.default_rng(17)
+    X, Y = _nearby_pair(rng, 5, 3)
+    seg = GeodesicSegment(start=X, velocity=orbit_log(X, Y), duration=1.0)
+    calls = []
+    for name in ("check_unit_rows", "_check_tangent"):
+        check = getattr(product_sphere, name)
+
+        def counted(*args, check=check, name=name):
+            calls.append(name)
+            return check(*args)
+
+        for module in (product_sphere, quotient_space):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    ts = np.linspace(-0.5, 2.0, 10)
+    points = [seg.point(t) for t in ts]
+    assert calls == []
+    ps_exp(seg.start, seg.velocity.vec, ts[0])  # the counters see ps_exp's checks
+    assert calls == ["check_unit_rows", "_check_tangent"]
+    monkeypatch.undo()
+    for t, P in zip(ts, points):
+        assert P.tobytes() == ps_exp(seg.start, seg.velocity.vec, t).tobytes()
+    with pytest.raises(InvalidInput, match="t must be a finite real number"):
+        seg.point(np.inf)
 
 
 def test_rank_profile_constant_for_zero_velocity():

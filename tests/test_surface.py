@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import corrgeo
+from corrgeo import product_sphere
 
 
 def test_all_names_are_unique_and_resolve():
@@ -64,3 +66,20 @@ def test_library_code_never_prints():
         and node.func.id == "print"
     ]
     assert prints == []
+
+
+def test_the_solver_knows_no_pair_search():
+    # the rotation search's start policy (the gate on first starts, the
+    # certificate's retirement, the release of pending starts) lives in
+    # quotient_space; the shared solver takes one idle rule and names none
+    # of the policy's parts
+    params = inspect.signature(product_sphere._trust_region).parameters
+    assert list(params) == ["model", "retract", "x", "cfg", "idle"]
+    path = Path(product_sphere.__file__)
+    names = {
+        value
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for field in ("id", "arg", "attr", "name", "asname")
+        if isinstance(value := getattr(node, field, None), str)
+    }
+    assert names.isdisjoint({"certify", "block", "wait", "retired", "START_TOL"})
