@@ -69,7 +69,11 @@ class WeightedSampleSet:
 
 
 def _as_sample_set(samples, weights=None) -> WeightedSampleSet:
+    """samples as a WeightedSampleSet (equal weights unless given); a set
+    carries its own weights, so weights beside one raise InvalidInput."""
     if isinstance(samples, WeightedSampleSet):
+        if weights is not None:
+            raise InvalidInput("a WeightedSampleSet holds its own weights; pass no weights")
         return samples
     pts = list(samples)
     if weights is None:

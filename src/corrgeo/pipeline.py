@@ -513,8 +513,15 @@ def difference_report(A, B, threshold: float, columns=None) -> DiffReport:
 
 
 def write_matrix_csv(path, M, labels) -> None:
-    """Labeled square matrix as CSV, 17 significant digits, byte-stable."""
+    """Labeled square matrix as CSV, 17 significant digits, byte-stable.
+
+    M must be n x n with n labels, else InvalidInput before the file is opened.
+    """
+    M = np.asarray(M, dtype=float)
     labels = list(labels)
+    n = len(labels)
+    if M.shape != (n, n):
+        raise InvalidInput(f"{n} labels need a {n} x {n} matrix, got shape {M.shape}")
     _write_csv(path, ["id"] + labels, M, labels)
 
 

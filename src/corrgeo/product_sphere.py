@@ -347,16 +347,12 @@ def _truncated_cg(H, g, gn, radius, floor=0.0):
     them. Without a floor, once |g| is below about 1.5e-8 CG can follow it
     to the boundary where its computed curvature is nonpositive; the floor
     _trust_region passes (CG_FLOOR * grad_tol) stops CG far above that
-    rounding. Members iterate in lockstep; a member that stops takes zero
-    steps from then on, and once half the working set has stopped the set
-    shrinks to the members still iterating, so the products skip finished
-    members without indexing on every iteration. Returns the steps and
-    their predicted decreases.
+    rounding. Members iterate in lockstep; a member that stops stays in the
+    stack with step length zero, so its step stays as it stopped and its
+    products are still taken. Returns the steps and their predicted
+    decreases.
     """
-    step, Hstep = np.zeros_like(g), np.zeros_like(g)
-    project = H.tangent  # of the whole stack; H shrinks with the working set
-    sel = np.arange(len(g))  # the working set's members
-    s, Hs, r, p = step.copy(), Hstep.copy(), g.copy(), -g
+    s, Hs, r, p = np.zeros_like(g), np.zeros_like(g), g.copy(), -g
     # s.s, s.p and p.p follow the CG recurrences, three row sums fewer per
     # iteration. Rows are C-contiguous (the models return them so), so a
     # member's row sums do not depend on its place in the stack
@@ -367,15 +363,8 @@ def _truncated_cg(H, g, gn, radius, floor=0.0):
     r2 = radius * radius
     tiny = np.finfo(float).tiny
     for _ in range(H.dim):
-        n_live = np.count_nonzero(live)
-        if not n_live:
+        if not live.any():
             break
-        if 2 * n_live <= live.size:
-            step[sel], Hstep[sel] = s, Hs
-            keep = np.flatnonzero(live)
-            sel, H, live = sel[keep], H[keep], live[keep]
-            s, Hs, r, p = s[keep], Hs[keep], r[keep], p[keep]
-            rr, pp, ss, sp, tol2, r2 = (a[keep] for a in (rr, pp, ss, sp, tol2, r2))
         Hp = H @ p
         pHp = (p * Hp).sum(axis=1)
         # the step length that reaches the boundary from s along p
@@ -399,9 +388,8 @@ def _truncated_cg(H, g, gn, radius, floor=0.0):
         sp = beta * (sp + apP)
         pp = rr_new + beta * beta * pp
         rr = rr_new
-    step[sel], Hstep[sel] = s, Hs
-    step = project(step)
-    return step, -((g * step).sum(axis=1) + 0.5 * (step * Hstep).sum(axis=1))
+    s = H.tangent(s)
+    return s, -((g * s).sum(axis=1) + 0.5 * (s * Hs).sum(axis=1))
 
 
 def _trust_region(model, retract, x, cfg: SolverConfig, idle=None):

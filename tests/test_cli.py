@@ -21,7 +21,7 @@ from corrgeo import (
 )
 from corrgeo import SolverReport, cli, product_sphere
 from corrgeo.cli import main
-from corrgeo.quotient_space import SearchReport
+from corrgeo.quotient_space import SearchReport, _align_pairs
 
 from conftest import random_correlation, random_point
 
@@ -291,6 +291,20 @@ def test_both_reports_print_the_search_record(tmp_path):
         assert set(p) == search | {"subject_a", "subject_b", "distance"}
     for a in mean["alignments"]:
         assert set(a) == search | {"subject_id"}
+
+
+def test_one_subject_cohort_has_no_pair_to_search(tmp_path):
+    # dist writes a 1 x 1 zero matrix without pair records; mean returns the
+    # subject itself, at loss 0 and without alignments
+    man = _cohort(tmp_path, np.random.default_rng(8), 1)
+    assert main(["dist", str(man), "--out", str(tmp_path / "dist")]) == 0
+    assert (tmp_path / "dist" / "distances.csv").read_text() == "id,s0\ns0,0\n"
+    assert _report(tmp_path / "dist" / "distances_report.json")["pairs"] == []
+    assert main(["mean", str(man), "--out", str(tmp_path / "mean")]) == 0
+    doc = _report(tmp_path / "mean" / "mean_all_report.json")
+    assert doc["loss"] == 0.0 and doc["loss_history"] == [0.0] and doc["alignments"] == []
+    # neither command starts the empty batch's search; on its own it yields nothing
+    assert list(_align_pairs([], [])) == []
 
 
 def test_mean_single_group_flag(tmp_path):

@@ -53,6 +53,20 @@ def test_sample_set_rejects_bad_input():
         WeightedSampleSet(points=(X, random_point(rng, 4, 2)), weights=[1.0, 1.0])
 
 
+def test_sample_set_takes_no_second_weights():
+    # a WeightedSampleSet carries its weights; weights beside it were dropped
+    rng = np.random.default_rng(17)
+    pts = [random_point(rng, 4, 2) for _ in range(3)]
+    ss = WeightedSampleSet(points=tuple(pts), weights=[1.0, 1.0, 1.0])
+    for call in (
+        lambda **kw: frechet_mean(ss, **kw),
+        lambda **kw: frechet_variance(ss, pts[0], **kw),
+    ):
+        with pytest.raises(InvalidInput, match="holds its own weights"):
+            call(weights=[1.0, 0.001, 0.001])
+        call()  # the set alone is accepted
+
+
 # variance ---------------------------------------------------------------------
 
 
@@ -162,6 +176,29 @@ def test_mean_variance_consistent_with_history():
     rep = frechet_mean(samples, weights=w)
     var = frechet_variance(samples, rep.mean, weights=w)
     assert abs(var - rep.loss_history[-1]) < 1e-8
+
+
+def test_basin_change_runs_the_joint_solve_again(monkeypatch):
+    # on this set the first joint solve's final alignments find a lower
+    # basin, so the loop runs a second joint solve from their rotations
+    rng = np.random.default_rng(31)
+    c = random_point(rng, 6, 3)
+    samples = [
+        unit_rows(c + rng.standard_normal((6, 3))) @ random_orthogonal(3, rng) for _ in range(5)
+    ]
+    w = np.full(5, 0.2)
+    rep = frechet_mean(samples)
+    assert rep.converged
+    assert rep.loss_history == pytest.approx([3.2055245, 2.5897114, 2.5300321], abs=1e-7)
+    assert rep.loss_history[-1] == rep.loss
+    # the final alignments find no lower basin: their loss is the solve's
+    assert w @ [a.loss for a in rep.alignments] == pytest.approx(rep.loss, rel=1e-14)
+
+    monkeypatch.setattr(frechet, "BASIN_TOL", np.inf)
+    once = frechet_mean(samples)
+    assert once.loss_history == rep.loss_history[:2]
+    # the alignments that the loop follows lie below the single solve
+    assert w @ [a.loss for a in once.alignments] < once.loss - 1e-4
 
 
 def test_mean_stacks_match_per_pair_searches(monkeypatch):

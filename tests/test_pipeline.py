@@ -813,6 +813,18 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(M, M2)  # 17 significant digits restore doubles exactly
 
 
+@pytest.mark.parametrize(
+    "M, labels",
+    [(np.eye(3), ["a", "b"]), (np.zeros((2, 3)), ["a", "b"]), (np.zeros(2), ["a", "b"])],
+)
+def test_matrix_csv_writes_only_a_square_matrix_with_a_label_per_row(tmp_path, M, labels):
+    # a mismatch wrote a file that read_matrix_csv cannot read back
+    p = tmp_path / "m.csv"
+    with pytest.raises(InvalidInput, match=r"labels need a 2 x 2 matrix"):
+        write_matrix_csv(p, M, labels)
+    assert not p.exists()
+
+
 def test_matrix_csv_byte_stable(tmp_path):
     rng = np.random.default_rng(15)
     M = rng.standard_normal((3, 3))

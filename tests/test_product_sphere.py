@@ -349,6 +349,42 @@ def test_one_member_solve_copies_no_model_state(monkeypatch):
     assert len(set(it)) > 1 and "get" in calls and "set" in calls
 
 
+def test_truncated_cg_keeps_its_whole_stack(monkeypatch):
+    # _trust_region's active set is the one place that skips finished
+    # members: inside a truncated-CG solve a member that stops stays in the
+    # stack with zero steps, so the CG never indexes or assigns its Hessians
+    rng = np.random.default_rng(51)
+    m, k = 8, 4
+    X, Y = random_point(rng, m, k), random_point(rng, m, k)
+    starts = np.stack([random_orthogonal(k, rng) for _ in range(6)])
+
+    in_cg, calls, solver_calls = [], [], []
+    getitem, setitem = _HessianOp.__getitem__, _HessianOp.__setitem__
+
+    def counted_getitem(self, members):
+        (calls if in_cg else solver_calls).append("get")
+        return getitem(self, members)
+
+    def counted_setitem(self, members, other):
+        (calls if in_cg else solver_calls).append("set")
+        setitem(self, members, other)
+
+    def marked_cg(*args):
+        in_cg.append(True)
+        try:
+            return _truncated_cg(*args)
+        finally:
+            in_cg.pop()
+
+    monkeypatch.setattr(_HessianOp, "__getitem__", counted_getitem)
+    monkeypatch.setattr(_HessianOp, "__setitem__", counted_setitem)
+    monkeypatch.setattr(product_sphere, "_truncated_cg", marked_cg)
+    model, retract = _alignment_model(X, Y)
+    it = _trust_region(model, retract, starts, DEFAULT_CONFIG)[3]
+    assert len(set(it)) > 1 and "get" in solver_calls
+    assert calls == []
+
+
 def test_align_stack_pair_matches_pair_solved_alone():
     # a pair in a multi-pair stack follows the iterates it would follow in a
     # stack of its own: same rotation and loss, bit for bit, same flags; its

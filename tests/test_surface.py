@@ -4,14 +4,16 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corrgeo
-from corrgeo import product_sphere
+from corrgeo import DegenerateInput, InvalidInput, ParseError, product_sphere
 
 
 def test_all_names_are_unique_and_resolve():
@@ -83,3 +85,158 @@ def test_the_solver_knows_no_pair_search():
         if isinstance(value := getattr(node, field, None), str)
     }
     assert names.isdisjoint({"certify", "block", "wait", "retired", "START_TOL"})
+
+
+def _file(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return path
+
+
+def _subjects(directory, tables, drop=None):
+    """A JSON manifest of one time-series CSV per (columns, values) table."""
+    doc = {"subjects": [], "drop": drop or {}}
+    for i, (columns, values) in enumerate(tables):
+        rows = [",".join(columns)] + [",".join(repr(float(v)) for v in row) for row in values]
+        _file(directory, f"s{i}.csv", "\n".join(rows) + "\n")
+        doc["subjects"].append({"subject_id": f"s{i}", "path": f"s{i}.csv"})
+    return _file(directory, "cohort.json", json.dumps(doc))
+
+
+_NOISE = np.random.default_rng(0).standard_normal((6, 3))
+_EYE2, _EYE3 = np.eye(2), np.eye(3)
+
+# (public call of a directory, exception class, message pattern)
+_INPUT_CHECKS = {
+    "ps_dist shape": (lambda d: corrgeo.ps_dist(_EYE2, _EYE3), InvalidInput, r"shape mismatch"),
+    "ps_dist non-matrix": (
+        lambda d: corrgeo.ps_dist(np.ones(3), np.ones(3)),
+        InvalidInput,
+        r"X must be a matrix, got shape \(3,\)",
+    ),
+    "ps_log shape": (lambda d: corrgeo.ps_log(_EYE2, _EYE3), InvalidInput, r"shape mismatch"),
+    "ps_project shape": (
+        lambda d: corrgeo.ps_project(_EYE2, np.zeros((3, 2))),
+        InvalidInput,
+        r"shape mismatch \(3, 2\) vs \(2, 2\)",
+    ),
+    "ProductTangent shape": (
+        lambda d: corrgeo.ProductTangent(_EYE2, np.zeros((3, 2))),
+        InvalidInput,
+        r"tangent shape \(3, 2\) does not match base \(2, 2\)",
+    ),
+    "ps_exp NaN velocity": (
+        lambda d: corrgeo.ps_exp(_EYE2, [[0.0, np.nan], [0.0, 0.0]]),
+        InvalidInput,
+        r"tangent has non-finite entries",
+    ),
+    "ps_frechet_fixed no samples": (
+        lambda d: corrgeo.ps_frechet_fixed([], []),
+        InvalidInput,
+        r"need at least one sample",
+    ),
+    "ps_frechet_fixed weights shape": (
+        lambda d: corrgeo.ps_frechet_fixed([_EYE2, _EYE2], [1.0]),
+        InvalidInput,
+        r"weights shape \(1,\) does not match 2 samples",
+    ),
+    "quotient_metric raw array": (
+        lambda d: corrgeo.quotient_metric(np.zeros((2, 2)), np.zeros((2, 2))),
+        InvalidInput,
+        r"quotient_metric expects tangent objects",
+    ),
+    "lift_gradient shape": (
+        lambda d: corrgeo.lift_gradient(_EYE2, np.zeros((3, 2))),
+        InvalidInput,
+        r"gradient shape \(3, 2\) does not match \(2, 2\)",
+    ),
+    "sym_eig non-finite": (
+        lambda d: corrgeo.sym_eig([[np.nan, 0.0], [0.0, 1.0]]),
+        InvalidInput,
+        r"E has non-finite entries",
+    ),
+    "numerical_rank non-finite": (
+        lambda d: corrgeo.numerical_rank([[np.inf]]),
+        InvalidInput,
+        r"rank of a non-finite matrix is undefined",
+    ),
+    "validate non-square": (
+        lambda d: corrgeo.validate(np.ones((2, 3))),
+        InvalidInput,
+        r"expected a square matrix, got shape \(2, 3\)",
+    ),
+    "WeightedSampleSet mixed shapes": (
+        lambda d: corrgeo.WeightedSampleSet(points=(_EYE2, _EYE3), weights=[1.0, 1.0]),
+        InvalidInput,
+        r"sample 1 has shape \(3, 3\), expected \(2, 2\)",
+    ),
+    "TimeSeriesTable width": (
+        lambda d: corrgeo.TimeSeriesTable(("a", "b"), np.zeros((3, 3))),
+        InvalidInput,
+        r"values shape \(3, 3\) does not match 2 columns",
+    ),
+    "load_manifest bad JSON": (
+        lambda d: corrgeo.load_manifest(_file(d, "m.json", "{not json")),
+        ParseError,
+        r"invalid JSON",
+    ),
+    "load_manifest delimited columns": (
+        lambda d: corrgeo.load_manifest(_file(d, "m.csv", "id,file\ns0,s0.csv\n")),
+        ParseError,
+        r"delimited manifest needs columns subject_id,path",
+    ),
+    "load_cohort every subject dropped": (
+        lambda d: corrgeo.load_cohort(
+            corrgeo.load_manifest(
+                _subjects(d, [("abc", _NOISE * [1, 1, 0])], drop={"max_zero_variance": 0})
+            )
+        ),
+        DegenerateInput,
+        r"every subject was dropped by the zero-variance policy",
+    ),
+    "load_cohort shared columns": (
+        lambda d: corrgeo.load_cohort(
+            corrgeo.load_manifest(_subjects(d, [("ab", _NOISE[:, :2]), ("ac", _NOISE[:, 1:])]))
+        ),
+        DegenerateInput,
+        r"fewer than 2 columns shared by all subjects",
+    ),
+    "pairwise_distances k=1": (
+        lambda d: corrgeo.pairwise_distances(
+            corrgeo.load_manifest(_subjects(d, [("abc", _NOISE), ("abc", _NOISE[::-1])])), k=1
+        ),
+        InvalidInput,
+        r"factor width must be at least 2, got 1",
+    ),
+    "difference_report shape": (
+        lambda d: corrgeo.difference_report(_EYE2, _EYE3, 0.1),
+        InvalidInput,
+        r"incompatible shapes \(2, 2\) vs \(3, 3\)",
+    ),
+    "difference_report columns": (
+        lambda d: corrgeo.difference_report(_EYE2, _EYE2, 0.1, columns=["a"]),
+        InvalidInput,
+        r"1 column names for a 2 x 2 matrix",
+    ),
+    "read_matrix_csv non-square": (
+        lambda d: corrgeo.read_matrix_csv(_file(d, "m.csv", "id,a,b\na,1,0\n")),
+        ParseError,
+        r"matrix is 1 x 2, expected square",
+    ),
+    "write_run_report unserializable": (
+        lambda d: corrgeo.write_run_report(d / "r.json", {"x": object()}),
+        TypeError,
+        r"cannot serialize object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_CHECKS))
+def test_public_calls_check_their_input(tmp_path, case):
+    call, error, message = _INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
+def test_numerical_rank_of_an_empty_matrix_is_zero():
+    assert corrgeo.numerical_rank(np.zeros((0, 3))) == 0
