@@ -236,9 +236,9 @@ def _joint_solve(reps, w, pin, mean, rotations, cfg):
     n, m, k = reps.shape
     model, retract = _joint_model(reps, w, pin)
     x0 = np.concatenate([mean, rotations.reshape(n * k, k)])[None]
-    x, *solve = _trust_region(model, retract, x0, cfg)
-    report = SolverReport(**_report_fields(*(a[0] for a in solve)))
-    return x[0, :m], x[0, m:].reshape(n, k, k), report
+    solve = _trust_region(model, retract, x0, cfg)
+    report = SolverReport(**_report_fields(solve, 0, solve.clamped[0]))
+    return solve.x[0, :m], solve.x[0, m:].reshape(n, k, k), report
 
 
 def frechet_mean(

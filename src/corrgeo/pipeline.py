@@ -559,10 +559,12 @@ def read_factor_csv(path) -> np.ndarray:
 
 
 def write_run_report(path, payload: dict) -> None:
-    """JSON report with sorted keys; wall time and diagnostics live here."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+    """JSON report with sorted keys; wall time and diagnostics live here.
+
+    The payload is serialized before the file is opened, so one that
+    cannot be (TypeError) leaves no file behind and an old report as it was.
+    """
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
 
 
 def _jsonable(obj):

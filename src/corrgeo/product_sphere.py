@@ -21,6 +21,7 @@ never a matrix as large as its tangent space squared.
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,6 +393,10 @@ def _truncated_cg(H, g, gn, radius, floor=0.0):
     return s, -((g * s).sum(axis=1) + 0.5 * (s * Hs).sum(axis=1))
 
 
+# The per-member arrays of one _trust_region solve, read by name
+Solve = namedtuple("Solve", "x loss grad_norm iterations converged stagnated clamped")
+
+
 def _trust_region(model, retract, x, cfg: SolverConfig, idle=None):
     """Riemannian trust-region Newton method with truncated-CG steps.
 
@@ -428,14 +433,14 @@ def _trust_region(model, retract, x, cfg: SolverConfig, idle=None):
     start already there takes one zero step). No member runs more than
     MAX_ITERS iterations.
 
-    Returns per-member arrays (x, loss, grad_norm, iterations, converged,
-    stagnated, clamped), the six after x in the order _report_fields reads
-    them: converged means grad_norm <= cfg.grad_tol with no clamped row (a
-    zero gradient on the cut locus is not a minimum), stagnated that the
-    trust region collapsed with the gradient still above it, clamped the
-    model's clamped rows at the returned point; a member that idles at the
+    Returns a Solve of per-member arrays: x the points, loss, grad_norm,
+    iterations, converged (grad_norm <= cfg.grad_tol with no clamped row: a
+    zero gradient on the cut locus is not a minimum), stagnated (the trust
+    region collapsed with the gradient still above it) and clamped (the
+    model's clamped rows at the returned point); a member that idles at the
     end holds the point of its last step (if it never stepped: its start, 0
-    iterations).
+    iterations). _report_fields turns members of it into SolverReport
+    fields.
     """
     x = np.array(x, dtype=float)
     size = x.shape[0]
@@ -481,24 +486,23 @@ def _trust_region(model, retract, x, cfg: SolverConfig, idle=None):
         done[act] = stopped
         if idle is not None and stopped.any():
             halted = done | idle(act[stopped & conv], loss, g, H, clamped, done)
-    return x, loss, gn, it, (gn <= cfg.grad_tol) & ~clamped.any(axis=1), stagnated, clamped
+    return Solve(x, loss, gn, it, (gn <= cfg.grad_tol) & ~clamped.any(axis=1), stagnated, clamped)
 
 
-def _report_fields(loss, gn, it, conv, stag, clamped_rows):
-    """The SolverReport fields of members of one _trust_region solve, as keywords.
+def _report_fields(solve, members, clamped_rows):
+    """The SolverReport fields of members of a Solve, as keywords.
 
-    loss, gn, it, conv and stag are the members' entries of the solver's
-    per-member arrays: one member's scalars, or every row of a row mean
-    (converged when all rows are, the largest iterations and gradient norm,
-    the summed loss); clamped_rows is a boolean mask over the rows of the
-    result.
+    members indexes the solve's arrays: one member, or every row of a row
+    mean (converged when all rows are, the largest iterations and gradient
+    norm, the summed loss); clamped_rows is a boolean mask over the rows
+    of the result.
     """
     return dict(
-        converged=bool(conv.all()),
-        iterations=int(it.max()),
-        grad_norm=float(gn.max()),
-        loss=float(loss.sum()),
-        stagnated=bool(stag.any()),
+        converged=bool(solve.converged[members].all()),
+        iterations=int(solve.iterations[members].max()),
+        grad_norm=float(solve.grad_norm[members].max()),
+        loss=float(solve.loss[members].sum()),
+        stagnated=bool(solve.stagnated[members].any()),
         clamped_rows=tuple(int(j) for j in np.flatnonzero(clamped_rows)),
     )
 
@@ -570,5 +574,5 @@ def _row_means(clouds, w, cfg: SolverConfig):
     n0 = np.linalg.norm(x0, axis=1)[:, None]
     x0 = np.where(n0 < 1e-8, clouds[:, 0], x0 / np.maximum(n0, 1e-8))
     model, retract = _row_mean_model(clouds, w)
-    mean, loss, gn, it, conv, stag, clamped = _trust_region(model, retract, x0, cfg)
-    return mean, SolverReport(**_report_fields(loss, gn, it, conv, stag, clamped.any(axis=1)))
+    solve = _trust_region(model, retract, x0, cfg)
+    return solve.x, SolverReport(**_report_fields(solve, slice(None), solve.clamped.any(axis=1)))

@@ -342,18 +342,18 @@ def _align_pairs(Xs, Ys, cfg: SolverConfig = DEFAULT_CONFIG, extra_inits=None):
         )
         model, retract = _alignment_model(np.repeat(A, R, axis=0), np.repeat(B, R, axis=0))
         idle, retired = _start_rule(n, R, wait)
-        O, *solve = _trust_region(model, retract, starts.reshape(n * R, k, k), cfg, idle)
-        # a retired start never wins, ties included (solve[0] is the loss)
-        best = np.argmin(np.where(retired, np.inf, solve[0].reshape(n, R)), axis=1)
+        solve = _trust_region(model, retract, starts.reshape(n * R, k, k), cfg, idle)
+        # a retired start never wins, ties included
+        best = np.argmin(np.where(retired, np.inf, solve.loss.reshape(n, R)), axis=1)
         for p, b in enumerate(R * np.arange(n) + best):
-            rot = O[b].copy()
+            rot = solve.x[b].copy()
             # a swapped pair's rotation carries Ys[p] onto Xs[p]'s orbit
             yield AlignmentResult(
                 rotation=rot.T if swap[p] else rot,
                 aligned=A[p] @ rot if swap[p] else B[p] @ rot.T,
                 restarts_used=R,
                 retired=int(retired[p].sum()),
-                **_report_fields(*(a[b] for a in solve)),
+                **_report_fields(solve, b, solve.clamped[b]),
             )
 
 
@@ -589,10 +589,7 @@ def max_full_rank_interval(X, V, t_max_search: float = 10.0):
     k = Xp.shape[1]
     if numerical_rank(Xp) < k:
         raise InvalidInput("base point is rank deficient")
-    speed = np.linalg.norm(vec)
-    if speed == 0.0:
-        return (-t_max_search, t_max_search)
-    lipschitz = (1.0 + RANK_RELATIVE) * speed
+    lipschitz = (1.0 + RANK_RELATIVE) * np.linalg.norm(vec)
     ts = np.linspace(0.0, t_max_search, GRID + 1)
     # (-t) V is t (-V) bit for bit, so one stack holds both directions' times
     gaps = np.empty((2, GRID + 1))

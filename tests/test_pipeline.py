@@ -882,3 +882,10 @@ def test_run_report_serializes_arrays_and_dataclasses(tmp_path):
     assert doc["distances"] == [[0.0, 1.5], [1.5, 0.0]]
     assert doc["spec"]["subject_id"] == "s1"
     assert doc["count"] == 3
+    # an unserializable payload raises before a file is opened: no new file,
+    # and an old report keeps its bytes
+    before = p.read_bytes()
+    for path in (p, tmp_path / "new.json"):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            write_run_report(path, {"a": 1, "x": object()})
+    assert p.read_bytes() == before and not (tmp_path / "new.json").exists()

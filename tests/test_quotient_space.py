@@ -40,7 +40,7 @@ from corrgeo import (
 
 from corrgeo import product_sphere, quotient_space
 from corrgeo.fixed_rank import HORIZ_TOL
-from corrgeo.product_sphere import MAX_ITERS, TIME_BOUND, _trust_region
+from corrgeo.product_sphere import MAX_ITERS, TIME_BOUND, Solve, _trust_region
 from corrgeo.quotient_space import (
     _align_pairs,
     _alignment_model,
@@ -172,7 +172,7 @@ def _recording_trust_region(monkeypatch, edit=None):
         if edit is not None:
             edit(out)
         outputs.append(out)
-        return out[:-1]
+        return Solve(*out[:-1])
 
     monkeypatch.setattr(quotient_space, "_start_rule", rule)
     monkeypatch.setattr(quotient_space, "_trust_region", recorded)
@@ -984,11 +984,18 @@ def test_rank_profile_long_segment_runs():
 # escape times ----------------------------------------------------------------------
 
 
-def test_full_rank_interval_zero_velocity():
+def test_full_rank_interval_zero_velocity(monkeypatch):
+    times = []  # the number of times of each gap evaluation
+    gaps = quotient_space._gaps
+    monkeypatch.setattr(
+        quotient_space, "_gaps", lambda X, V, ts: times.append(len(ts)) or gaps(X, V, ts)
+    )
     rng = np.random.default_rng(19)
     X = random_point(rng, 4, 3)
     lo, hi = max_full_rank_interval(X, np.zeros((4, 3)), t_max_search=5.0)
     assert (lo, hi) == (-5.0, 5.0)
+    # a zero Lipschitz bound certifies every coarse interval of the general scan
+    assert times == [66]
 
 
 def test_full_rank_interval_analytic_collision():

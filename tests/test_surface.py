@@ -4,9 +4,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,36 @@ def test_all_names_are_unique_and_resolve():
 
 def test_surface_size():
     assert len(corrgeo.__all__) <= 75
+
+
+def _code_lines(path):
+    """The lines of a module that hold a token other than a comment, outside docstrings."""
+    source = path.read_text()
+    docstrings = {
+        line
+        for node in ast.walk(ast.parse(source, str(path)))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+        for line in range(node.body[0].lineno, node.body[0].end_lineno + 1)
+    }
+    layout = {
+        tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+        tokenize.ENDMARKER,
+    }
+    code = {
+        line
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type not in layout
+        for line in range(tok.start[0], tok.end[0] + 1)
+    }
+    return len(code - docstrings)
+
+
+def test_code_size():
+    # lines of package code, without docstrings, comments or blank lines; a
+    # change that adds code raises the bound in its own diff
+    package = Path(corrgeo.__file__).parent
+    assert sum(_code_lines(path) for path in package.rglob("*.py")) <= 1782
 
 
 def test_solver_config_fields_are_the_settings_callers_set():
@@ -85,6 +117,29 @@ def test_the_solver_knows_no_pair_search():
         if isinstance(value := getattr(node, field, None), str)
     }
     assert names.isdisjoint({"certify", "block", "wait", "retired", "START_TOL"})
+
+
+def test_solve_records_are_read_by_name():
+    # outside product_sphere a _trust_region result is bound to one name and
+    # read by field: never unpacked, star-unpacked or indexed by position
+    package = Path(product_sphere.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "product_sphere.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        calls = [n for n in nodes if isinstance(n, ast.Call)]
+        calls = [n for n in calls if getattr(n.func, "id", "") == "_trust_region"]
+        binds = [n for n in nodes if isinstance(n, ast.Assign) and n.value in calls]
+        targets = [t for n in binds for t in n.targets]
+        assert len(targets) == len(calls), path.name
+        assert all(isinstance(t, ast.Name) for t in targets), path.name
+        names = {t.id for t in targets}
+        positional = [
+            n.lineno
+            for n in nodes
+            if isinstance(n, (ast.Subscript, ast.Starred)) and getattr(n.value, "id", "") in names
+        ]
+        assert positional == [], path.name
 
 
 def _file(directory, name, text):
