@@ -90,6 +90,8 @@ def cmd_mean(args) -> int:
     t0 = time.perf_counter()
     manifest = pipeline.load_manifest(args.manifest)
     cfg = _solver_config(restarts=args.restarts, grad_tol=args.tol, seed=args.seed)
+    if args.group is None and {"", "all"} <= {s.group for s in manifest.subjects}:
+        raise InvalidInput("ungrouped subjects and group 'all' would both write mean_all.csv")
     means, dropped = pipeline.group_means(manifest, cfg, group=args.group, k=args.k)
     out = _out_dir(args)
     for gm in means:

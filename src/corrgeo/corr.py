@@ -3,17 +3,20 @@
 A correlation matrix of rank at most k is exactly a Gram matrix X X^T of a
 unit-row m x k matrix, unique up to a common rotation of the rows. This
 module validates candidate matrices, factorizes them deterministically, and
-rebuilds them from representatives.
+rebuilds them from representatives. A validated matrix carries its
+spectrum: validate decomposes it once for the PSD check, and factorize and
+detected_rank read that decomposition.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
 from .config import is_number
 from .errors import InvalidCorrelation, InvalidInput, RankExceedsK
-from .kernels import rank_threshold, sym_eig
+from .kernels import SymEig, rank_threshold, sym_eig
 from .product_sphere import _rep
 
 
@@ -65,8 +68,13 @@ class CorrelationMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def eig(self) -> SymEig:
+        """sym_eig of the entries, computed on first read and kept."""
+        return sym_eig(self.entries)
+
     def detected_rank(self) -> int:
-        lam = sym_eig(self.entries).values
+        lam = self.eig.values
         return int(np.count_nonzero(lam > rank_threshold(abs(float(lam[0])))))
 
 
@@ -78,8 +86,8 @@ def validate(Z):
     semidefiniteness, finiteness), each carrying its magnitude.
     """
     Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {Z.shape}")
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.size == 0:
+        raise InvalidInput(f"expected a nonempty square matrix, got shape {Z.shape}")
     violations = []
     if not np.all(np.isfinite(Z)):
         violations.append(NonFiniteViolation(float(np.count_nonzero(~np.isfinite(Z)))))
@@ -93,12 +101,11 @@ def validate(Z):
     range_defect = float(np.max(np.abs(Z)) - 1.0)
     if range_defect > ENTRY_RANGE_TOL:
         violations.append(EntryRangeViolation(range_defect))
-    lam_min = float(sym_eig(Z).values[-1])
+    C = CorrelationMatrix(entries=Z)
+    lam_min = float(C.eig.values[-1])
     if lam_min < -PSD_TOL:
         violations.append(PSDViolation(-lam_min))
-    if violations:
-        return violations
-    return CorrelationMatrix(entries=Z)
+    return violations or C
 
 
 def as_correlation(Z) -> CorrelationMatrix:
@@ -115,27 +122,22 @@ def as_correlation(Z) -> CorrelationMatrix:
 def factorize(Z, k: int) -> np.ndarray:
     """Unit-row factor X with X X^T = Z and at most k columns.
 
-    Takes the eigenpairs above the rank threshold, scales eigenvectors by
-    square-root eigenvalues, zero-pads to k columns, and renormalizes each
-    row. The eigendecomposition's deterministic ordering and sign
-    convention make the output reproducible. Raises InvalidCorrelation when
-    Z fails validation, InvalidInput unless k is an integer >= 2, and
-    RankExceedsK when the detected rank is above k.
+    Takes the detected_rank eigenpairs of the matrix's own decomposition,
+    scales eigenvectors by square-root eigenvalues, zero-pads to k columns,
+    and renormalizes each row. The eigendecomposition's deterministic
+    ordering and sign convention make the output reproducible. Raises
+    InvalidCorrelation when Z fails validation, InvalidInput unless k is an
+    integer >= 2 or when a row of the factor is zero, and RankExceedsK when
+    the detected rank is above k.
     """
     C = as_correlation(Z)
-    Z = C.entries
     if not is_number(k, 2, Integral):
         raise InvalidInput(f"need k >= 2, got {k!r}")
-    eig = sym_eig(Z)
-    lam, U = eig.values, eig.vectors
-    thresh = rank_threshold(abs(float(lam[0])))
-    r = int(np.count_nonzero(lam > thresh))
+    r = C.detected_rank()
     if r > k:
         raise RankExceedsK(f"detected rank {r} exceeds requested width {k}")
-    if r == 0:
-        raise InvalidInput("matrix has numerical rank zero")
-    X = U[:, :r] * np.sqrt(np.maximum(lam[:r], 0.0))
-    X = np.hstack([X, np.zeros((Z.shape[0], k - r))])
+    X = C.eig.vectors[:, :r] * np.sqrt(C.eig.values[:r])
+    X = np.hstack([X, np.zeros((C.m, k - r))])
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms < 1e-8):
         raise InvalidInput("a row of the factor collapsed to zero norm")

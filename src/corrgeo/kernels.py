@@ -33,8 +33,8 @@ class SymEig:
 
 def _as_square(A, name="A"):
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise InvalidInput(f"{name} must be a nonempty square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInput(f"{name} has non-finite entries")
     return A

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from corrgeo import factorize
+from corrgeo import corr, factorize, sym_eig
 
 
 def unit_rows_of(A):
@@ -63,6 +63,18 @@ def factor_cohort(rng, m, f, T, n, spread=0.0, noise=1.0):
             Z = Z + noise * rng.standard_normal((T, m))
         factors.append(factorize(np.corrcoef(Z, rowvar=False), m))
     return factors
+
+
+def count_decompositions(monkeypatch):
+    """Record the shape of each matrix that corrgeo.corr decomposes; returns the record."""
+    calls = []
+
+    def counted(E):
+        calls.append(np.shape(E))
+        return sym_eig(E)
+
+    monkeypatch.setattr(corr, "sym_eig", counted)
+    return calls
 
 
 def counterexample_pair():

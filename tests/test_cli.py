@@ -23,7 +23,7 @@ from corrgeo import SolverReport, cli, product_sphere
 from corrgeo.cli import main
 from corrgeo.quotient_space import SearchReport, _align_pairs
 
-from conftest import random_correlation, random_point
+from conftest import count_decompositions, random_correlation, random_point
 
 
 def _write_csv(path, columns, values):
@@ -377,12 +377,40 @@ def test_mean_unknown_group_is_validation_error(tmp_path, capsys):
     assert main(["mean", str(man), "--group", "missing"]) == 2
 
 
+def test_mean_refuses_two_groups_that_share_an_output_name(tmp_path, capsys, monkeypatch):
+    # ungrouped subjects are labelled "all"; with a group named "all" beside
+    # them, one mean_all.csv would replace the other, so nothing is solved
+    # or written
+    man = _cohort(tmp_path, np.random.default_rng(5), 4, groups=("all", ""))
+    monkeypatch.setattr(cli.pipeline, "group_means", None)
+    out = tmp_path / "out"
+    assert main(["mean", str(man), "--out", str(out)]) == 2
+    assert "mean_all.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mean_rank_above_width_names_subject(tmp_path, capsys):
     rng = np.random.default_rng(6)
     man = _cohort(tmp_path, rng, 2)
     assert main(["mean", str(man), "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert "subject s0: " in err and "exceeds requested width 2" in err
+
+
+def test_each_subject_correlation_is_decomposed_once(tmp_path, monkeypatch):
+    # validate decomposes each subject's matrix and factorize reads that
+    # spectrum; mean decomposes each group's mean once more, when it is checked
+    calls = count_decompositions(monkeypatch)
+    write_matrix_csv(tmp_path / "corr.csv", np.eye(3), ["a", "b", "c"])
+    assert main(["validate", str(tmp_path / "corr.csv")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    man = _cohort(tmp_path, np.random.default_rng(3), 5, groups=("g1", "g2"))
+    assert main(["dist", str(man), "--out", str(tmp_path / "dist")]) == 0
+    assert len(calls) == 5
+    calls.clear()
+    assert main(["mean", str(man), "--out", str(tmp_path / "mean")]) == 0
+    assert len(calls) == 5 + 2
 
 
 # diff ------------------------------------------------------------------------

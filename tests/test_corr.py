@@ -21,7 +21,7 @@ from corrgeo.corr import (
     UnitDiagonalViolation,
 )
 
-from conftest import random_correlation, random_point
+from conftest import count_decompositions, random_correlation, random_point
 
 
 # validate --------------------------------------------------------------------
@@ -32,6 +32,16 @@ def test_validate_identity():
     assert isinstance(out, CorrelationMatrix)
     assert out.m == 4
     assert out.detected_rank() == 4
+
+
+def test_a_validated_matrix_is_decomposed_once(monkeypatch):
+    calls = count_decompositions(monkeypatch)
+    Z = random_correlation(np.random.default_rng(0), 6, 3)
+    factorize(Z, 4)
+    assert len(calls) == 1
+    C = validate(Z)
+    assert C.detected_rank() == C.detected_rank() == 3
+    assert len(calls) == 2
 
 
 def test_validate_diagonal_violation():
